@@ -25,7 +25,7 @@ print()
 for d in (2, 3):
     t0 = time.time()
     ctx = standard_context(d)
-    soundness = verify_flip_soundness(ctx.pset)
+    soundness = verify_flip_soundness(ctx.graph)
     conn = check_connected(ctx.graph)
     plus, minus = ctx.signature.class_sizes()
     print(f"d={d}: {len(ctx.pset)} nodes, {len(faces_of(ctx.pset.n))} faces per node")

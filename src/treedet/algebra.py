@@ -11,7 +11,8 @@ relations swept by verify_relations.
 
 All arithmetic is exact: rationals via fractions.Fraction with integer
 fast paths through int64 (segmented so no product or partial sum can
-overflow), or residues modulo a prime p > 3.
+overflow), or residues modulo a prime p > 3.  Residues use int64
+kernels while (p - 1)^2 fits, and exact Python ints above that.
 """
 
 from __future__ import annotations
@@ -33,26 +34,58 @@ from .model import (
     edge_list,
     face_edge_indices,
     faces_of,
+    json_int,
 )
 
 Tensor = tuple  # one d-coordinate vector per edge, lexicographic edge order
 
 
+# Miller-Rabin with every prime base up to 41 decides primality exactly
+# below this bound (Sorenson & Webster, Math. Comp. 2017, psi_13).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def validate_prime(p: int) -> int:
     if p in (2, 3):
         raise ValueError("characteristic 2 and 3 are excluded")
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+    if p >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality of {p} cannot be certified above {_MR_EXACT_BELOW}")
+    if p < 5 or not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
 
 
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 5 <= p < _MR_EXACT_BELOW."""
+    if any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    odd = p - 1
+    while odd % 2 == 0:
+        odd //= 2
+    for a in _MR_BASES:  # a must reach p - 1 by squaring, or start at 1
+        x, e = pow(a, odd, p), odd
+        while e != p - 1 and x not in (1, p - 1):
+            x, e = x * x % p, e * 2
+        if x != p - 1 and e % 2 == 0:
+            return False
+    return True
+
+
+def _residue_dtype(p: int):
+    """int64 while a product of two residues fits, exact Python ints above."""
+    return np.int64 if (p - 1) ** 2 < 2 ** 63 else object
+
+
 def parse_scalar(text) -> Fraction:
-    """Accept ints, Fractions, and 'a/b' or 'a' strings."""
-    if isinstance(text, (int, Fraction)):
+    """Accept ints, Fractions, and 'a/b' or 'a' strings; anything else,
+    booleans and zero denominators included, raises ValueError."""
+    if isinstance(text, bool) or not isinstance(text, (int, Fraction, str)):
+        raise ValueError(f"cannot parse scalar {text!r} (floats and booleans are refused)")
+    try:
         return Fraction(text)
-    if isinstance(text, str):
-        return Fraction(text)
-    raise ValueError(f"cannot parse scalar {text!r} (floats are not exact)")
+    except ZeroDivisionError as exc:
+        raise ValueError(f"cannot parse scalar {text!r}: zero denominator") from exc
 
 
 def format_scalar(x) -> str:
@@ -215,11 +248,12 @@ def det_eval(
     signs = table.signs
     if p is not None:
         validate_prime(p)
-        vals = np.array([[residue(x, p) for x in vec] for vec in vectors], dtype=np.int64)
-        res = np.ones(len(pset), dtype=np.int64)
+        dtype = _residue_dtype(p)
+        vals = np.array([[residue(x, p) for x in vec] for vec in vectors], dtype=dtype)
+        res = np.ones(len(pset), dtype=dtype)
         for e in range(edge_count(n)):
             res = res * vals[e][colors[:, e]] % p
-        return int((signs.astype(np.int64) * res).sum() % p) % p
+        return int((signs.astype(dtype) * res).sum() % p) % p
     dens = [math.lcm(*(x.denominator for x in vec)) for vec in vectors]
     nums = [
         [int(x * den) for x in vec] for vec, den in zip(vectors, dens)
@@ -506,13 +540,12 @@ def rank_certify_d2(p: int) -> int:
                 code = code * 2 + c
             vec[code] += 1
         rows.append(vec)
-    matrix = np.array(rows, dtype=np.int64) % p
-    return n_gens - gf_rank(matrix, p)
+    return n_gens - gf_rank(np.array(rows, dtype=np.int64), p)
 
 
 def gf_rank(matrix: np.ndarray, p: int) -> int:
     """Row-echelon rank over GF(p)."""
-    m = matrix % p
+    m = matrix.astype(_residue_dtype(p)) % p
     rank = 0
     n_rows, n_cols = m.shape
     for col in range(n_cols):
@@ -696,14 +729,14 @@ def tensor_to_json(vectors, d: int, n: int, p: Optional[int] = None) -> dict:
 def tensor_from_json(doc: dict):
     """Returns (vectors, d, p_or_None)."""
     try:
-        d = int(doc["d"])
+        d = json_int(doc["d"], "d")
         field = doc["field"]
         raw = doc["vectors"]
+        p = json_int(doc["p"], "p") if field == "gfp" else None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tensor object: {exc}") from exc
-    p = None
     if field == "gfp":
-        p = validate_prime(int(doc["p"]))
+        validate_prime(p)
     elif field != "rational":
         raise ValueError(f"unknown field {field!r}")
     vectors = as_tensor(raw, d, 2 * d)

@@ -5,8 +5,7 @@ order.  Exit codes: 0 all checks passed, 1 a mathematical certificate
 failed (including a flip-uniqueness violation), 2 bad input or usage.
 
 Commands that draw random samples require an explicit --seed; identical
-arguments and seed give byte-identical output regardless of the worker
-count.
+arguments and seed give identical certificates (wall_time_s aside).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from typing import Optional
@@ -35,7 +33,7 @@ from .flips import (
     standard_anchors,
     verify_flip_soundness,
 )
-from .model import EdgePartition
+from .model import EdgePartition, json_int
 
 PASS, FAIL = "pass", "fail"
 EXIT_OK, EXIT_CERT_FAIL, EXIT_USAGE = 0, 1, 2
@@ -48,7 +46,7 @@ def _certificate(command, parameters, outcome, numbers, witnesses, t0) -> dict:
         "numbers": numbers,
         "outcome": outcome,
         "parameters": parameters,
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
         "witnesses": witnesses,
     }
 
@@ -68,7 +66,8 @@ def _load_anchors(path: Optional[str], pset):
     with open(path) as fh:
         docs = json.load(fh)
     return [
-        (EdgePartition.from_json_dict(doc["partition"]), int(doc["sign"])) for doc in docs
+        (EdgePartition.from_json_dict(doc["partition"]), json_int(doc["sign"], "sign"))
+        for doc in docs
     ]
 
 
@@ -80,10 +79,8 @@ def _partition_line(p: EdgePartition) -> str:
 # subcommand handlers
 
 def cmd_enumerate(args) -> int:
-    t0 = time.time()
-    pset = enumerate_partitions(
-        args.d, cycle_free=args.cycle_free, workers=args.workers, allow_large=args.force
-    )
+    t0 = time.perf_counter()
+    pset = enumerate_partitions(args.d, cycle_free=args.cycle_free, allow_large=args.force)
     if args.count_only:
         print(len(pset))
         return EXIT_OK
@@ -118,13 +115,13 @@ def cmd_flip(args) -> int:
 
 
 def cmd_flip_graph(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = [c.strip() for c in args.check.split(",") if c.strip()]
     unknown = set(checks) - {"bipartite", "connected"}
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    ctx = standard_context(args.d, workers=args.workers)
-    soundness = verify_flip_soundness(ctx.pset)
+    ctx = standard_context(args.d)
+    soundness = verify_flip_soundness(ctx.graph)
     numbers = {
         "nodes": len(ctx.pset),
         "faces": ctx.graph.adjacency.shape[1],
@@ -180,8 +177,8 @@ def cmd_flip_graph(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    t0 = time.time()
-    pset = standard_context(args.d, workers=args.workers).pset
+    t0 = time.perf_counter()
+    pset = standard_context(args.d).pset
     table = symmetry.orbit_decomposition(pset)
     group_order = math.factorial(2 * args.d) * math.factorial(args.d)
     identity_ok = all(e.size * e.stabilizer_order == group_order for e in table.entries)
@@ -218,8 +215,8 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_verify_appendix(args) -> int:
-    t0 = time.time()
-    ctx = standard_context(3, workers=args.workers)
+    t0 = time.perf_counter()
+    ctx = standard_context(3)
     table = symmetry.orbit_decomposition(ctx.pset)
     match = symmetry.match_catalog(table)
     eps = symmetry.epsilon_formula_check(ctx.signature, args.samples, args.seed)
@@ -281,8 +278,8 @@ def cmd_det(args) -> int:
 
 
 def cmd_verify_relations(args) -> int:
-    t0 = time.time()
-    ctx = standard_context(args.d, workers=args.workers)
+    t0 = time.perf_counter()
+    ctx = standard_context(args.d)
     report = algebra.verify_relations(
         ctx.pset, ctx.signature, sample=args.sample, seed=args.seed
     )
@@ -345,25 +342,25 @@ def cmd_certify_all(args) -> int:
             failures += 1
 
     d = args.d
-    t0 = time.time()
-    pset_all = enumerate_partitions(d, workers=args.workers)
-    pset = enumerate_partitions(d, cycle_free=True, workers=args.workers)
+    t0 = time.perf_counter()
+    homogeneous = len(enumerate_partitions(d))  # the set itself is not kept
+    pset = enumerate_partitions(d, cycle_free=True)
     expected = {2: (20, 12), 3: (756756, 66240)}.get(d)
-    counts_ok = expected is None or (len(pset_all), len(pset)) == expected
+    counts_ok = expected is None or (homogeneous, len(pset)) == expected
     stage(
         _certificate(
             "certify-all/enumerate",
             {"d": d},
             PASS if counts_ok else FAIL,
-            {"homogeneous": len(pset_all), "cycle_free": len(pset)},
+            {"homogeneous": homogeneous, "cycle_free": len(pset)},
             [] if counts_ok else [{"property": "enumeration_counts", "expected": list(expected)}],
             t0,
         )
     )
 
-    t0 = time.time()
-    ctx = standard_context(d, workers=args.workers)
-    soundness = verify_flip_soundness(ctx.pset)
+    t0 = time.perf_counter()
+    ctx = standard_context(d, pset)
+    soundness = verify_flip_soundness(ctx.graph)
     stage(
         _certificate(
             "certify-all/flip-graph",
@@ -380,7 +377,7 @@ def cmd_certify_all(args) -> int:
         )
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     plus, minus = ctx.signature.class_sizes()
     alternating = bool(
         (ctx.signature.signs[ctx.graph.adjacency] == -ctx.signature.signs[:, None]).all()
@@ -402,7 +399,7 @@ def cmd_certify_all(args) -> int:
         )
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     table = symmetry.orbit_decomposition(ctx.pset)
     group_order = math.factorial(2 * d) * math.factorial(d)
     identity_ok = all(e.size * e.stabilizer_order == group_order for e in table.entries)
@@ -418,7 +415,7 @@ def cmd_certify_all(args) -> int:
     )
 
     if d == 3:
-        t0 = time.time()
+        t0 = time.perf_counter()
         match = symmetry.match_catalog(table)
         stage(
             _certificate(
@@ -431,7 +428,7 @@ def cmd_certify_all(args) -> int:
             )
         )
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         eps = symmetry.epsilon_formula_check(ctx.signature, args.samples, args.seed)
         stage(
             _certificate(
@@ -444,7 +441,7 @@ def cmd_certify_all(args) -> int:
             )
         )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     det_value = algebra.det_eval(algebra.unit_tensor(d), ctx.pset, ctx.signature)
     stage(
         _certificate(
@@ -457,7 +454,7 @@ def cmd_certify_all(args) -> int:
         )
     )
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = algebra.verify_relations(
         ctx.pset, ctx.signature, sample=args.sample_relations, seed=args.seed
     )
@@ -486,22 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_workers(p):
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=os.cpu_count() or 1,
-            help="worker count (default: available parallelism); results are "
-            "identical for any value",
-        )
-
     p = sub.add_parser("enumerate", help="enumerate homogeneous d-partitions of K_{2d}")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--cycle-free", action="store_true")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", help="write JSONL partition objects here")
     p.add_argument("--force", action="store_true", help="override the d <= 3 feasibility guard")
-    add_workers(p)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("flip", help="flip a partition across a face")
@@ -514,13 +501,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--check", default="bipartite,connected")
     p.add_argument("--anchors", help="JSON list of {partition, sign} anchor objects")
-    add_workers(p)
     p.set_defaults(func=cmd_flip_graph)
 
     p = sub.add_parser("orbits", help="orbit decomposition under vertex and color relabeling")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--out", help="write the orbit table as CSV here")
-    add_workers(p)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser(
@@ -529,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)
-    add_workers(p)
     p.set_defaults(func=cmd_verify_appendix)
 
     p = sub.add_parser("signature", help="sign of one partition")
@@ -546,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--sample", type=int, help="sampled mode instead of the full sweep")
     p.add_argument("--seed", type=int, help="seed, required in sampled mode")
-    add_workers(p)
     p.set_defaults(func=cmd_verify_relations)
 
     p = sub.add_parser("rank", help="quotient dimension at d = 2 by elimination over GF(p)")
@@ -570,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="sample_relations",
         help="sampled relation sweep instead of the full one",
     )
-    add_workers(p)
     p.set_defaults(func=cmd_certify_all)
 
     return parser
@@ -592,7 +574,7 @@ def main(argv=None) -> int:
                 FAIL,
                 {},
                 [{"property": "flip_uniqueness" if isinstance(exc, FlipUniquenessError) else "anchor_consistency", "detail": str(exc)}],
-                time.time(),
+                time.perf_counter(),
             )
         )
         return EXIT_CERT_FAIL

@@ -2,14 +2,13 @@
 
 Almost everything downstream (determinants, relation sweeps, the CLI)
 needs the same three objects for a given d.  They are built once per
-process and cached; the worker count changes nothing but the build
-parallelism, so it is normalized into the cache key.
+process and cached by d; a caller that already holds the cycle-free set
+passes it in, so it is not enumerated again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .enumeration import PartitionSet, enumerate_partitions
 from .flips import (
@@ -29,18 +28,26 @@ class Context:
     signature: SignatureTable
 
 
-def standard_context(d: int, workers: int = 1) -> Context:
-    """Cycle-free set, flip graph, and signature with standard anchors."""
-    return _standard_context(int(d), max(1, int(workers)))
+_contexts: dict[int, Context] = {}
 
 
-@lru_cache(maxsize=None)
-def _standard_context(d: int, workers: int) -> Context:
-    pset = enumerate_partitions(d, cycle_free=True, workers=workers)
-    graph = build_flip_graph(pset)
-    table = check_bipartite(graph, standard_anchors(pset))
-    if isinstance(table, OddCycleWitness):
-        raise RuntimeError(
-            f"flip graph for d={d} is not two-colorable; odd cycle of length {len(table)}"
-        )
-    return Context(pset, graph, table)
+def standard_context(d: int, pset: PartitionSet | None = None) -> Context:
+    """Cycle-free set, flip graph, and signature with standard anchors.
+
+    `pset`, if given, must be the cycle-free set for d; it replaces the
+    enumeration when the context is not cached yet.
+    """
+    d = int(d)
+    if d not in _contexts:
+        if pset is None:
+            pset = enumerate_partitions(d, cycle_free=True)
+        elif (pset.d, pset.cycle_free) != (d, True):
+            raise ValueError(f"standard_context({d}) needs the cycle-free set for d={d}")
+        graph = build_flip_graph(pset)
+        table = check_bipartite(graph, standard_anchors(pset))
+        if isinstance(table, OddCycleWitness):
+            raise RuntimeError(
+                f"flip graph for d={d} is not two-colorable; odd cycle of length {len(table)}"
+            )
+        _contexts[d] = Context(pset, graph, table)
+    return _contexts[d]

@@ -1,29 +1,26 @@
 """Exhaustive enumeration of homogeneous d-partitions of K_{2d}.
 
-A depth-first scan colors the edges in lexicographic order, trying
-colors in ascending order, so the emitted sequence is strictly
-increasing in canonical code and needs no post-sort.  Every color keeps
-a remaining-edge budget of 2d - 1; in cycle-free mode each color also
-carries an incremental union-find forest so cyclic prefixes are pruned
-as soon as they appear.
+The set is grown one edge at a time, in lexicographic edge order, as a
+numpy array of all admissible prefixes.  Each prefix is extended by the
+colors 0..d-1 in that order and the survivors keep their order, so the
+final rows are strictly increasing in canonical code and need no sort.
+A color is admissible while it has used fewer than 2d - 1 edges; in
+cycle-free mode its edge bitmask plus the new edge must also be acyclic,
+which is read off the precomputed subset table, so cyclic prefixes are
+pruned as soon as they appear.
 
 The counts grow fast: d = 3 has multinomial(15; 5,5,5) = 756756
 homogeneous partitions, while d = 4 already has about 4.7 * 10^14, so
 exhaustive mode refuses d > 3 unless explicitly overridden.
-
-With workers > 1 the search space is sharded on the colors of the first
-few edges; shard outputs are concatenated in shard order, so the result
-is byte-identical to the single-worker scan.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 import numpy as np
 
-from .model import EdgePartition, edge_count, edge_list
+from .model import EdgePartition, acyclic_mask_table, edge_count
 
 MAX_EXHAUSTIVE_D = 3
 
@@ -47,7 +44,11 @@ class PartitionSet:
         if d ** E >= 2 ** 63:
             raise ValueError(f"canonical codes for d={d}, n={n} exceed 64-bit range")
         self.weights = (d ** np.arange(E - 1, -1, -1)).astype(np.int64)
-        self.codes = self.colors.astype(np.int64) @ self.weights
+        # Horner's rule, one column at a time: no (N, E) int64 temporary
+        self.codes = np.zeros(len(self.colors), dtype=np.int64)
+        for k in range(E):
+            self.codes *= d
+            self.codes += self.colors[:, k]
         if np.any(np.diff(self.codes) <= 0):
             raise ValueError("member sequence is not strictly code-sorted")
         self.codes.setflags(write=False)
@@ -88,84 +89,10 @@ class PartitionSet:
         return self.contains(partition)
 
 
-def _dfs_blob(d: int, cycle_free: bool, prefix: tuple[int, ...]) -> bytes:
-    """All valid colorings extending `prefix`, concatenated as raw bytes.
-
-    Top-level function so multiprocessing can ship it to workers.
-    """
-    n = 2 * d
-    edges = edge_list(n)
-    E = len(edges)
-    budget = [2 * d - 1] * d
-    colors = bytearray(E)
-    # per-color union-find without path compression so moves undo in O(1)
-    parent = [list(range(n + 1)) for _ in range(d)]
-    size = [[1] * (n + 1) for _ in range(d)]
-    out = []
-
-    def find(par, x):
-        while par[x] != x:
-            x = par[x]
-        return x
-
-    def place(k, c):
-        """Try to color edge k with c; return an undo token or None."""
-        if budget[c] == 0:
-            return None
-        if cycle_free:
-            i, j = edges[k]
-            par, sz = parent[c], size[c]
-            ri, rj = find(par, i), find(par, j)
-            if ri == rj:
-                return None
-            if sz[ri] < sz[rj]:
-                ri, rj = rj, ri
-            par[rj] = ri
-            sz[ri] += sz[rj]
-        else:
-            ri = rj = 0
-        budget[c] -= 1
-        colors[k] = c
-        return (c, ri, rj)
-
-    def unplace(token):
-        c, ri, rj = token
-        budget[c] += 1
-        if cycle_free:
-            parent[c][rj] = rj
-            size[c][ri] -= size[c][rj]
-
-    tokens = []
-    for k, c in enumerate(prefix):
-        token = place(k, c)
-        if token is None:
-            return b""
-        tokens.append(token)
-
-    base = len(prefix)
-
-    def rec(k):
-        if k == E:
-            out.append(bytes(colors))
-            return
-        for c in range(d):
-            token = place(k, c)
-            if token is None:
-                continue
-            rec(k + 1)
-            unplace(token)
-
-    rec(base)
-    for token in reversed(tokens):
-        unplace(token)
-    return b"".join(out)
-
-
 def enumerate_partitions(
     d: int,
     cycle_free: bool = False,
     *,
-    workers: int = 1,
     allow_large: bool = False,
 ) -> PartitionSet:
     """Build the set of homogeneous d-partitions of K_{2d}.
@@ -184,15 +111,23 @@ def enumerate_partitions(
         )
     n = 2 * d
     E = edge_count(n)
-    shard_len = min(3, E)
-    shards = list(product(range(d), repeat=shard_len))
-    if workers > 1 and len(shards) > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            blobs = pool.starmap(_dfs_blob, [(d, cycle_free, s) for s in shards])
-    else:
-        blobs = [_dfs_blob(d, cycle_free, s) for s in shards]
-    blob = b"".join(blobs)
-    colors = np.frombuffer(blob, dtype=np.uint8).reshape(-1, E).copy()
+    budget = 2 * d - 1
+    acyc = acyclic_mask_table(n) if cycle_free else None
+    colors = np.zeros((1, E), dtype=np.uint8)
+    counts = np.zeros((1, d), dtype=np.uint8)  # edges per color so far
+    masks = np.zeros((1, d), dtype=np.int64)  # edge bitmask per color so far
+    for k in range(E):
+        ok = counts < budget
+        if cycle_free:
+            ok &= acyc[masks | (1 << k)]
+        # row-major order: prefix first, then color, so rows stay code-sorted
+        rows, new = np.nonzero(ok)
+        colors = colors[rows]
+        colors[:, k] = new
+        at = (np.arange(len(rows)), new)
+        counts = counts[rows]
+        counts[at] += 1
+        if cycle_free:
+            masks = masks[rows]
+            masks[at] |= 1 << k
     return PartitionSet(d, n, colors, cycle_free)

@@ -16,12 +16,17 @@ two certificates this package is built around:
   signature map; its existence is the bipartiteness of the flip graph);
 * connectivity: when the involutions act transitively, the quotient of
   the tensor space by the face relations has dimension at most one.
+
+Both are read off one components kernel run on the parity double cover
+of the graph; a breadth-first search only extracts the witness of a
+failed check.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence, Union
 
@@ -105,11 +110,23 @@ class FlipGraph:
     """Flip adjacency over a cycle-free homogeneous partition set.
 
     adjacency[i, f] is the index of the flip partner of node i across
-    face number f (faces in lexicographic order).
+    face number f (faces in lexicographic order); diff_counts[i, f] is
+    the number of face edges (2 or 3) on which the two partners differ.
     """
 
     pset: PartitionSet
     adjacency: np.ndarray  # (N, C(2d,3)) int32
+    diff_counts: np.ndarray  # (N, C(2d,3)) int8
+
+    @cached_property
+    def cover_labels(self) -> np.ndarray:
+        """(2, N) component labels of the parity double cover: node i has
+        its even copy at i and its odd copy at i + N, and each flip joins
+        one parity to the other.  Shared by check_bipartite and
+        check_connected."""
+        N = len(self.adjacency)
+        cover = np.concatenate([self.adjacency + N, self.adjacency])
+        return components(cover).reshape(2, N)
 
     @property
     def faces(self):
@@ -219,19 +236,18 @@ def build_flip_graph(pset: PartitionSet) -> FlipGraph:
     """Full flip adjacency of a cycle-free homogeneous partition set."""
     if not pset.cycle_free:
         raise ValueError("flip graph needs the cycle-free partition set")
-    adjacency, _ = _face_sweep(pset)
-    return FlipGraph(pset, adjacency)
+    return FlipGraph(pset, *_face_sweep(pset))
 
 
-def verify_flip_soundness(pset: PartitionSet) -> FlipSoundnessReport:
-    """Exhaustively re-derive every flip and check the involution.
+def verify_flip_soundness(graph: FlipGraph) -> FlipSoundnessReport:
+    """Check every flip of the graph and the involution.
 
-    Covers all |set| * C(2d,3) pairs: unique survivor (the sweep raises
-    otherwise), difference on exactly 2 or 3 face edges, and double-flip
-    returning the original node.
+    Covers all |set| * C(2d,3) pairs: unique survivor (the sweep that
+    built the graph raises otherwise), difference on exactly 2 or 3 face
+    edges, and double-flip returning the original node.
     """
-    adjacency, diff_counts = _face_sweep(pset)
-    ids = np.arange(len(pset))
+    adjacency, diff_counts = graph.adjacency, graph.diff_counts
+    ids = np.arange(len(graph.pset))
     involution_ok = all(
         np.array_equal(adjacency[adjacency[:, f], f], ids)
         and not np.any(adjacency[:, f] == ids)
@@ -243,6 +259,29 @@ def verify_flip_soundness(pset: PartitionSet) -> FlipSoundnessReport:
         diff_three=int((diff_counts == 3).sum()),
         involution_ok=bool(involution_ok),
     )
+
+
+def components(neighbors) -> np.ndarray:
+    """Connected components by min-label hooking and pointer jumping
+    (Shiloach & Vishkin, J. Algorithms 1982), vectorized in numpy.
+
+    Row i of the (N, k) table `neighbors` lists nodes joined to node i
+    (an edge may be listed from one end only; k may be 0).  Returns int32
+    labels: labels[i] is the smallest node index in i's component.
+    """
+    table = np.asarray(neighbors, dtype=np.int32)
+    labels = np.arange(len(table), dtype=np.int32)
+    while True:
+        near = labels[table]
+        if np.all(near == labels[:, None]):
+            return labels
+        # Hook roots under the smaller label across each edge, both ways.
+        # Labels only decrease and stay within the component.
+        np.minimum.at(labels, labels.copy(), near.min(axis=1))
+        np.minimum.at(labels, near.ravel(), np.repeat(labels, table.shape[1]))
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):  # pointer jumping to the roots
+            labels, jumped = jumped, jumped[jumped]
 
 
 @dataclass
@@ -269,7 +308,8 @@ def two_color(neighbors) -> Union[TwoColoring, OddCycleWitness]:
 
     `neighbors` may be an (N, k) integer array or a list of neighbor
     lists.  Returns the coloring, or an explicit odd cycle if any edge
-    joins two nodes of the same BFS parity.
+    joins two nodes of the same BFS parity.  The flip-graph checks use
+    it only to extract the witness of a failure found by components().
     """
     if isinstance(neighbors, np.ndarray):
         rows = neighbors.tolist()
@@ -310,11 +350,13 @@ def _path_to_root(parent: np.ndarray, u: int) -> list:
 
 
 def _odd_cycle(parent: np.ndarray, u: int, v: int) -> list:
+    """Cycle closed by the edge (u, v) of two equal-parity BFS nodes:
+    their lowest common ancestor down to u, then v up to below it."""
     pu, pv = _path_to_root(parent, u), _path_to_root(parent, v)
     while len(pu) > 1 and len(pv) > 1 and pu[-2] == pv[-2]:
         pu.pop()
         pv.pop()
-    return pu[::-1] + pv[1:][::-1] if pu[-1] == pv[-1] else pu[::-1] + pv[::-1]
+    return pu[::-1] + pv[:-1]
 
 
 def _tree_path(parent: np.ndarray, a: int, b: int) -> list:
@@ -361,26 +403,29 @@ def check_bipartite(
     component that disagree raise AnchorConflictError with the
     connecting path as a witness.
     """
-    coloring = two_color(graph.adjacency)
-    if isinstance(coloring, OddCycleWitness):
-        return coloring
-    flip_factor = np.zeros(coloring.n_components, dtype=np.int8)
-    anchor_node = np.full(coloring.n_components, -1, dtype=np.int64)
+    even, odd = graph.cover_labels
+    if np.any(even == odd):  # a node reaches its own odd copy: an odd cycle
+        return two_color(graph.adjacency)
+    root = np.minimum(even, odd)
+    # +1 on the copy that holds the component's minimal node, the BFS seed
+    sign = np.where(even == root, 1, -1).astype(np.int8)
+    flip_factor = np.zeros(len(root), dtype=np.int8)  # indexed by component root
+    anchor_node = np.full(len(root), -1, dtype=np.int64)
     for partition, wanted in anchors or ():
         if wanted not in (+1, -1):
             raise ValueError(f"anchor sign must be +1 or -1, got {wanted}")
         i = graph.pset.index_of(partition)
-        cid = int(coloring.component[i])
-        factor = wanted * int(coloring.sign[i])
-        if flip_factor[cid] == 0:
-            flip_factor[cid] = factor
-            anchor_node[cid] = i
-        elif flip_factor[cid] != factor:
-            raise AnchorConflictError(
-                int(anchor_node[cid]), i, _tree_path(coloring.parent, int(anchor_node[cid]), i)
-            )
+        r = int(root[i])
+        factor = wanted * int(sign[i])
+        if flip_factor[r] == 0:
+            flip_factor[r] = factor
+            anchor_node[r] = i
+        elif flip_factor[r] != factor:
+            first = int(anchor_node[r])
+            parent = two_color(graph.adjacency).parent
+            raise AnchorConflictError(first, i, _tree_path(parent, first, i))
     flip_factor[flip_factor == 0] = 1  # unanchored: seed node (minimal code) gets +1
-    signs = (coloring.sign * flip_factor[coloring.component]).astype(np.int8)
+    signs = (sign * flip_factor[root]).astype(np.int8)
     return SignatureTable(graph.pset, signs)
 
 
@@ -401,11 +446,9 @@ def check_connected(graph: FlipGraph) -> ConnectivityReport:
     bounds the dimension of the associated quotient space by one.  The
     count is reported as measured, never assumed.
     """
-    coloring = two_color(graph.adjacency)
-    if isinstance(coloring, OddCycleWitness):  # pragma: no cover - flips never self-loop
-        raise AssertionError("flip graph produced an odd cycle during BFS")
-    reps = [graph.pset.partition(seed) for seed in coloring.seeds]
-    return ConnectivityReport(coloring.n_components, reps)
+    root = graph.cover_labels.min(axis=0)
+    seeds = np.flatnonzero(root == np.arange(len(root)))
+    return ConnectivityReport(len(seeds), [graph.pset.partition(int(i)) for i in seeds])
 
 
 def standard_anchors(pset: PartitionSet) -> list[tuple[EdgePartition, int]]:

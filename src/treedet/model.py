@@ -29,6 +29,13 @@ TREE_SHAPES = ("I6", "Y6", "E6", "H6", "C6", "S6")
 NOT_TREE = "NotTree"
 
 
+def json_int(value, what: str) -> int:
+    """An integer read from JSON; `true`, 1.7 and "1" are refused, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -146,7 +153,8 @@ class EdgePartition:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "EdgePartition":
         try:
-            return cls(int(doc["d"]), int(doc["n"]), tuple(int(c) for c in doc["colors"]))
+            colors = tuple(json_int(c, "color") for c in doc["colors"])
+            return cls(json_int(doc["d"], "d"), json_int(doc["n"], "n"), colors)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed partition object: {exc}") from exc
 

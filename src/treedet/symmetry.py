@@ -2,10 +2,11 @@
 
 A pair (sigma, tau) acts by relabeling vertices through sigma and
 colors through tau: the edge (i, j) of color c goes to the edge
-(sigma i, sigma j) of color tau(c).  Orbits are computed by closing the
-partition set under adjacent transpositions of both factors (vectorized
-index maps plus union-find); stabilizers are found by brute force over
-all (2d)! * d! pairs, which is 4320 checks per representative at d = 3.
+(sigma i, sigma j) of color tau(c).  Orbits are the connected
+components of the graph whose edges are the adjacent transpositions of
+both factors, given as vectorized index maps to the components kernel;
+stabilizers test all (2d)! * d! pairs in one numpy broadcast, which is
+4320 checks per representative at d = 3.
 
 Permutations are plain image tuples with 1-based values: sigma[i-1] is
 the image of vertex i.
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import catalog
 from .enumeration import PartitionSet
-from .flips import SignatureTable
+from .flips import SignatureTable, components
 from .model import EdgePartition, classify_tree, edge_count, edge_index, edge_list
 
 Perm = tuple  # image tuple, 1-based values
@@ -136,19 +137,18 @@ def group_elements(n: int, d: int):
 
 
 def stabilizer(partition: EdgePartition) -> list[PermPair]:
-    """Brute-force stabilizer of a partition inside S_{2d} x S_d."""
+    """Stabilizer of a partition inside S_{2d} x S_d, in the order of
+    group_elements.  Every pair is tested at once: the (2d)! relabeled
+    color sequences, recolored by each of the d! color maps, are
+    compared with the partition."""
     n, d = partition.n, partition.d
     perms, maps = _all_edge_maps(n)
     base = np.array(partition.colors, dtype=np.uint8)
     taus = tuple(permutations(range(1, d + 1)))
-    tau_maps = [np.array([t[c] - 1 for c in range(d)], dtype=np.uint8) for t in taus]
-    found = []
-    for sigma, src in zip(perms, maps):
-        moved = base[src]
-        for tau, tmap in zip(taus, tau_maps):
-            if np.array_equal(tmap[moved], base):
-                found.append(PermPair(sigma, tau))
-    return found
+    tau_maps = np.array(taus, dtype=np.uint8) - 1  # tau_maps[t, c] = tau_t(c), 0-based
+    fixed = (tau_maps[:, base[maps]] == base).all(axis=2)  # (d!, (2d)!)
+    sigma_idx, tau_idx = np.nonzero(fixed.T)
+    return [PermPair(perms[s], taus[t]) for s, t in zip(sigma_idx, tau_idx)]
 
 
 @dataclass
@@ -179,8 +179,9 @@ class OrbitTable:
 
 
 def _orbit_roots(pset: PartitionSet) -> np.ndarray:
-    """Union-find closure under adjacent transpositions of both factors."""
-    n, d, N = pset.n, pset.d, len(pset)
+    """Components of the closure under adjacent transpositions of both
+    factors; each node's root is the minimal member index of its orbit."""
+    n, d = pset.n, pset.d
     colors = pset.colors
     weights = pset.weights
     codes = pset.codes
@@ -196,23 +197,7 @@ def _orbit_roots(pset: PartitionSet) -> np.ndarray:
         tmap[a], tmap[a + 1] = tmap[a + 1], tmap[a]
         moved_codes = tmap[colors].astype(np.int64) @ weights
         neighbor_maps.append(np.searchsorted(codes, moved_codes).astype(np.int32))
-
-    parent = np.arange(N, dtype=np.int32)
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for gmap in neighbor_maps:
-        for i in range(N):
-            a, b = find(i), find(int(gmap[i]))
-            if a != b:
-                parent[max(a, b)] = min(a, b)  # keep minimal index as root
-    return np.array([find(i) for i in range(N)], dtype=np.int32)
+    return components(np.stack(neighbor_maps, axis=1))
 
 
 def orbit_decomposition(pset: PartitionSet, with_stabilizers: bool = True) -> OrbitTable:

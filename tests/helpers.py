@@ -4,10 +4,15 @@ Everything in here deliberately avoids the library's own data paths:
 the enumeration oracle walks all colorings directly, the flip oracle
 re-derives partners from first principles, and the tensor generators
 only use numpy RNGs and fractions.
+
+The last section keeps the library's earlier algorithms, replaced by
+numpy kernels, as reference implementations: the depth-first
+enumeration, the union-find orbit closure and the pair-by-pair
+stabilizer loop.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -104,3 +109,127 @@ def with_constant_face(rng, vectors, d, n=None):
     for k in face_edge_indices(face, n):
         vectors[k] = shared
     return tuple(vectors), face
+
+
+# ---------------------------------------------------------------------------
+# earlier library algorithms, kept as references for the numpy kernels
+
+
+def dfs_blob(d, cycle_free):
+    """All valid colorings in code order, concatenated as raw bytes, by a
+    depth-first scan with per-color budgets and union-find."""
+    from treedet.model import edge_list
+
+    n = 2 * d
+    edges = edge_list(n)
+    E = len(edges)
+    budget = [2 * d - 1] * d
+    colors = bytearray(E)
+    # per-color union-find without path compression so moves undo in O(1)
+    parent = [list(range(n + 1)) for _ in range(d)]
+    size = [[1] * (n + 1) for _ in range(d)]
+    out = []
+
+    def find(par, x):
+        while par[x] != x:
+            x = par[x]
+        return x
+
+    def place(k, c):
+        """Try to color edge k with c; return an undo token or None."""
+        if budget[c] == 0:
+            return None
+        if cycle_free:
+            i, j = edges[k]
+            par, sz = parent[c], size[c]
+            ri, rj = find(par, i), find(par, j)
+            if ri == rj:
+                return None
+            if sz[ri] < sz[rj]:
+                ri, rj = rj, ri
+            par[rj] = ri
+            sz[ri] += sz[rj]
+        else:
+            ri = rj = 0
+        budget[c] -= 1
+        colors[k] = c
+        return (c, ri, rj)
+
+    def unplace(token):
+        c, ri, rj = token
+        budget[c] += 1
+        if cycle_free:
+            parent[c][rj] = rj
+            size[c][ri] -= size[c][rj]
+
+    def rec(k):
+        if k == E:
+            out.append(bytes(colors))
+            return
+        for c in range(d):
+            token = place(k, c)
+            if token is None:
+                continue
+            rec(k + 1)
+            unplace(token)
+
+    rec(0)
+    return b"".join(out)
+
+
+def union_find_orbit_roots(pset):
+    """Minimal member index of each orbit, by union-find closure under
+    adjacent transpositions of both factors."""
+    from treedet.symmetry import vertex_perm_edge_map
+
+    n, d, N = pset.n, pset.d, len(pset)
+    colors = pset.colors
+    weights = pset.weights
+    codes = pset.codes
+    neighbor_maps = []
+    for a in range(1, n):
+        sigma = list(range(1, n + 1))
+        sigma[a - 1], sigma[a] = sigma[a], sigma[a - 1]
+        src = vertex_perm_edge_map(tuple(sigma), n)
+        moved_codes = colors[:, src].astype(np.int64) @ weights
+        neighbor_maps.append(np.searchsorted(codes, moved_codes).astype(np.int32))
+    for a in range(d - 1):
+        tmap = np.arange(d, dtype=np.uint8)
+        tmap[a], tmap[a + 1] = tmap[a + 1], tmap[a]
+        moved_codes = tmap[colors].astype(np.int64) @ weights
+        neighbor_maps.append(np.searchsorted(codes, moved_codes).astype(np.int32))
+
+    parent = np.arange(N, dtype=np.int32)
+
+    def find(x):
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    for gmap in neighbor_maps:
+        for i in range(N):
+            a, b = find(i), find(int(gmap[i]))
+            if a != b:
+                parent[max(a, b)] = min(a, b)  # keep minimal index as root
+    return np.array([find(i) for i in range(N)], dtype=np.int32)
+
+
+def loop_stabilizer(partition):
+    """Stabilizer inside S_{2d} x S_d, one (sigma, tau) pair at a time."""
+    from treedet.symmetry import PermPair, _all_edge_maps
+
+    n, d = partition.n, partition.d
+    perms, maps = _all_edge_maps(n)
+    base = np.array(partition.colors, dtype=np.uint8)
+    taus = tuple(permutations(range(1, d + 1)))
+    tau_maps = [np.array([t[c] - 1 for c in range(d)], dtype=np.uint8) for t in taus]
+    found = []
+    for sigma, src in zip(perms, maps):
+        moved = base[src]
+        for tau, tmap in zip(taus, tau_maps):
+            if np.array_equal(tmap[moved], base):
+                found.append(PermPair(sigma, tau))
+    return found

@@ -62,7 +62,7 @@ def test_criterion_01_counts():
 
 
 def test_criterion_02_flip_soundness_exhaustive(ctx3):
-    report = verify_flip_soundness(ctx3.pset)
+    report = verify_flip_soundness(ctx3.graph)
     assert report.pairs_checked == 66240 * 20
     assert report.diff_two + report.diff_three == report.pairs_checked
     assert report.involution_ok

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from treedet.algebra import (
     geometric_check_d2,
     gf_rank,
     matrix_determinant,
+    parse_scalar,
     permute_tensor,
     rank_certify_d2,
     relation_instances,
@@ -214,6 +216,7 @@ def test_monochrome_face_instance_vanishes_because_cyclic(ctx2):
 def test_rank_certificate():
     assert rank_certify_d2(101) == 1
     assert rank_certify_d2(5) == 1
+    assert rank_certify_d2(4294967311) == 1  # products of residues pass 2^63
     with pytest.raises(ValueError):
         rank_certify_d2(3)
     with pytest.raises(ValueError):
@@ -349,6 +352,43 @@ def test_validate_prime():
     for bad in (2, 3, 4, 9, 91, 1):
         with pytest.raises(ValueError):
             validate_prime(bad)
+    # every n below 3000 against trial division
+    for n in range(5, 3000):
+        is_prime = all(n % q for q in range(2, int(n ** 0.5) + 1))
+        try:
+            validate_prime(n)
+            assert is_prime, n
+        except ValueError:
+            assert not is_prime, n
+    # strong pseudoprimes to the bases up to 7, 23 and 37 respectively
+    for bad in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="not prime"):
+            validate_prime(bad)
+    with pytest.raises(ValueError, match="cannot be certified"):
+        validate_prime(2 ** 89 - 1)
+
+
+def test_validate_prime_is_fast_for_large_primes():
+    start = time.perf_counter()
+    assert validate_prime(2 ** 61 - 1) == 2 ** 61 - 1
+    assert validate_prime(2 ** 64 - 59) == 2 ** 64 - 59
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("p", [3037000493, 4294967311, 2 ** 61 - 1])
+def test_large_prime_value_is_the_rational_residue(ctx3, p):
+    # 3037000493 is the largest prime whose residue products fit in int64
+    vectors = helpers.rand_int_tensor(np.random.default_rng(p % 1000), 3)
+    rational = det_eval(vectors, ctx3.pset, ctx3.signature)
+    assert rational.denominator == 1
+    assert det_eval(vectors, ctx3.pset, ctx3.signature, p=p) == rational.numerator % p
+
+
+def test_parse_scalar_is_strict():
+    assert parse_scalar("-3/6") == Fraction(-1, 2)
+    for bad in ("1/0", True, False, 1.5, None):
+        with pytest.raises(ValueError):
+            parse_scalar(bad)
 
 
 def test_tensor_json_roundtrip():
@@ -362,3 +402,6 @@ def test_tensor_json_roundtrip():
     assert p == 101
     with pytest.raises(ValueError):
         tensor_from_json({"d": 2, "field": "complex", "vectors": []})
+    for bad in ({**doc_p, "p": True}, {**doc_p, "p": 101.0}, {**doc, "d": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            tensor_from_json(bad)

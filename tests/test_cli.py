@@ -127,6 +127,8 @@ def test_det_rational_strings(capsys, tmp_path):
 def test_rank_command(capsys):
     code, out, _ = run(capsys, ["rank", "--d", "2", "--p", "101"])
     assert code == 0 and out.strip() == "1"
+    code, out, _ = run(capsys, ["rank", "--d", "2", "--p", "4294967311"])
+    assert code == 0 and out.strip() == "1"
     code, _, err = run(capsys, ["rank", "--d", "3", "--p", "101"])
     assert code == 2
 
@@ -235,8 +237,25 @@ def test_deterministic_output(capsys):
         {k: v for k, v in json.loads(s).items() if k != "wall_time_s"}, sort_keys=True
     )
     assert strip(first) == strip(second)
-    _, w2, _ = run(capsys, ["verify-relations", "--d", "2", "--workers", "2"])
-    assert strip(first) == strip(w2)
+
+
+@pytest.mark.parametrize("scalar", ["1/0", True, 1.5])
+def test_det_rejects_bad_scalars_as_usage_errors(capsys, tmp_path, scalar):
+    vectors = [["1", "0"], ["0", "1"], ["1", "0"], ["1", "0"], ["0", "1"], ["0", "1"]]
+    vectors[0][0] = scalar
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"d": 2, "field": "rational", "vectors": vectors}))
+    code, out, err = run(capsys, ["det", "--input", str(tensor)])
+    assert code == 2 and out == "" and "error" in err
+
+
+def test_flip_rejects_boolean_colors(capsys, tmp_path):
+    p0 = tmp_path / "p0.json"
+    p0.write_text(json.dumps({"d": 2, "n": 4, "colors": [False, True, False, False, True, True]}))
+    code, out, err = run(
+        capsys, ["flip", "--d", "2", "--partition", str(p0), "--face", "1", "2", "3"]
+    )
+    assert code == 2 and out == "" and "color must be an integer" in err
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -248,4 +267,7 @@ def test_usage_errors(capsys, tmp_path):
     assert code == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["certify-all", "--seed", "0", "--workers", "1"])
     assert exc.value.code == 2

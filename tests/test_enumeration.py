@@ -57,13 +57,17 @@ def test_multinomial_identity(set3_all):
     assert len(set3_all) == math.factorial(15) // math.factorial(5) ** 3 == 756756
 
 
-def test_worker_count_does_not_change_output():
-    one = enumerate_partitions(2, cycle_free=True, workers=1)
-    two = enumerate_partitions(2, cycle_free=True, workers=2)
-    assert np.array_equal(one.colors, two.colors)
-    one = enumerate_partitions(3, cycle_free=True, workers=1)
-    two = enumerate_partitions(3, cycle_free=True, workers=2)
-    assert np.array_equal(one.colors, two.colors)
+@pytest.mark.parametrize("cycle_free", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_level_expansion_is_byte_equal_to_dfs(d, cycle_free, set3_all):
+    pset = set3_all if (d, cycle_free) == (3, False) else enumerate_partitions(d, cycle_free)
+    assert pset.colors.tobytes() == helpers.dfs_blob(d, cycle_free)
+
+
+def test_codes_are_the_base_d_readings(ctx3):
+    pset = ctx3.pset
+    assert np.array_equal(pset.codes, pset.colors.astype(np.int64) @ pset.weights)
+    assert pset.codes[-1] == pset.partition(len(pset) - 1).canonical_code()
 
 
 def test_infeasible_d_refused():

@@ -3,11 +3,14 @@ import pytest
 
 import helpers
 from treedet.catalog import BASE_PARTITION_D2, reference_partition
+from treedet.enumeration import PartitionSet
 from treedet.flips import (
     AnchorConflictError,
+    FlipGraph,
     OddCycleWitness,
     check_bipartite,
     check_connected,
+    components,
     flip,
     two_color,
     verify_flip_soundness,
@@ -68,7 +71,7 @@ def test_graph_shapes(ctx2, ctx3):
 
 
 def test_flip_soundness_report_d2(ctx2):
-    report = verify_flip_soundness(ctx2.pset)
+    report = verify_flip_soundness(ctx2.graph)
     assert report.ok
     assert report.pairs_checked == 12 * 4
     assert report.diff_two + report.diff_three == report.pairs_checked
@@ -109,17 +112,77 @@ def test_two_coloring_against_independent_bfs_d2(ctx2):
     assert {plus, len(nodes) - plus} == set(ctx2.signature.class_sizes())
 
 
-def test_triangle_graph_is_rejected():
-    result = two_color([[1, 2], [0, 2], [0, 1]])
+def test_triangle_graph_is_rejected(ctx2):
+    triangle = [[1, 2], [0, 2], [0, 1]]
+    result = two_color(triangle)
     assert isinstance(result, OddCycleWitness)
-    assert len(result) >= 3
+    assert sorted(result.nodes) == [0, 1, 2]
+    # the kernel detects the odd cycle, the BFS then extracts it
+    pset = PartitionSet(2, 4, ctx2.pset.colors[:3], cycle_free=True)
+    graph = FlipGraph(pset, np.array(triangle, dtype=np.int32), np.full((3, 2), 2, dtype=np.int8))
+    result = check_bipartite(graph)
+    assert isinstance(result, OddCycleWitness)
+    assert sorted(result.nodes) == [0, 1, 2]
+
+
+def test_odd_cycle_witness_is_a_closed_odd_walk():
+    # a 5-cycle with a pendant path: the witness must be the 5-cycle itself
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5), (5, 6)]
+    rows = [[] for _ in range(7)]
+    for a, b in edges:
+        rows[a].append(b)
+        rows[b].append(a)
+    result = two_color(rows)
+    assert isinstance(result, OddCycleWitness)
+    cycle = result.nodes
+    assert len(cycle) == 5 and len(set(cycle)) == 5
+    assert all(b in rows[a] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 def test_anchor_conflict_raises(ctx2):
     anchors = [(BASE_PARTITION_D2, +1), (flip(BASE_PARTITION_D2, (1, 2, 3)), +1)]
     with pytest.raises(AnchorConflictError) as err:
         check_bipartite(ctx2.graph, anchors)
-    assert len(err.value.path) >= 2
+    path = err.value.path
+    assert path[0] == err.value.first and path[-1] == err.value.second
+    adjacency = ctx2.graph.adjacency
+    assert all(b in adjacency[a] for a, b in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_signs_equal_bfs_signs(d, ctx2, ctx3):
+    graph = {2: ctx2, 3: ctx3}[d].graph
+    bfs = two_color(graph.adjacency)
+    table = check_bipartite(graph)  # no anchors: +1 at each component's minimal node
+    assert table.signs.tobytes() == bfs.sign.tobytes()
+    assert check_connected(graph).n_components == bfs.n_components == 1
+
+
+def test_components_kernel_against_bfs_on_random_tables():
+    rng = np.random.default_rng(8)
+    for N, k in ((1, 0), (5, 0), (7, 1), (40, 2), (200, 3)):
+        table = rng.integers(0, N, size=(N, k))  # each edge listed from one end
+        undirected = [[] for _ in range(N)]
+        for i, row in enumerate(table):
+            for j in row:
+                undirected[i].append(int(j))
+                undirected[int(j)].append(i)
+        expected = np.zeros(N, dtype=np.int32)
+        seen = set()
+        for seed in range(N):  # search from each unvisited node, in index order
+            if seed in seen:
+                continue
+            queue, seen = [seed], seen | {seed}
+            while queue:
+                u = queue.pop()
+                expected[u] = seed
+                for v in undirected[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        queue.append(v)
+        labels = components(table)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, expected)
 
 
 def test_opposite_anchors_are_consistent(ctx2):
@@ -147,8 +210,11 @@ def test_single_node_graph_connectivity():
 
     ctx1 = standard_context(1)
     assert len(ctx1.pset) == 1
+    assert ctx1.graph.adjacency.shape == (1, 0)  # K_2 has no faces
+    assert np.array_equal(components(ctx1.graph.adjacency), [0])
     report = check_connected(ctx1.graph)
     assert report.n_components == 1
+    assert ctx1.signature.class_sizes() == (1, 0)
 
 
 def test_classes_are_spanning_trees(ctx3):

@@ -112,6 +112,23 @@ def test_json_roundtrip():
     assert EdgePartition.from_json_dict(doc) == FIG_GOOD
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"colors": [True, 1, 0, 0, 1, 1]},
+        {"colors": [0, 1.7, 0, 0, 1, 1]},
+        {"colors": [0, "1", 0, 0, 1, 1]},
+        {"colors": "010011"},
+        {"d": True},
+        {"n": 4.0},
+    ],
+)
+def test_json_rejects_non_integer_fields(change):
+    doc = {**FIG_GOOD.to_json_dict(), **change}
+    with pytest.raises(ValueError):
+        EdgePartition.from_json_dict(doc)
+
+
 def test_component_count():
     assert component_count([(1, 2), (2, 3)], 4) == 2
     assert component_count([], 3) == 3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import helpers
 from treedet import catalog
 from treedet.flips import flip
 from treedet.model import NOT_TREE, classify_tree, edge_list
@@ -16,6 +17,7 @@ from treedet.symmetry import (
     group_elements,
     match_catalog,
     orbit_decomposition,
+    _orbit_roots,
     perm_sign,
     stabilizer,
 )
@@ -93,6 +95,19 @@ def test_catalog_match(orbits3):
 def test_catalog_aliases_cover_all_orbits(orbits3):
     ids = [cid for e in orbits3.entries for cid in e.catalog_ids]
     assert sorted(ids) == list(range(1, 20))
+
+
+def test_broadcast_stabilizer_equals_the_pair_loop():
+    for p in (catalog.BASE_PARTITION_D2, *catalog.reference_partitions()):
+        assert stabilizer(p) == helpers.loop_stabilizer(p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_orbit_roots_equal_union_find(d, ctx3):
+    from treedet.context import standard_context
+
+    pset = ctx3.pset if d == 3 else standard_context(d).pset
+    assert np.array_equal(_orbit_roots(pset), helpers.union_find_orbit_roots(pset))
 
 
 def test_specific_stabilizer_orders():
