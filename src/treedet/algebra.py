@@ -9,10 +9,17 @@ on the nested generator input, and vanishes whenever the three vectors
 of some face coincide; those vanishing sums are exactly the face
 relations swept by verify_relations.
 
-All arithmetic is exact: rationals via fractions.Fraction with integer
-fast paths through int64 (segmented so no product or partial sum can
-overflow), or residues modulo a prime p > 3.  Residues use int64
-kernels while (p - 1)^2 fits, and exact Python ints above that.
+det_eval walks the signature table's reduced decision diagram (see
+diagram.py) bottom-up, one level per edge, in a single pass whose only
+variable is the numpy dtype.  Each edge vector is first scaled to
+integers by its common denominator.  Over the rationals the pass runs in
+int64 while the product over edges of each vector's absolute coordinate
+sum (at least 1, so a zero vector cannot hide a huge neighbour) stays
+below 2^63, since that product bounds every coefficient, node value and
+partial sum, and in exact Python ints above.  Over GF(p), p > 3
+prime, the integers are reduced mod p and the pass reduces after every
+product, in int64 while (p - 1)^2 fits and in Python ints above; the
+denominators are divided out at the end.  Every result is exact.
 """
 
 from __future__ import annotations
@@ -80,7 +87,9 @@ def _residue_dtype(p: int):
 def parse_scalar(text) -> Fraction:
     """Accept ints, Fractions, and 'a/b' or 'a' strings; anything else,
     booleans and zero denominators included, raises ValueError."""
-    if isinstance(text, bool) or not isinstance(text, (int, Fraction, str)):
+    if isinstance(text, Fraction):
+        return text
+    if isinstance(text, bool) or not isinstance(text, (int, str)):
         raise ValueError(f"cannot parse scalar {text!r} (floats and booleans are refused)")
     try:
         return Fraction(text)
@@ -94,16 +103,14 @@ def format_scalar(x) -> str:
     return str(x)
 
 
-def residue(x, p: int) -> int:
-    """Image of an exact scalar in GF(p)."""
-    x = parse_scalar(x)
-    if x.denominator % p == 0:
-        raise ValueError(f"denominator of {x} vanishes mod {p}")
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
 def as_tensor(vectors, d: int, n: int) -> Tensor:
+    """A list or tuple of edge vectors, each a list or tuple of scalars;
+    anything else, strings and bare numbers included, raises ValueError."""
     E = edge_count(n)
+    if not isinstance(vectors, (list, tuple)) or not all(
+        isinstance(vec, (list, tuple)) for vec in vectors
+    ):
+        raise ValueError("a tensor is a list of edge vectors, each a list of scalars")
     vectors = tuple(tuple(parse_scalar(x) for x in vec) for vec in vectors)
     if len(vectors) != E:
         raise ValueError(f"expected {E} edge vectors, got {len(vectors)}")
@@ -175,57 +182,9 @@ def unit_matrix_text(d: int) -> str:
 # ---------------------------------------------------------------------------
 # determinant evaluation
 
-_INT64_SAFE = 2 ** 62
-
-
 def _check_table(pset: PartitionSet, table: SignatureTable):
     if table.pset is not pset and not np.array_equal(table.codes, pset.codes):
         raise ValueError("signature table was built on a different partition set")
-
-
-def _segments(E: int, max_abs: int) -> list[range]:
-    """Split edge positions so every per-segment product fits in int64."""
-    if max_abs <= 1:
-        return [range(E)]
-    per = max(1, int(62 // math.log2(max_abs + 1)))
-    return [range(s, min(s + per, E)) for s in range(0, E, per)]
-
-
-def _monomial_sum_int(colors: np.ndarray, signs: np.ndarray, nums: list) -> int:
-    """Exact signed sum of per-partition products of integer entries.
-
-    nums[e][c] is the integer selected on edge e by color c.  Products
-    are computed segment by segment in int64 and combined as Python
-    ints, and partial sums are chunked so nothing overflows.
-    """
-    N, E = colors.shape
-    max_abs = max((abs(v) for row in nums for v in row), default=0)
-    if max_abs >= _INT64_SAFE:  # enormous entries: plain Python products
-        total = 0
-        for i in range(N):
-            m = int(signs[i])
-            for e in range(E):
-                m *= nums[e][colors[i, e]]
-                if m == 0:
-                    break
-            total += m
-        return total
-    segments = _segments(E, max_abs)
-    parts = []
-    for seg in segments:
-        prod = np.ones(N, dtype=np.int64)
-        for e in seg:
-            prod *= np.asarray(nums[e], dtype=np.int64)[colors[:, e]]
-        parts.append(prod)
-    if len(parts) == 1:
-        prod = parts[0] * signs
-        bound = max_abs ** E if max_abs else 1
-        chunk = max(1, int(_INT64_SAFE // max(bound, 1)))
-        return sum(int(prod[s : s + chunk].sum()) for s in range(0, N, chunk))
-    total_prod = parts[0].astype(object)
-    for extra in parts[1:]:
-        total_prod = total_prod * extra
-    return int((total_prod * signs).sum())
 
 
 def det_eval(
@@ -239,27 +198,27 @@ def det_eval(
     Each member partition contributes its signature times the product,
     over all edges, of the edge vector's coordinate selected by the
     edge's color.  Exact over the rationals (Fraction result) or over
-    GF(p) (int result) for a prime p > 3.
+    GF(p) (int result) for a prime p > 3.  The sum is one bottom-up pass
+    over the table's decision diagram.
     """
     d, n = pset.d, pset.n
     _check_table(pset, table)
     vectors = as_tensor(vectors, d, n)
-    colors = pset.colors
-    signs = table.signs
+    # scale each edge vector to integers; the form is linear in every edge
+    dens = [math.lcm(*(x.denominator for x in vec)) for vec in vectors]
+    nums = [[x.numerator * (den // x.denominator) for x in vec] for vec, den in zip(vectors, dens)]
+    den = math.prod(dens)
     if p is not None:
         validate_prime(p)
-        dtype = _residue_dtype(p)
-        vals = np.array([[residue(x, p) for x in vec] for vec in vectors], dtype=dtype)
-        res = np.ones(len(pset), dtype=dtype)
-        for e in range(edge_count(n)):
-            res = res * vals[e][colors[:, e]] % p
-        return int((signs.astype(dtype) * res).sum() % p) % p
-    dens = [math.lcm(*(x.denominator for x in vec)) for vec in vectors]
-    nums = [
-        [int(x * den) for x in vec] for vec, den in zip(vectors, dens)
-    ]
-    total = _monomial_sum_int(colors, signs.astype(np.int64), nums)
-    return Fraction(total, math.prod(dens))
+        if den % p == 0:
+            raise ValueError(f"a denominator of the tensor vanishes mod {p}")
+        coeffs = [[x % p for x in row] for row in nums]
+        return int(table.diagram.evaluate(coeffs, _residue_dtype(p), p)) * pow(den, -1, p) % p
+    # bounds every node value and partial sum of the pass; a zero edge
+    # vector counts as 1 so that its huge neighbours still force object
+    bound = math.prod(max(1, sum(abs(x) for x in row)) for row in nums)
+    dtype = np.int64 if bound < 2 ** 63 else object
+    return Fraction(int(table.diagram.evaluate(nums, dtype)), den)
 
 
 # The twelve monomials of the d = 2 determinant in expanded form, written
@@ -438,24 +397,15 @@ def verify_relations(
     violations = 0
     witnesses = []
 
-    def record(face, ms, bad_mask, ctx_digit_cols):
-        nonlocal violations
-        violations += int(bad_mask.sum())
-        for flat in np.nonzero(bad_mask)[0][: 5 - len(witnesses)]:
-            ctx = tuple(int(col[flat]) for col in ctx_digit_cols)
-            witnesses.append(RelationInstance(d, n, face, ms, ctx))
-
     if sample is None:
         n_ctx = d ** (E - 3)
-        ctx_digits = [
-            ((np.arange(n_ctx, dtype=np.int64) // d ** j) % d) for j in range(E - 3)
-        ]
         for face in faces:
             pos = face_edge_indices(face, n)
             others = [k for k in range(E) if k not in pos]
-            ctx_codes = np.zeros(n_ctx, dtype=np.int64)
-            for dig, k in zip(ctx_digits, others):
-                ctx_codes += dig * weights[k]
+            # context codes by Horner's rule; others[0] is the least significant digit
+            ctx_codes = np.zeros(1, dtype=np.int64)
+            for k in reversed(others):
+                ctx_codes = (ctx_codes[:, None] + np.arange(d) * weights[k]).ravel()
             w3 = weights[list(pos)]
             for ms in multisets:
                 sums = np.zeros(n_ctx, dtype=np.int16)
@@ -463,8 +413,14 @@ def verify_relations(
                     add = int(arr[0] * w3[0] + arr[1] * w3[1] + arr[2] * w3[2])
                     sums += dense[ctx_codes + add]
                 checked += n_ctx
-                if np.any(sums):
-                    record(face, ms, sums != 0, ctx_digits)
+                bad = np.flatnonzero(sums)
+                violations += len(bad)
+                for flat in bad[: 5 - len(witnesses)]:
+                    ctx = []
+                    for _ in others:
+                        flat, digit = divmod(int(flat), d)
+                        ctx.append(digit)
+                    witnesses.append(RelationInstance(d, n, face, ms, tuple(ctx)))
         return RelationReport(checked, violations, witnesses, mode="full")
 
     if seed is None:

@@ -2,7 +2,8 @@
 
 Each verifying subcommand prints a JSON certificate with stable key
 order.  Exit codes: 0 all checks passed, 1 a mathematical certificate
-failed (including a flip-uniqueness violation), 2 bad input or usage.
+failed (including a flip-uniqueness violation), 2 bad input or usage,
+3 an internal error (any other exception, reported on one stderr line).
 
 Commands that draw random samples require an explicit --seed; identical
 arguments and seed give identical certificates (wall_time_s aside).
@@ -36,7 +37,7 @@ from .flips import (
 from .model import EdgePartition, json_int
 
 PASS, FAIL = "pass", "fail"
-EXIT_OK, EXIT_CERT_FAIL, EXIT_USAGE = 0, 1, 2
+EXIT_OK, EXIT_CERT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
 def _certificate(command, parameters, outcome, numbers, witnesses, t0) -> dict:
@@ -581,6 +582,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # never exit 1, which means a failed certificate
+        print(" ".join(f"error: internal {type(exc).__name__}: {exc}".split()), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

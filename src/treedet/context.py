@@ -1,7 +1,8 @@
 """Shared build pipeline: partition set, flip graph, anchored signature.
 
 Almost everything downstream (determinants, relation sweeps, the CLI)
-needs the same three objects for a given d.  They are built once per
+needs the same three objects for a given d, and det_eval needs the
+signature's decision diagram as well.  They are built once per
 process and cached by d; a caller that already holds the cycle-free set
 passes it in, so it is not enumerated again.
 """
@@ -49,5 +50,6 @@ def standard_context(d: int, pset: PartitionSet | None = None) -> Context:
             raise RuntimeError(
                 f"flip graph for d={d} is not two-colorable; odd cycle of length {len(table)}"
             )
+        table.diagram  # built here, so the first det_eval call does not pay for it
         _contexts[d] = Context(pset, graph, table)
     return _contexts[d]

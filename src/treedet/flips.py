@@ -32,6 +32,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .diagram import SignedDiagram
 from .enumeration import PartitionSet
 from .model import (
     EdgePartition,
@@ -383,6 +384,11 @@ class SignatureTable:
     @property
     def codes(self):
         return self.pset.codes
+
+    @cached_property
+    def diagram(self) -> SignedDiagram:
+        """The signed set as a reduced decision diagram, which det_eval walks."""
+        return SignedDiagram(self.pset.colors, self.codes, self.signs, self.pset.d)
 
     def signature(self, partition: EdgePartition) -> int:
         """Sign of a member partition; KeyError if it is not in the set."""

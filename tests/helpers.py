@@ -6,13 +6,15 @@ re-derives partners from first principles, and the tensor generators
 only use numpy RNGs and fractions.
 
 The last section keeps the library's earlier algorithms, replaced by
-numpy kernels, as reference implementations: the depth-first
-enumeration, the union-find orbit closure and the pair-by-pair
-stabilizer loop.
+faster kernels, as reference implementations: the depth-first
+enumeration, the union-find orbit closure, the pair-by-pair stabilizer
+loop, the enumerative determinant (one product per member partition)
+and the relation sweep over precomputed context digit columns.
 """
 
+import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -233,3 +235,112 @@ def loop_stabilizer(partition):
             if np.array_equal(tmap[moved], base):
                 found.append(PermPair(sigma, tau))
     return found
+
+
+_INT64_SAFE = 2 ** 62
+
+
+def _segments(E, max_abs):
+    """Split edge positions so every per-segment product fits in int64."""
+    if max_abs <= 1:
+        return [range(E)]
+    per = max(1, int(62 // math.log2(max_abs + 1)))
+    return [range(s, min(s + per, E)) for s in range(0, E, per)]
+
+
+def _monomial_sum_int(colors, signs, nums):
+    """Exact signed sum of per-partition products of integer entries:
+    int64 products segment by segment, combined as Python ints, and plain
+    Python products once an entry reaches 2^62."""
+    N, E = colors.shape
+    max_abs = max((abs(v) for row in nums for v in row), default=0)
+    if max_abs >= _INT64_SAFE:
+        total = 0
+        for i in range(N):
+            m = int(signs[i])
+            for e in range(E):
+                m *= nums[e][colors[i, e]]
+                if m == 0:
+                    break
+            total += m
+        return total
+    parts = []
+    for seg in _segments(E, max_abs):
+        prod = np.ones(N, dtype=np.int64)
+        for e in seg:
+            prod *= np.asarray(nums[e], dtype=np.int64)[colors[:, e]]
+        parts.append(prod)
+    if len(parts) == 1:
+        prod = parts[0] * signs
+        bound = max_abs ** E if max_abs else 1
+        chunk = max(1, int(_INT64_SAFE // max(bound, 1)))
+        return sum(int(prod[s : s + chunk].sum()) for s in range(0, N, chunk))
+    total_prod = parts[0].astype(object)
+    for extra in parts[1:]:
+        total_prod = total_prod * extra
+    return int((total_prod * signs).sum())
+
+
+def residue(x, p):
+    """Image of an exact scalar in GF(p)."""
+    from treedet.algebra import parse_scalar
+
+    x = parse_scalar(x)
+    if x.denominator % p == 0:
+        raise ValueError(f"denominator of {x} vanishes mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def enumerative_det_eval(vectors, pset, table, p=None):
+    """The determinant form as one monomial per member partition."""
+    from treedet.algebra import _residue_dtype, as_tensor, validate_prime
+
+    vectors = as_tensor(vectors, pset.d, pset.n)
+    colors, signs = pset.colors, table.signs
+    if p is not None:
+        validate_prime(p)
+        dtype = _residue_dtype(p)
+        vals = np.array([[residue(x, p) for x in vec] for vec in vectors], dtype=dtype)
+        res = np.ones(len(pset), dtype=dtype)
+        for e in range(colors.shape[1]):
+            res = res * vals[e][colors[:, e]] % p
+        return int((signs.astype(dtype) * res).sum() % p) % p
+    dens = [math.lcm(*(x.denominator for x in vec)) for vec in vectors]
+    nums = [[int(x * den) for x in vec] for vec, den in zip(vectors, dens)]
+    total = _monomial_sum_int(colors, signs.astype(np.int64), nums)
+    return Fraction(total, math.prod(dens))
+
+
+def digit_column_relation_sweep(pset, table):
+    """Full-mode relation sweep that decodes every context from 3^(E-3)
+    precomputed digit columns, held all at once."""
+    from treedet.algebra import RelationInstance, RelationReport, _signature_lookup_table
+    from treedet.model import face_edge_indices, faces_of
+
+    d, n = pset.d, pset.n
+    E = n * (n - 1) // 2
+    dense = _signature_lookup_table(pset, table)
+    weights = pset.weights
+    multisets = list(combinations_with_replacement(range(d), 3))
+    checked = violations = 0
+    witnesses = []
+    n_ctx = d ** (E - 3)
+    ctx_digits = [((np.arange(n_ctx, dtype=np.int64) // d ** j) % d) for j in range(E - 3)]
+    for face in faces_of(n):
+        pos = face_edge_indices(face, n)
+        others = [k for k in range(E) if k not in pos]
+        ctx_codes = np.zeros(n_ctx, dtype=np.int64)
+        for dig, k in zip(ctx_digits, others):
+            ctx_codes += dig * weights[k]
+        w3 = weights[list(pos)]
+        for ms in multisets:
+            sums = np.zeros(n_ctx, dtype=np.int16)
+            for arr in sorted(set(permutations(ms))):
+                sums += dense[ctx_codes + int(arr[0] * w3[0] + arr[1] * w3[1] + arr[2] * w3[2])]
+            checked += n_ctx
+            bad = sums != 0
+            violations += int(bad.sum())
+            for flat in np.nonzero(bad)[0][: 5 - len(witnesses)]:
+                ctx = tuple(int(col[flat]) for col in ctx_digits)
+                witnesses.append(RelationInstance(d, n, face, ms, ctx))
+    return RelationReport(checked, violations, witnesses, mode="full")

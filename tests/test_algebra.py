@@ -30,6 +30,7 @@ from treedet.algebra import (
     verify_relations,
     zero_by_multiplicity,
 )
+from treedet.flips import SignatureTable
 from treedet.model import EdgePartition, is_cycle_free, is_homogeneous
 
 
@@ -121,7 +122,7 @@ def test_cross_field_consistency(ctx3):
 
 
 def test_det_eval_object_path_agrees(ctx2):
-    # gigantic entries force the plain-python product path
+    # gigantic entries push the diagram pass from int64 to Python ints
     rng = np.random.default_rng(12)
     small = helpers.rand_int_tensor(rng, 2, lo=-9, hi=9)
     scale = 2 ** 70
@@ -129,6 +130,32 @@ def test_det_eval_object_path_agrees(ctx2):
     vsmall = det_eval(small, ctx2.pset, ctx2.signature)
     vbig = det_eval(big, ctx2.pset, ctx2.signature)
     assert vbig == vsmall * Fraction(scale) ** 6
+
+
+def test_det_eval_around_the_int64_bound(ctx3):
+    # (3 * 6)^15 < 2^63: entries of magnitude 6 are the largest the int64 pass takes
+    rng = np.random.default_rng(6)
+    vectors = [[int(x) * 6 for x in rng.choice((-1, 1), size=3)] for _ in range(15)]
+    expected = helpers.enumerative_det_eval(vectors, ctx3.pset, ctx3.signature)
+    assert det_eval(vectors, ctx3.pset, ctx3.signature) == expected
+    # entries up to 100 take the value itself past 2^63, which int64 would wrap
+    vectors = helpers.rand_int_tensor(rng, 3, lo=-100, hi=100)
+    expected = helpers.enumerative_det_eval(vectors, ctx3.pset, ctx3.signature)
+    assert abs(expected) >= 2 ** 63
+    assert det_eval(vectors, ctx3.pset, ctx3.signature) == expected
+
+
+def test_det_eval_zero_edge_vector_next_to_huge_entries(ctx2):
+    # a zero edge vector makes the form 0; it must not let entries past
+    # 2^63 (integer, or rational after clearing denominators) into int64
+    rest = [[1, 0], [1, 0], [0, 1], [0, 1]]
+    for vectors in (
+        [[0, 0], [10 ** 19, 1]] + rest,
+        [[Fraction(1, 2 ** 40), Fraction(1, 3 ** 40)], [0, 0]] + rest,
+    ):
+        assert helpers.enumerative_det_eval(vectors, ctx2.pset, ctx2.signature) == 0
+        assert det_eval(vectors, ctx2.pset, ctx2.signature) == 0
+        assert det_eval(vectors, ctx2.pset, ctx2.signature, p=101) == 0
 
 
 def test_det_eval_validates_input(ctx2):
@@ -144,6 +171,23 @@ def test_det_eval_validates_input(ctx2):
         det_eval([(1, 0)] * 6, ctx2.pset, ctx2.signature, p=3)
     with pytest.raises(ValueError):
         det_eval([(Fraction(1, 101), 1)] * 6, ctx2.pset, ctx2.signature, p=101)
+    unit = [list(vec) for vec in unit_tensor(2)]
+    for bad in (5, "10" * 6, ["10", "01", "10", "10", "01", "01"], [1] + unit[1:], None):
+        with pytest.raises(ValueError, match="list of edge vectors"):
+            det_eval(bad, ctx2.pset, ctx2.signature)
+    assert det_eval(unit, ctx2.pset, ctx2.signature) == 1  # lists are fine
+
+
+def test_diagram_sizes(ctx2, ctx3):
+    assert (ctx2.signature.diagram.nodes, ctx2.signature.diagram.arcs) == (24, 34)
+    assert (ctx3.signature.diagram.nodes, ctx3.signature.diagram.arcs) == (5287, 11346)
+    for ctx in (ctx2, ctx3):
+        levels = ctx.signature.diagram.levels
+        assert len(levels) == len(ctx.pset.weights) and len(levels[0]) == 1
+        for k, level in enumerate(levels):
+            below = len(levels[k + 1]) if k + 1 < len(levels) else 2
+            assert level.shape[1] == ctx.pset.d
+            assert level.min() >= -1 and level.max() < below
 
 
 def test_det2_explicit_examples(ctx2):
@@ -160,6 +204,22 @@ def test_det2_explicit_global_sign(ctx2):
         explicit = det2_explicit(vectors)
         summed = det_eval(vectors, ctx2.pset, ctx2.signature)
         assert explicit == DET2_EXPLICIT_SIGN * summed
+
+
+@pytest.mark.parametrize("d, flipped", [(2, ()), (2, (0,)), (2, (3, 8)), (3, (7,))])
+def test_relation_sweep_equals_digit_column_oracle(ctx2, ctx3, d, flipped):
+    # one flipped sign breaks relations, so the witnesses and their order are compared too
+    ctx = {2: ctx2, 3: ctx3}[d]
+    signs = ctx.signature.signs.copy()
+    signs[list(flipped)] *= -1
+    table = SignatureTable(ctx.pset, signs)
+    report = verify_relations(ctx.pset, table)
+    assert report == helpers.digit_column_relation_sweep(ctx.pset, table)
+    assert report.ok == (not flipped)
+    if flipped:
+        assert len(report.witnesses) == min(5, report.violations)
+        for w in report.witnesses:
+            assert relation_sum(w, ctx.pset, table) != 0
 
 
 def test_relation_instance_counts():

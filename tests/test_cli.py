@@ -249,6 +249,45 @@ def test_det_rejects_bad_scalars_as_usage_errors(capsys, tmp_path, scalar):
     assert code == 2 and out == "" and "error" in err
 
 
+UNIT2 = [["1", "0"], ["0", "1"], ["1", "0"], ["1", "0"], ["0", "1"], ["0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "vectors",
+    [5, [5] + UNIT2[1:], ["10", "01", "10", "10", "01", "01"], "101001"],
+    ids=["bare-number", "bare-number-vector", "string-vectors", "string"],
+)
+def test_det_rejects_malformed_vectors_as_usage_errors(capsys, tmp_path, vectors):
+    # a bare number used to escape as a TypeError (exit 1), strings were split into digits
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"d": 2, "field": "rational", "vectors": vectors}))
+    code, out, err = run(capsys, ["det", "--input", str(tensor)])
+    assert code == 2 and out == "" and "list of edge vectors" in err
+
+
+def test_det_zero_edge_vector_next_to_huge_entry(capsys, tmp_path):
+    vectors = [["0", "0"], [str(10 ** 19), "1"]] + UNIT2[2:]
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"d": 2, "field": "rational", "vectors": vectors}))
+    code, out, err = run(capsys, ["det", "--input", str(tensor)])
+    assert code == 0 and err == ""
+    assert out.strip() == "0"
+
+
+def test_internal_errors_exit_three(capsys, tmp_path, monkeypatch):
+    import treedet.algebra
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom\nsecond line")
+
+    monkeypatch.setattr(treedet.algebra, "det_eval", broken)
+    tensor = tmp_path / "t.json"
+    tensor.write_text(json.dumps({"d": 2, "field": "rational", "vectors": UNIT2}))
+    code, out, err = run(capsys, ["det", "--input", str(tensor)])
+    assert code == 3 and out == ""
+    assert err == "error: internal RuntimeError: boom second line\n"
+
+
 def test_flip_rejects_boolean_colors(capsys, tmp_path):
     p0 = tmp_path / "p0.json"
     p0.write_text(json.dumps({"d": 2, "n": 4, "colors": [False, True, False, False, True, True]}))

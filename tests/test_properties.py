@@ -1,0 +1,129 @@
+"""Property tests: the diagram determinant against the enumerative oracle,
+GF(p) against the rational residue, and `det --input` on arbitrary JSON."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import helpers
+from treedet.algebra import det_eval, validate_prime
+from treedet.cli import main
+from treedet.context import standard_context
+
+EDGES = {d: d * (2 * d - 1) for d in (1, 2, 3)}
+
+
+def tensors(d, scalars):
+    return st.lists(
+        st.lists(scalars, min_size=d, max_size=d), min_size=EDGES[d], max_size=EDGES[d]
+    )
+
+
+small_ints = st.integers(-8, 8)
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6))
+huge_ints = st.integers(-(10 ** 40), 10 ** 40)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("scalars", [small_ints, fractions], ids=["int", "rational"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_diagram_equals_enumerative_oracle(d, scalars, data):
+    ctx = standard_context(d)
+    vectors = data.draw(tensors(d, scalars))
+    expected = helpers.enumerative_det_eval(vectors, ctx.pset, ctx.signature)
+    assert det_eval(vectors, ctx.pset, ctx.signature) == expected
+
+
+@pytest.mark.parametrize("d, examples", [(1, 20), (2, 20), (3, 3)])
+def test_diagram_equals_enumerative_oracle_on_huge_entries(d, examples):
+    # the d = 3 oracle takes about half a second per call on such entries;
+    # zeros are drawn often so that zero edge vectors sit next to huge ones
+    huge = st.one_of(st.just(0), huge_ints, st.builds(Fraction, huge_ints, huge_ints.filter(bool)))
+
+    @settings(max_examples=examples, deadline=None)
+    @given(vectors=tensors(d, huge))
+    def check(vectors):
+        ctx = standard_context(d)
+        expected = helpers.enumerative_det_eval(vectors, ctx.pset, ctx.signature)
+        assert det_eval(vectors, ctx.pset, ctx.signature) == expected
+
+    check()
+
+
+def next_prime(n):
+    while True:
+        try:
+            return validate_prime(n)
+        except ValueError:
+            n += 2
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    vectors=tensors(3, st.builds(Fraction, st.integers(-50, 50), st.integers(1, 4))),
+    start=st.integers(3, 2 ** 63 - 2000).map(lambda k: 2 * k + 1),
+)
+def test_gfp_value_is_the_rational_residue(vectors, start):
+    p = next_prime(start)
+    assert p < 2 ** 64
+    ctx = standard_context(3)
+    rational = det_eval(vectors, ctx.pset, ctx.signature)
+    assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == helpers.residue(rational, p)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+scalar_like = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from(["1/2", "-3", "0", "x", "1/0", "2/4", " 1"]),
+    json_values,
+)
+near_valid_docs = st.fixed_dictionaries(
+    {
+        "d": st.one_of(st.sampled_from([1, 2, 3]), json_values),
+        "field": st.one_of(st.sampled_from(["rational", "gfp"]), json_values),
+        "vectors": st.one_of(
+            st.sampled_from([1, 2, 3]).flatmap(lambda d: tensors(d, scalar_like)),
+            json_values,
+            st.lists(st.one_of(json_values, st.lists(scalar_like, max_size=4)), max_size=16),
+        ),
+    },
+    optional={"p": st.one_of(st.sampled_from([5, 7, 101, 4294967311, 9]), json_values)},
+)
+# well-formed but for the values: these reach det_eval, or fail on p or a denominator
+shaped_docs = st.sampled_from([1, 2, 3]).flatmap(
+    lambda d: st.fixed_dictionaries(
+        {
+            "d": st.just(d),
+            "field": st.sampled_from(["rational", "gfp"]),
+            "p": st.sampled_from([5, 7, 101, 4294967311, 9]),
+            "vectors": tensors(d, st.one_of(st.integers(-5, 5), st.sampled_from(["1/2", "-7/5", " 3"]))),
+        }
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=st.one_of(json_values, near_valid_docs, shaped_docs))
+def test_det_input_never_exits_one_or_three(doc):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["det", "--input", path])
+    finally:
+        os.unlink(path)
+    assert code in (0, 2), err.getvalue()
+    assert (code == 0) == (out.getvalue() != "")
