@@ -7,7 +7,10 @@ owns its edges' coordinate number c, and each partition contributes its
 signature times that monomial.  The map is multilinear, normalized to 1
 on the nested generator input, and vanishes whenever the three vectors
 of some face coincide; those vanishing sums are exactly the face
-relations swept by verify_relations.
+relations swept by verify_relations.  The nonzero terms of one relation
+instance are the members of one face group (flips.face_groups), the
+same groups whose pairs are the flips, so the full sweep is one signed
+sum per group and never visits the instances that no member reaches.
 
 det_eval walks the signature table's reduced decision diagram (see
 diagram.py) bottom-up, one level per edge, in a single pass whose only
@@ -33,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .enumeration import PartitionSet
-from .flips import SignatureTable
+from .flips import SignatureTable, face_groups
 from .model import (
     EdgePartition,
     edge_count,
@@ -361,14 +364,11 @@ class RelationReport:
         return self.violations == 0
 
 
-def _signature_lookup_table(pset: PartitionSet, table: SignatureTable) -> np.ndarray:
-    """Dense code-indexed sign table: +-1 on members, 0 elsewhere."""
-    size = pset.d ** edge_count(pset.n)
-    if size > 200_000_000:
-        raise ValueError("dense signature table too large for this d")
-    dense = np.zeros(size, dtype=np.int8)
-    dense[pset.codes] = table.signs
-    return dense
+def _signs_at(pset: PartitionSet, table: SignatureTable, codes: np.ndarray) -> np.ndarray:
+    """Sign of each code by a checked binary search: +-1 on members, 0 elsewhere."""
+    idx = np.searchsorted(pset.codes, codes)  # len(pset) reads the appended sentinels
+    member = np.append(pset.codes, -1)[idx] == codes
+    return np.where(member, np.append(table.signs, 0)[idx], 0)
 
 
 def verify_relations(
@@ -380,16 +380,19 @@ def verify_relations(
 ) -> RelationReport:
     """Check that every relation instance sums to zero.
 
-    Each term of an instance is a single basis generator, so the check
-    is a handful of indexed signature lookups: members of the set
-    contribute their sign, everything else contributes 0.  Full mode
-    sweeps all faces x multisets x contexts vectorized; sampled mode
-    draws seeded uniform instances.
+    Each term of an instance is a single basis generator, so members of
+    the set contribute their sign and everything else contributes 0.
+    Full mode reads the sums off the face groups of flips.face_groups:
+    the members of one group are exactly the nonzero terms of one
+    instance, and an instance that no member reaches sums to 0 by
+    definition, though it still counts as checked.  Witnesses come in
+    stream order: face, multiset, then context with the first non-face
+    edge as the least significant digit.  Sampled mode draws seeded
+    uniform instances and looks each term up by binary search.
     """
     d, n = pset.d, pset.n
     _check_table(pset, table)
     E = edge_count(n)
-    dense = _signature_lookup_table(pset, table)
     weights = pset.weights
     faces = faces_of(n)
     multisets = list(combinations_with_replacement(range(d), 3))
@@ -398,30 +401,21 @@ def verify_relations(
     witnesses = []
 
     if sample is None:
-        n_ctx = d ** (E - 3)
         for face in faces:
-            pos = face_edge_indices(face, n)
-            others = [k for k in range(E) if k not in pos]
-            # context codes by Horner's rule; others[0] is the least significant digit
-            ctx_codes = np.zeros(1, dtype=np.int64)
-            for k in reversed(others):
-                ctx_codes = (ctx_codes[:, None] + np.arange(d) * weights[k]).ravel()
-            w3 = weights[list(pos)]
-            for ms in multisets:
-                sums = np.zeros(n_ctx, dtype=np.int16)
-                for arr in sorted(set(permutations(ms))):
-                    add = int(arr[0] * w3[0] + arr[1] * w3[1] + arr[2] * w3[2])
-                    sums += dense[ctx_codes + add]
-                checked += n_ctx
-                bad = np.flatnonzero(sums)
-                violations += len(bad)
-                for flat in bad[: 5 - len(witnesses)]:
-                    ctx = []
-                    for _ in others:
-                        flat, digit = divmod(int(flat), d)
-                        ctx.append(digit)
-                    witnesses.append(RelationInstance(d, n, face, ms, tuple(ctx)))
-        return RelationReport(checked, violations, witnesses, mode="full")
+            order, starts = face_groups(pset, face)
+            sums = np.add.reduceat(table.signs[order], starts, dtype=np.int16)
+            bad = order[starts[np.flatnonzero(sums)]]  # one member of each failing group
+            violations += len(bad)
+            if len(bad) and len(witnesses) < 5:
+                pos = list(face_edge_indices(face, n))
+                others = [k for k in range(E) if k not in pos]
+                ms = np.sort(pset.colors[bad][:, pos], axis=1)
+                ctx = pset.colors[bad][:, others]
+                flat = ctx.astype(np.int64) @ d ** np.arange(E - 3, dtype=np.int64)
+                for r in np.lexsort((flat, *ms.T[::-1]))[: 5 - len(witnesses)]:
+                    ms_r, ctx_r = (tuple(int(c) for c in row) for row in (ms[r], ctx[r]))
+                    witnesses.append(RelationInstance(d, n, face, ms_r, ctx_r))
+        return RelationReport(count_relation_instances(d), violations, witnesses, mode="full")
 
     if seed is None:
         raise ValueError("sampled mode needs an explicit seed")
@@ -450,7 +444,7 @@ def verify_relations(
                 + arr[1] * w_face[face_idx[rows], 1]
                 + arr[2] * w_face[face_idx[rows], 2]
             )
-            sums += dense[ctx_codes[rows] + add]
+            sums += _signs_at(pset, table, ctx_codes[rows] + add)
         checked += rows.size
         if np.any(sums):
             bad = sums != 0

@@ -77,6 +77,49 @@ def _partition_line(p: EdgePartition) -> str:
 
 
 # --------------------------------------------------------------------------
+# witness lists, shared by the standalone commands and certify-all; each is
+# empty exactly when its check passed
+
+def _soundness_witnesses(soundness) -> list:
+    return [] if soundness.ok else [{"property": "flip_uniqueness_and_involution"}]
+
+
+def _alternation_witnesses(graph, table) -> list:
+    alternating = (table.signs[graph.adjacency] == -table.signs[:, None]).all()
+    return [] if alternating else [{"property": "signature_alternation"}]
+
+
+def _orbit_witnesses(table, d: int) -> list:
+    group_order = math.factorial(2 * d) * math.factorial(d)
+    bad = [e.orbit_id for e in table.entries if e.size * e.stabilizer_order != group_order]
+    return [{"property": "orbit_stabilizer_identity", "orbits": bad}] if bad else []
+
+
+def _catalog_witnesses(match) -> list:
+    return [] if match.ok else [{"property": "orbit_catalog_match", "diffs": match.mismatches}]
+
+
+def _epsilon_witnesses(eps) -> list:
+    if eps.ok:
+        return []
+    violations = [
+        {"sigma": list(s), "tau": list(t), "reference": i, "got": g, "expected": e}
+        for (s, t, i, g, e) in eps.violations
+    ]
+    return [{"property": "signature_parity_formula", "violations": violations}]
+
+
+def _relation_witnesses(report) -> list:
+    if report.ok:
+        return []
+    instances = [
+        {"face": list(w.face), "color_multiset": list(w.color_multiset), "context": list(w.context)}
+        for w in report.witnesses
+    ]
+    return [{"property": "relation_vanishing", "instances": instances}]
+
+
+# --------------------------------------------------------------------------
 # subcommand handlers
 
 def cmd_enumerate(args) -> int:
@@ -130,15 +173,11 @@ def cmd_flip_graph(args) -> int:
         "flips_changing_two_edges": soundness.diff_two,
         "flips_changing_three_edges": soundness.diff_three,
     }
-    witnesses = []
-    outcome = PASS if soundness.ok else FAIL
-    if not soundness.ok:
-        witnesses.append({"property": "flip_uniqueness_and_involution"})
+    witnesses = _soundness_witnesses(soundness)
     if "bipartite" in checks:
         anchors = _load_anchors(args.anchors, ctx.pset)
         result = check_bipartite(ctx.graph, anchors)
         if isinstance(result, OddCycleWitness):
-            outcome = FAIL
             numbers["bipartite"] = 0
             witnesses.append(
                 {
@@ -153,17 +192,13 @@ def cmd_flip_graph(args) -> int:
             numbers["bipartite"] = 1
             numbers["class_plus"] = plus
             numbers["class_minus"] = minus
-            alternating = bool(
-                (result.signs[ctx.graph.adjacency] == -result.signs[:, None]).all()
-            )
             numbers["alternating_edges"] = int(ctx.graph.adjacency.size)
-            if not alternating:
-                outcome = FAIL
-                witnesses.append({"property": "signature_alternation"})
+            witnesses += _alternation_witnesses(ctx.graph, result)
     if "connected" in checks:
         conn = check_connected(ctx.graph)
         numbers["components"] = conn.n_components
         numbers["dimension_upper_bound_certified"] = int(conn.transitive)
+    outcome = FAIL if witnesses else PASS
     _emit(
         _certificate(
             "flip-graph",
@@ -181,8 +216,7 @@ def cmd_orbits(args) -> int:
     t0 = time.perf_counter()
     pset = standard_context(args.d).pset
     table = symmetry.orbit_decomposition(pset)
-    group_order = math.factorial(2 * args.d) * math.factorial(args.d)
-    identity_ok = all(e.size * e.stabilizer_order == group_order for e in table.entries)
+    identity = _orbit_witnesses(table, args.d)
     sizes_ok = sum(e.size for e in table.entries) == len(pset)
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -196,7 +230,8 @@ def cmd_orbits(args) -> int:
                     [e.orbit_id, e.representative.canonical_code(), e.size, e.stabilizer_order]
                     + shapes
                 )
-    outcome = PASS if (identity_ok and sizes_ok) else FAIL
+    witnesses = identity + ([] if sizes_ok else [{"property": "orbit_sizes_sum_to_members"}])
+    outcome = FAIL if witnesses else PASS
     _emit(
         _certificate(
             "orbits",
@@ -205,10 +240,10 @@ def cmd_orbits(args) -> int:
             {
                 "orbits": len(table.entries),
                 "members": len(pset),
-                "orbit_stabilizer_identity": int(identity_ok),
+                "orbit_stabilizer_identity": int(not identity),
                 "sizes_sum_to_members": int(sizes_ok),
             },
-            [] if outcome == PASS else [{"property": "orbit_stabilizer_identity"}],
+            witnesses,
             t0,
         )
     )
@@ -221,20 +256,8 @@ def cmd_verify_appendix(args) -> int:
     table = symmetry.orbit_decomposition(ctx.pset)
     match = symmetry.match_catalog(table)
     eps = symmetry.epsilon_formula_check(ctx.signature, args.samples, args.seed)
-    outcome = PASS if (match.ok and eps.ok) else FAIL
-    witnesses = []
-    if not match.ok:
-        witnesses.append({"property": "orbit_catalog_match", "diffs": match.mismatches})
-    if not eps.ok:
-        witnesses.append(
-            {
-                "property": "signature_parity_formula",
-                "violations": [
-                    {"sigma": list(s), "tau": list(t), "reference": i, "got": g, "expected": e}
-                    for (s, t, i, g, e) in eps.violations
-                ],
-            }
-        )
+    witnesses = _catalog_witnesses(match) + _epsilon_witnesses(eps)
+    outcome = FAIL if witnesses else PASS
     _emit(
         _certificate(
             "verify-appendix",
@@ -285,30 +308,13 @@ def cmd_verify_relations(args) -> int:
         ctx.pset, ctx.signature, sample=args.sample, seed=args.seed
     )
     outcome = PASS if report.ok else FAIL
-    witnesses = (
-        []
-        if report.ok
-        else [
-            {
-                "property": "relation_vanishing",
-                "instances": [
-                    {
-                        "face": list(w.face),
-                        "color_multiset": list(w.color_multiset),
-                        "context": list(w.context),
-                    }
-                    for w in report.witnesses
-                ],
-            }
-        ]
-    )
     _emit(
         _certificate(
             "verify-relations",
             {"d": args.d, "sample": args.sample, "seed": args.seed},
             outcome,
             {"instances_checked": report.instances_checked, "violations": report.violations},
-            witnesses,
+            _relation_witnesses(report),
             t0,
         )
     )
@@ -373,44 +379,41 @@ def cmd_certify_all(args) -> int:
                 "flips_changing_three_edges": soundness.diff_three,
                 "involution": int(soundness.involution_ok),
             },
-            [],
+            _soundness_witnesses(soundness),
             t0,
         )
     )
 
     t0 = time.perf_counter()
     plus, minus = ctx.signature.class_sizes()
-    alternating = bool(
-        (ctx.signature.signs[ctx.graph.adjacency] == -ctx.signature.signs[:, None]).all()
-    )
+    witnesses = _alternation_witnesses(ctx.graph, ctx.signature)
     conn = check_connected(ctx.graph)
     stage(
         _certificate(
             "certify-all/bipartite-connected",
             {"d": d},
-            PASS if alternating else FAIL,
+            FAIL if witnesses else PASS,
             {
                 "class_plus": plus,
                 "class_minus": minus,
                 "components": conn.n_components,
                 "dimension_upper_bound_certified": int(conn.transitive),
             },
-            [],
+            witnesses,
             t0,
         )
     )
 
     t0 = time.perf_counter()
     table = symmetry.orbit_decomposition(ctx.pset)
-    group_order = math.factorial(2 * d) * math.factorial(d)
-    identity_ok = all(e.size * e.stabilizer_order == group_order for e in table.entries)
+    witnesses = _orbit_witnesses(table, d)
     stage(
         _certificate(
             "certify-all/orbits",
             {"d": d},
-            PASS if identity_ok else FAIL,
-            {"orbits": len(table.entries), "orbit_stabilizer_identity": int(identity_ok)},
-            [],
+            FAIL if witnesses else PASS,
+            {"orbits": len(table.entries), "orbit_stabilizer_identity": int(not witnesses)},
+            witnesses,
             t0,
         )
     )
@@ -424,7 +427,7 @@ def cmd_certify_all(args) -> int:
                 {"d": d},
                 PASS if match.ok else FAIL,
                 {"references_checked": match.checked, "mismatches": len(match.mismatches)},
-                [] if match.ok else [{"property": "orbit_catalog_match", "diffs": match.mismatches}],
+                _catalog_witnesses(match),
                 t0,
             )
         )
@@ -437,7 +440,7 @@ def cmd_certify_all(args) -> int:
                 {"samples": args.samples, "seed": args.seed},
                 PASS if eps.ok else FAIL,
                 {"epsilon_samples": eps.samples, "epsilon_violations": len(eps.violations)},
-                [],
+                _epsilon_witnesses(eps),
                 t0,
             )
         )
@@ -465,7 +468,7 @@ def cmd_certify_all(args) -> int:
             {"d": d, "sample": args.sample_relations},
             PASS if report.ok else FAIL,
             {"instances_checked": report.instances_checked, "violations": report.violations},
-            [],
+            _relation_witnesses(report),
             t0,
         )
     )

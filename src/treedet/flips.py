@@ -4,10 +4,16 @@ Every homogeneous cycle-free d-partition of K_{2d} has, for each vertex
 triple (x, y, z), a unique partner partition that agrees with it on all
 edges off the face and differs on at least two of the three face edges.
 The map to that partner is an involution ("flip").  Nothing here takes
-that uniqueness on faith: flip() tries all d^3 - 1 alternative face
-colorings and demands exactly one survivor, and the graph builder does
-the same sweep over every (partition, face) pair, so a counterexample
-would abort the run loudly instead of being glossed over.
+that uniqueness on faith.  flip() tries all d^3 - 1 alternative face
+colorings of one partition and demands exactly one survivor.  The graph
+builder groups the members, face by face, by their coloring off the
+face and the multiset of their three face colors (face_groups): a
+partner keeps both, because homogeneity only sees the multiset, and two
+members of one group always differ on at least two face edges.  So a
+member's partners are the other members of its group, and a group of
+any size but two aborts the run loudly instead of being glossed over.
+The same groups hold the nonzero terms of the face relations, which is
+how algebra.verify_relations sweeps them.
 
 The graph with one node per partition and one edge per flip carries the
 two certificates this package is built around:
@@ -36,8 +42,6 @@ from .diagram import SignedDiagram
 from .enumeration import PartitionSet
 from .model import (
     EdgePartition,
-    acyclic_mask_table,
-    edge_count,
     face_edge_indices,
     faces_of,
     is_cycle_free,
@@ -150,86 +154,56 @@ class FlipSoundnessReport:
         return self.involution_ok and self.pairs_checked == self.diff_two + self.diff_three
 
 
+def face_groups(pset: PartitionSet, face):
+    """Members grouped by their coloring off `face` and the multiset of
+    their three face colors.
+
+    Returns (order, starts): the member indices sorted by (context code,
+    face-color multiset), and the position in `order` where each group
+    begins.  The context code is the canonical code with the face colors
+    taken out; the multiset is the per-color count of the face colors,
+    one base-4 digit per color.  A group is exactly the set of members
+    that recolor one another on the face while staying homogeneous, so
+    its members are the flip partners of one another and the nonzero
+    terms of one relation instance.
+    """
+    pos = list(face_edge_indices(face, pset.n))
+    face_colors = pset.colors[:, pos].astype(np.int64)
+    context = pset.codes - face_colors @ pset.weights[pos]
+    multiset = (1 << 2 * face_colors).sum(axis=1)
+    order = np.lexsort((multiset, context))
+    context, multiset = context[order], multiset[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (context[1:] != context[:-1]) | (multiset[1:] != multiset[:-1])
+    return order, np.flatnonzero(new)
+
+
 def _face_sweep(pset: PartitionSet):
-    """Vectorized flip computation for every (partition, face) pair.
+    """Flip partners of every (partition, face) pair, from the face groups.
 
     Returns (adjacency, diff_counts) where diff_counts[i, f] in {2, 3}
     records on how many face edges node i and its partner differ.
-    Raises FlipUniquenessError if any pair has survivor count != 1.
-
-    For each candidate recoloring, homogeneity reduces to preserving the
-    multiset of the three face colors, and acyclicity of the three
-    touched classes is read off a precomputed table over edge bitmasks.
+    Raises FlipUniquenessError, with the group's other members as the
+    survivors, if any group does not have exactly two members.
     """
-    d, n = pset.d, pset.n
-    E = edge_count(n)
+    faces = faces_of(pset.n)
     N = len(pset)
-    colors = pset.colors
-    codes = pset.codes
-    weights = pset.weights
-    acyc = acyclic_mask_table(n)
-    bits = (1 << np.arange(E)).astype(np.int64)
-    class_masks = np.zeros((N, d), dtype=np.int64)
-    for c in range(d):
-        class_masks[:, c] = ((colors == c) * bits).sum(axis=1)
-
-    faces = faces_of(n)
-    adjacency = np.full((N, len(faces)), -1, dtype=np.int32)
-    n_survivors = np.zeros((N, len(faces)), dtype=np.int8)
-    diff_counts = np.zeros((N, len(faces)), dtype=np.int8)
-
+    adjacency = np.empty((N, len(faces)), dtype=np.int32)
+    diff_counts = np.empty((N, len(faces)), dtype=np.int8)
     for fi, face in enumerate(faces):
-        pos = face_edge_indices(face, n)
-        w3 = weights[list(pos)]
-        b3 = bits[list(pos)]
-        face_mask = int(b3.sum())
-        da = colors[:, pos[0]].astype(np.int64)
-        db = colors[:, pos[1]].astype(np.int64)
-        dc = colors[:, pos[2]].astype(np.int64)
-        ctx_codes = codes - (da * w3[0] + db * w3[1] + dc * w3[2])
-        ctx_masks = class_masks & ~np.int64(face_mask)
-        orig_face_count = np.stack(
-            [(da == c).astype(np.int8) + (db == c) + (dc == c) for c in range(d)],
-            axis=1,
-        )
-        for cand in product(range(d), repeat=3):
-            ca, cb, cc = cand
-            cand_count = np.array(
-                [(ca == c) + (cb == c) + (cc == c) for c in range(d)], dtype=np.int8
+        order, starts = face_groups(pset, face)
+        sizes = np.diff(starts, append=N)
+        if np.any(sizes != 2):
+            g = int(np.flatnonzero(sizes != 2)[0])
+            first, *others = order[starts[g] : starts[g] + sizes[g]]
+            raise FlipUniquenessError(
+                pset.partition(first), face, [pset.partition(j) for j in others]
             )
-            homogeneous = np.all(orig_face_count == cand_count, axis=1)
-            ndiff = (da != ca).astype(np.int8) + (db != cb) + (dc != cc)
-            alive = homogeneous & (ndiff >= 2)
-            if not alive.any():
-                continue
-            add_mask = np.zeros(d, dtype=np.int64)
-            for c, b in zip(cand, b3):
-                add_mask[c] |= b
-            for c in range(d):
-                if add_mask[c]:
-                    alive = alive & acyc[ctx_masks[:, c] | add_mask[c]]
-            if not alive.any():
-                continue
-            rows = np.nonzero(alive)[0]
-            cand_codes = ctx_codes[rows] + (ca * w3[0] + cb * w3[1] + cc * w3[2])
-            idx = np.searchsorted(codes, cand_codes)
-            missing = (idx == len(codes)) | (
-                codes[np.minimum(idx, len(codes) - 1)] != cand_codes
-            )
-            if missing.any():  # pragma: no cover
-                raise AssertionError("homogeneous cycle-free candidate missing from set")
-            n_survivors[rows, fi] += 1
-            adjacency[rows, fi] = idx
-            diff_counts[rows, fi] = ndiff[rows]
-        if not np.all(n_survivors[:, fi] == 1):
-            bad = int(np.nonzero(n_survivors[:, fi] != 1)[0][0])
-            partition = pset.partition(bad)
-            survivors = []  # recover the survivor list the slow way for the report
-            try:
-                survivors = [flip(partition, face)]
-            except FlipUniquenessError as exc:
-                survivors = exc.survivors
-            raise FlipUniquenessError(partition, face, survivors)
+        a, b = order.reshape(-1, 2).T
+        adjacency[a, fi], adjacency[b, fi] = b, a
+        pos = list(face_edge_indices(face, pset.n))
+        ndiff = (pset.colors[a][:, pos] != pset.colors[b][:, pos]).sum(axis=1)
+        diff_counts[a, fi] = diff_counts[b, fi] = ndiff
     return adjacency, diff_counts
 
 

@@ -8,8 +8,10 @@ only use numpy RNGs and fractions.
 The last section keeps the library's earlier algorithms, replaced by
 faster kernels, as reference implementations: the depth-first
 enumeration, the union-find orbit closure, the pair-by-pair stabilizer
-loop, the enumerative determinant (one product per member partition)
-and the relation sweep over precomputed context digit columns.
+loop, the enumerative determinant (one product per member partition),
+the relation sweeps over a dense code-indexed sign table (full mode
+with precomputed context digit columns, and sampled mode) and the face
+sweep over all candidate recolorings.
 """
 
 import math
@@ -314,12 +316,12 @@ def enumerative_det_eval(vectors, pset, table, p=None):
 def digit_column_relation_sweep(pset, table):
     """Full-mode relation sweep that decodes every context from 3^(E-3)
     precomputed digit columns, held all at once."""
-    from treedet.algebra import RelationInstance, RelationReport, _signature_lookup_table
+    from treedet.algebra import RelationInstance, RelationReport
     from treedet.model import face_edge_indices, faces_of
 
     d, n = pset.d, pset.n
     E = n * (n - 1) // 2
-    dense = _signature_lookup_table(pset, table)
+    dense = signature_lookup_table(pset, table)
     weights = pset.weights
     multisets = list(combinations_with_replacement(range(d), 3))
     checked = violations = 0
@@ -344,3 +346,155 @@ def digit_column_relation_sweep(pset, table):
                 ctx = tuple(int(col[flat]) for col in ctx_digits)
                 witnesses.append(RelationInstance(d, n, face, ms, ctx))
     return RelationReport(checked, violations, witnesses, mode="full")
+
+
+def signature_lookup_table(pset, table):
+    """Dense code-indexed sign table: +-1 on members, 0 elsewhere."""
+    size = pset.d ** pset.colors.shape[1]
+    if size > 200_000_000:
+        raise ValueError("dense signature table too large for this d")
+    dense = np.zeros(size, dtype=np.int8)
+    dense[pset.codes] = table.signs
+    return dense
+
+
+def dense_sampled_relation_sweep(pset, table, sample, seed):
+    """Sampled-mode relation sweep that reads every term's sign from the
+    dense code-indexed table."""
+    from treedet.algebra import RelationInstance, RelationReport
+    from treedet.model import face_edge_indices, faces_of
+
+    d, n = pset.d, pset.n
+    E = n * (n - 1) // 2
+    dense = signature_lookup_table(pset, table)
+    weights = pset.weights
+    faces = faces_of(n)
+    multisets = list(combinations_with_replacement(range(d), 3))
+    checked = 0
+    violations = 0
+    witnesses = []
+    if seed is None:
+        raise ValueError("sampled mode needs an explicit seed")
+    rng = np.random.default_rng(seed)
+    face_idx = rng.integers(0, len(faces), size=sample)
+    ms_idx = rng.integers(0, len(multisets), size=sample)
+    ctx_int = rng.integers(0, d ** (E - 3), size=sample, dtype=np.int64)
+    w_face = np.zeros((len(faces), 3), dtype=np.int64)
+    w_ctx = np.zeros((len(faces), E - 3), dtype=np.int64)
+    for fi, face in enumerate(faces):
+        pos = face_edge_indices(face, n)
+        w_face[fi] = weights[list(pos)]
+        w_ctx[fi] = weights[[k for k in range(E) if k not in pos]]
+    ctx_digit_cols = [((ctx_int // d ** j) % d) for j in range(E - 3)]
+    ctx_codes = np.zeros(sample, dtype=np.int64)
+    for j, dig in enumerate(ctx_digit_cols):
+        ctx_codes += dig * w_ctx[face_idx, j]
+    for mi, ms in enumerate(multisets):
+        rows = np.nonzero(ms_idx == mi)[0]
+        if rows.size == 0:
+            continue
+        sums = np.zeros(rows.size, dtype=np.int16)
+        for arr in sorted(set(permutations(ms))):
+            add = (
+                arr[0] * w_face[face_idx[rows], 0]
+                + arr[1] * w_face[face_idx[rows], 1]
+                + arr[2] * w_face[face_idx[rows], 2]
+            )
+            sums += dense[ctx_codes[rows] + add]
+        checked += rows.size
+        if np.any(sums):
+            bad = sums != 0
+            violations += int(bad.sum())
+            for r in rows[bad][: 5 - len(witnesses)]:
+                ctx = tuple(int(col[r]) for col in ctx_digit_cols)
+                witnesses.append(
+                    RelationInstance(d, n, faces[int(face_idx[r])], ms, ctx)
+                )
+    return RelationReport(checked, violations, witnesses, mode=f"sample({sample}, seed={seed})")
+
+
+def candidate_face_sweep(pset):
+    """Flip partners of every (partition, face) pair by trying all d^3
+    recolorings of each face.
+
+    Returns (adjacency, diff_counts) where diff_counts[i, f] in {2, 3}
+    records on how many face edges node i and its partner differ.
+    Raises FlipUniquenessError if any pair has survivor count != 1.
+
+    For each candidate recoloring, homogeneity reduces to preserving the
+    multiset of the three face colors, and acyclicity of the three
+    touched classes is read off a precomputed table over edge bitmasks.
+    """
+    from treedet.flips import FlipUniquenessError, flip
+    from treedet.model import acyclic_mask_table, edge_count, face_edge_indices, faces_of
+
+    d, n = pset.d, pset.n
+    E = edge_count(n)
+    N = len(pset)
+    colors = pset.colors
+    codes = pset.codes
+    weights = pset.weights
+    acyc = acyclic_mask_table(n)
+    bits = (1 << np.arange(E)).astype(np.int64)
+    class_masks = np.zeros((N, d), dtype=np.int64)
+    for c in range(d):
+        class_masks[:, c] = ((colors == c) * bits).sum(axis=1)
+
+    faces = faces_of(n)
+    adjacency = np.full((N, len(faces)), -1, dtype=np.int32)
+    n_survivors = np.zeros((N, len(faces)), dtype=np.int8)
+    diff_counts = np.zeros((N, len(faces)), dtype=np.int8)
+
+    for fi, face in enumerate(faces):
+        pos = face_edge_indices(face, n)
+        w3 = weights[list(pos)]
+        b3 = bits[list(pos)]
+        face_mask = int(b3.sum())
+        da = colors[:, pos[0]].astype(np.int64)
+        db = colors[:, pos[1]].astype(np.int64)
+        dc = colors[:, pos[2]].astype(np.int64)
+        ctx_codes = codes - (da * w3[0] + db * w3[1] + dc * w3[2])
+        ctx_masks = class_masks & ~np.int64(face_mask)
+        orig_face_count = np.stack(
+            [(da == c).astype(np.int8) + (db == c) + (dc == c) for c in range(d)],
+            axis=1,
+        )
+        for cand in product(range(d), repeat=3):
+            ca, cb, cc = cand
+            cand_count = np.array(
+                [(ca == c) + (cb == c) + (cc == c) for c in range(d)], dtype=np.int8
+            )
+            homogeneous = np.all(orig_face_count == cand_count, axis=1)
+            ndiff = (da != ca).astype(np.int8) + (db != cb) + (dc != cc)
+            alive = homogeneous & (ndiff >= 2)
+            if not alive.any():
+                continue
+            add_mask = np.zeros(d, dtype=np.int64)
+            for c, b in zip(cand, b3):
+                add_mask[c] |= b
+            for c in range(d):
+                if add_mask[c]:
+                    alive = alive & acyc[ctx_masks[:, c] | add_mask[c]]
+            if not alive.any():
+                continue
+            rows = np.nonzero(alive)[0]
+            cand_codes = ctx_codes[rows] + (ca * w3[0] + cb * w3[1] + cc * w3[2])
+            idx = np.searchsorted(codes, cand_codes)
+            missing = (idx == len(codes)) | (
+                codes[np.minimum(idx, len(codes) - 1)] != cand_codes
+            )
+            if missing.any():  # pragma: no cover
+                raise AssertionError("homogeneous cycle-free candidate missing from set")
+            n_survivors[rows, fi] += 1
+            adjacency[rows, fi] = idx
+            diff_counts[rows, fi] = ndiff[rows]
+        if not np.all(n_survivors[:, fi] == 1):
+            bad = int(np.nonzero(n_survivors[:, fi] != 1)[0][0])
+            partition = pset.partition(bad)
+            survivors = []  # recover the survivor list the slow way for the report
+            try:
+                survivors = [flip(partition, face)]
+            except FlipUniquenessError as exc:
+                survivors = exc.survivors
+            raise FlipUniquenessError(partition, face, survivors)
+    return adjacency, diff_counts

@@ -206,7 +206,9 @@ def test_det2_explicit_global_sign(ctx2):
         assert explicit == DET2_EXPLICIT_SIGN * summed
 
 
-@pytest.mark.parametrize("d, flipped", [(2, ()), (2, (0,)), (2, (3, 8)), (3, (7,))])
+@pytest.mark.parametrize(
+    "d, flipped", [(2, ()), (2, (0,)), (2, (3, 8)), (3, (7,)), (3, ()), (3, (7, 40000))]
+)
 def test_relation_sweep_equals_digit_column_oracle(ctx2, ctx3, d, flipped):
     # one flipped sign breaks relations, so the witnesses and their order are compared too
     ctx = {2: ctx2, 3: ctx3}[d]
@@ -220,6 +222,19 @@ def test_relation_sweep_equals_digit_column_oracle(ctx2, ctx3, d, flipped):
         assert len(report.witnesses) == min(5, report.violations)
         for w in report.witnesses:
             assert relation_sum(w, ctx.pset, table) != 0
+
+
+def test_sampled_relation_sweep_equals_dense_oracle(ctx3):
+    # every tenth sign flipped breaks about one instance in a thousand, so
+    # the sample holds more than five violations and the witness list is cut
+    signs = ctx3.signature.signs.copy()
+    signs[::10] *= -1
+    table = SignatureTable(ctx3.pset, signs)
+    report = verify_relations(ctx3.pset, table, sample=50000, seed=5)
+    assert report == helpers.dense_sampled_relation_sweep(ctx3.pset, table, 50000, 5)
+    assert report.violations > 5 and len(report.witnesses) == 5
+    for w in report.witnesses:
+        assert relation_sum(w, ctx3.pset, table) != 0
 
 
 def test_relation_instance_counts():

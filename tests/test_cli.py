@@ -310,3 +310,69 @@ def test_usage_errors(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["certify-all", "--seed", "0", "--workers", "1"])
     assert exc.value.code == 2
+
+
+def _tampered_context(ctx, flipped):
+    from treedet.context import Context
+    from treedet.flips import SignatureTable
+
+    signs = ctx.signature.signs.copy()
+    signs[flipped] *= -1
+    return Context(ctx.pset, ctx.graph, SignatureTable(ctx.pset, signs))
+
+
+def test_flip_graph_missing_member_is_a_failed_certificate(capsys, monkeypatch):
+    # used to escape as a bare AssertionError (exit 3)
+    import treedet.cli
+    from treedet.context import standard_context
+    from treedet.enumeration import PartitionSet
+    from treedet.flips import build_flip_graph
+
+    pset = PartitionSet(2, 4, standard_context(2).pset.colors[1:], cycle_free=True)
+    monkeypatch.setattr(treedet.cli, "standard_context", lambda d: build_flip_graph(pset))
+    code, out, err = run(capsys, ["flip-graph", "--d", "2"])
+    assert code == 1 and err == ""
+    cert = json.loads(out)
+    assert cert["outcome"] == "fail"
+    assert [w["property"] for w in cert["witnesses"]] == ["flip_uniqueness"]
+
+
+def test_certify_all_relation_witnesses_equal_verify_relations(capsys, monkeypatch):
+    import treedet.cli
+    from treedet.context import standard_context
+
+    tampered = _tampered_context(standard_context(2), [0])
+    monkeypatch.setattr(treedet.cli, "standard_context", lambda d, pset=None: tampered)
+    code, out, _ = run(capsys, ["verify-relations", "--d", "2"])
+    assert code == 1
+    standalone = json.loads(out)["witnesses"]
+    assert standalone[0]["property"] == "relation_vanishing" and standalone[0]["instances"]
+    code, out, _ = run(capsys, ["certify-all", "--d", "2", "--seed", "1"])
+    assert code == 1
+    by_cmd = {c["command"]: c for c in map(json.loads, out.strip().splitlines())}
+    relations = by_cmd["certify-all/relations"]
+    assert relations["outcome"] == "fail" and relations["witnesses"] == standalone
+    bipartite = by_cmd["certify-all/bipartite-connected"]
+    assert bipartite["outcome"] == "fail"
+    assert bipartite["witnesses"] == [{"property": "signature_alternation"}]
+
+
+def test_certify_all_epsilon_witnesses_equal_verify_appendix(capsys, monkeypatch):
+    import treedet.cli
+    from treedet.context import standard_context
+
+    ctx3 = standard_context(3)
+    tampered = _tampered_context(ctx3, slice(None, None, 10))
+    monkeypatch.setattr(treedet.cli, "standard_context", lambda d, pset=None: tampered)
+    code, out, _ = run(capsys, ["verify-appendix", "--seed", "5", "--samples", "200"])
+    assert code == 1
+    standalone = json.loads(out)["witnesses"]
+    assert [w["property"] for w in standalone] == ["signature_parity_formula"]
+    code, out, _ = run(
+        capsys, ["certify-all", "--d", "3", "--seed", "5", "--samples", "200"]
+    )
+    assert code == 1
+    by_cmd = {c["command"]: c for c in map(json.loads, out.strip().splitlines())}
+    epsilon = by_cmd["certify-all/epsilon-formula"]
+    assert epsilon["outcome"] == "fail" and epsilon["witnesses"] == standalone
+    assert by_cmd["certify-all/relations"]["witnesses"][0]["instances"]

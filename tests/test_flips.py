@@ -7,7 +7,9 @@ from treedet.enumeration import PartitionSet
 from treedet.flips import (
     AnchorConflictError,
     FlipGraph,
+    FlipUniquenessError,
     OddCycleWitness,
+    build_flip_graph,
     check_bipartite,
     check_connected,
     components,
@@ -15,7 +17,7 @@ from treedet.flips import (
     two_color,
     verify_flip_soundness,
 )
-from treedet.model import EdgePartition, component_count, faces_of
+from treedet.model import EdgePartition, component_count, face_edge_indices, faces_of
 
 from test_model import FIG_CYCLIC, FIG_GOOD
 
@@ -68,6 +70,52 @@ def test_flip_matches_graph_on_d3_samples(ctx3):
 def test_graph_shapes(ctx2, ctx3):
     assert ctx2.graph.adjacency.shape == (12, 4)
     assert ctx3.graph.adjacency.shape == (66240, 20)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_face_sweep_equals_candidate_oracle(d, ctx2, ctx3):
+    from treedet.context import standard_context
+
+    graph = {1: standard_context(1), 2: ctx2, 3: ctx3}[d].graph
+    adjacency, diff_counts = helpers.candidate_face_sweep(graph.pset)
+    assert graph.adjacency.dtype == adjacency.dtype and graph.diff_counts.dtype == diff_counts.dtype
+    assert graph.adjacency.tobytes() == adjacency.tobytes()
+    assert graph.diff_counts.tobytes() == diff_counts.tobytes()
+
+
+def _same_group(a: EdgePartition, b: EdgePartition, face) -> bool:
+    pos = face_edge_indices(face, a.n)
+    off = [k for k in range(len(a.colors)) if k not in pos]
+    return [a.colors[k] for k in off] == [b.colors[k] for k in off] and sorted(
+        a.colors[k] for k in pos
+    ) == sorted(b.colors[k] for k in pos)
+
+
+def test_missing_member_is_a_uniqueness_failure(ctx2):
+    # the partner of the missing row is left alone in its group
+    pset = PartitionSet(2, 4, ctx2.pset.colors[1:], cycle_free=True)
+    with pytest.raises(FlipUniquenessError) as err:
+        build_flip_graph(pset)
+    exc = err.value
+    assert exc.survivors == []
+    assert pset.contains(exc.partition)
+    assert flip(exc.partition, exc.face) == ctx2.pset.partition(0)
+
+
+def test_crowded_group_is_a_uniqueness_failure(ctx2):
+    # a cyclic member (class 0 is the triangle 234) joins a flip pair's group on face 123
+    cyclic = (1, 1, 1, 0, 0, 0)
+    rows = sorted([tuple(int(c) for c in row) for row in ctx2.pset.colors] + [cyclic])
+    pset = PartitionSet(2, 4, np.array(rows), cycle_free=True)
+    with pytest.raises(FlipUniquenessError) as err:
+        build_flip_graph(pset)
+    exc = err.value
+    assert exc.face == (1, 2, 3) and len(exc.survivors) == 2
+    group = [exc.partition] + exc.survivors
+    assert EdgePartition(2, 4, cyclic) in group
+    for other in exc.survivors:
+        assert other != exc.partition and pset.contains(other)
+        assert _same_group(other, exc.partition, exc.face)
 
 
 def test_flip_soundness_report_d2(ctx2):
