@@ -50,10 +50,27 @@ from .model import (
 Tensor = tuple  # one d-coordinate vector per edge, lexicographic edge order
 
 
-# Miller-Rabin with every prime base up to 41 decides primality exactly
-# below this bound (Sorenson & Webster, Math. Comp. 2017, psi_13).
+# Miller-Rabin with the first t prime bases decides primality exactly
+# below psi_t, the least strong pseudoprime to all of them (Jaeschke,
+# Math. Comp. 1993, up to psi_8; Jiang & Deng, Math. Comp. 2014, psi_9
+# to psi_11; Sorenson & Webster, Math. Comp. 2017, psi_12 and psi_13).
+# Each p uses the shortest prefix of the bases up to 41 that its range
+# allows; psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so t = 8, 10 and 11
+# never occur.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
+_MR_RANGES = (  # (psi_t, t)
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+_MR_EXACT_BELOW = _MR_RANGES[-1][0]
 
 
 def validate_prime(p: int) -> int:
@@ -68,12 +85,13 @@ def validate_prime(p: int) -> int:
 
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin for 5 <= p < _MR_EXACT_BELOW."""
-    if any(p % q == 0 for q in _MR_BASES):
-        return p in _MR_BASES
+    bases = _MR_BASES[: next(t for bound, t in _MR_RANGES if p < bound)]
+    if any(p % q == 0 for q in bases):
+        return p in bases
     odd = p - 1
     while odd % 2 == 0:
         odd //= 2
-    for a in _MR_BASES:  # a must reach p - 1 by squaring, or start at 1
+    for a in bases:  # a must reach p - 1 by squaring, or start at 1
         x, e = pow(a, odd, p), odd
         while e != p - 1 and x not in (1, p - 1):
             x, e = x * x % p, e * 2

@@ -5,8 +5,10 @@ order.  Exit codes: 0 all checks passed, 1 a mathematical certificate
 failed (including a flip-uniqueness violation), 2 bad input or usage,
 3 an internal error (any other exception, reported on one stderr line).
 
-Commands that draw random samples require an explicit --seed; identical
-arguments and seed give identical certificates (wall_time_s aside).
+Only sampled modes draw random numbers: verify-relations --sample and
+certify-all --sample-relations read the --seed, which certify-all always
+requires.  Identical arguments and seed give identical certificates
+(wall_time_s aside).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import __version__, algebra, catalog, symmetry
 from .context import standard_context
-from .enumeration import enumerate_partitions
+from .enumeration import count_homogeneous, enumerate_partitions
 from .flips import (
     AnchorConflictError,
     FlipUniquenessError,
@@ -124,7 +126,7 @@ def _relation_witnesses(report) -> list:
 
 def cmd_enumerate(args) -> int:
     t0 = time.perf_counter()
-    pset = enumerate_partitions(args.d, cycle_free=args.cycle_free, allow_large=args.force)
+    pset = enumerate_partitions(args.d, cycle_free=args.cycle_free)
     if args.count_only:
         print(len(pset))
         return EXIT_OK
@@ -255,13 +257,13 @@ def cmd_verify_appendix(args) -> int:
     ctx = standard_context(3)
     table = symmetry.orbit_decomposition(ctx.pset)
     match = symmetry.match_catalog(table)
-    eps = symmetry.epsilon_formula_check(ctx.signature, args.samples, args.seed)
+    eps = symmetry.epsilon_formula_check(ctx.signature)
     witnesses = _catalog_witnesses(match) + _epsilon_witnesses(eps)
     outcome = FAIL if witnesses else PASS
     _emit(
         _certificate(
             "verify-appendix",
-            {"samples": args.samples, "seed": args.seed},
+            {},
             outcome,
             {
                 "references_checked": match.checked,
@@ -350,7 +352,7 @@ def cmd_certify_all(args) -> int:
 
     d = args.d
     t0 = time.perf_counter()
-    homogeneous = len(enumerate_partitions(d))  # the set itself is not kept
+    homogeneous = count_homogeneous(d)
     pset = enumerate_partitions(d, cycle_free=True)
     expected = {2: (20, 12), 3: (756756, 66240)}.get(d)
     counts_ok = expected is None or (homogeneous, len(pset)) == expected
@@ -433,11 +435,11 @@ def cmd_certify_all(args) -> int:
         )
 
         t0 = time.perf_counter()
-        eps = symmetry.epsilon_formula_check(ctx.signature, args.samples, args.seed)
+        eps = symmetry.epsilon_formula_check(ctx.signature)
         stage(
             _certificate(
                 "certify-all/epsilon-formula",
-                {"samples": args.samples, "seed": args.seed},
+                {"d": d},
                 PASS if eps.ok else FAIL,
                 {"epsilon_samples": eps.samples, "epsilon_violations": len(eps.violations)},
                 _epsilon_witnesses(eps),
@@ -492,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle-free", action="store_true")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", help="write JSONL partition objects here")
-    p.add_argument("--force", action="store_true", help="override the d <= 3 feasibility guard")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("flip", help="flip a partition across a face")
@@ -516,8 +517,6 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-appendix",
         help="check the d = 3 orbit catalog and the parity form of the signature",
     )
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_verify_appendix)
 
     p = sub.add_parser("signature", help="sign of one partition")
@@ -548,8 +547,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify-all", help="run the whole certificate pipeline")
     p.add_argument("--d", type=int, default=3, choices=(2, 3))
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10000, help="signature-formula samples")
+    p.add_argument(
+        "--seed", type=int, required=True, help="seed of the sampled relation sweep"
+    )
     p.add_argument(
         "--sample-relations",
         type=int,

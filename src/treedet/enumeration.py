@@ -11,7 +11,9 @@ pruned as soon as they appear.
 
 The counts grow fast: d = 3 has multinomial(15; 5,5,5) = 756756
 homogeneous partitions, while d = 4 already has about 4.7 * 10^14, so
-exhaustive mode refuses d > 3 unless explicitly overridden.
+enumeration refuses d > 3.  count_homogeneous gives the homogeneous
+count without building a row: a dynamic program over the per-color
+edge counts (budget vectors), coloring one edge at a time.
 """
 
 from __future__ import annotations
@@ -89,25 +91,44 @@ class PartitionSet:
         return self.contains(partition)
 
 
-def enumerate_partitions(
-    d: int,
-    cycle_free: bool = False,
-    *,
-    allow_large: bool = False,
-) -> PartitionSet:
-    """Build the set of homogeneous d-partitions of K_{2d}.
+def count_homogeneous(d: int) -> int:
+    """Number of homogeneous d-partitions of K_{2d}, without enumerating.
 
-    With cycle_free=True only partitions whose classes are all forests
-    (hence spanning trees) are kept.  Refuses d > 3 unless allow_large
-    is set, because the search space is infeasible at desk scale.
+    After k edges each state is a vector of per-color edge counts, each
+    at most the budget 2d - 1, mapped to the number of colorings of the
+    first k edges that reach it (exact Python ints; at most (2d)^d
+    states, 216 at d = 3).  Every full coloring ends in the all-budget
+    state, so its count is multinomial(d(2d-1); 2d-1, ..., 2d-1).
     """
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    if d > MAX_EXHAUSTIVE_D and not allow_large:
+    budget = 2 * d - 1
+    states = {(0,) * d: 1}
+    for _ in range(edge_count(2 * d)):
+        grown: dict[tuple, int] = {}
+        for used, ways in states.items():
+            for c in range(d):
+                if used[c] < budget:
+                    key = used[:c] + (used[c] + 1,) + used[c + 1:]
+                    grown[key] = grown.get(key, 0) + ways
+        states = grown
+    return states[(budget,) * d]
+
+
+def enumerate_partitions(d: int, cycle_free: bool = False) -> PartitionSet:
+    """Build the set of homogeneous d-partitions of K_{2d}.
+
+    With cycle_free=True only partitions whose classes are all forests
+    (hence spanning trees) are kept.  Refuses d > 3, because the search
+    space is infeasible at desk scale.
+    """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    if d > MAX_EXHAUSTIVE_D:
         raise ValueError(
             f"exhaustive enumeration for d={d} is infeasible: the homogeneous "
             f"count is multinomial({edge_count(2 * d)}; {2 * d - 1}, ...), about "
-            f"5*10^14 already at d=4; pass allow_large=True to override"
+            f"5*10^14 already at d=4"
         )
     n = 2 * d
     E = edge_count(n)

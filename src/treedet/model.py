@@ -241,27 +241,20 @@ def classify_tree(edges: Iterable[tuple[int, int]]) -> str:
 def acyclic_mask_table(n: int) -> np.ndarray:
     """Boolean table over all 2^E edge subsets of K_n: True iff acyclic.
 
-    Edge k corresponds to bit k of the mask.  Only sensible for small n
-    (the table has 2^E entries); n = 6 gives 32768.
+    Edge k corresponds to bit k of the mask.  One union-find runs over
+    all masks at once, with a component label per vertex and mask.  The
+    masks below 2^(k+1) holding edge k are those below 2^k plus the
+    edge: each either closes a cycle (both ends already share a label)
+    or merges the two labels.  Only sensible for small n (the table has
+    2^E entries); n = 6 gives 32768.
     """
     E = edge_count(n)
     if E > 21:
         raise ValueError(f"subset table for K_{n} would need 2^{E} entries")
-    edges = edge_list(n)
-    table = np.zeros(1 << E, dtype=bool)
-    for mask in range(1 << E):
-        parent = list(range(n + 1))
-        acyclic = True
-        m, k = mask, 0
-        while m:
-            if m & 1:
-                i, j = edges[k]
-                ri, rj = _find(parent, i), _find(parent, j)
-                if ri == rj:
-                    acyclic = False
-                    break
-                parent[ri] = rj
-            m >>= 1
-            k += 1
-        table[mask] = acyclic
+    labels = np.arange(n, dtype=np.int8)[None, :]
+    table = np.ones(1, dtype=bool)
+    for i, j in edge_list(n):
+        a, b = labels[:, i - 1, None], labels[:, j - 1, None]
+        table = np.concatenate([table, table & (a != b)[:, 0]])
+        labels = np.concatenate([labels, np.where(labels == b, a, labels)])
     return table

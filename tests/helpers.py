@@ -10,8 +10,10 @@ faster kernels, as reference implementations: the depth-first
 enumeration, the union-find orbit closure, the pair-by-pair stabilizer
 loop, the enumerative determinant (one product per member partition),
 the relation sweeps over a dense code-indexed sign table (full mode
-with precomputed context digit columns, and sampled mode) and the face
-sweep over all candidate recolorings.
+with precomputed context digit columns, and sampled mode), the face
+sweep over all candidate recolorings, the sampled check of the d = 3
+parity form, the acyclic-subset table filled one mask at a time, and
+Miller-Rabin with all 13 prime bases up to 41 for every number.
 """
 
 import math
@@ -498,3 +500,73 @@ def candidate_face_sweep(pset):
                 survivors = exc.survivors
             raise FlipUniquenessError(partition, face, survivors)
     return adjacency, diff_counts
+
+
+def sampled_epsilon_check(table, samples, seed):
+    """The d = 3 parity form s((sigma, tau) * P_i) = sgn tau on random
+    (sigma, tau, i), one relabeling at a time; the first five
+    violations, as (sigma, tau, i, got, expected)."""
+    from treedet import catalog
+    from treedet.symmetry import EpsilonFormulaReport, PermPair, act, perm_sign
+
+    rng = np.random.default_rng(seed)
+    refs = catalog.reference_partitions()
+    violations = []
+    for _ in range(samples):
+        sigma = tuple(int(v) + 1 for v in rng.permutation(6))
+        tau = tuple(int(v) + 1 for v in rng.permutation(3))
+        i = int(rng.integers(1, 20))
+        moved = act(PermPair(sigma, tau), refs[i - 1])
+        expected = perm_sign(tau)
+        got = table.signature(moved)
+        if got != expected:
+            violations.append((sigma, tau, i, got, expected))
+            if len(violations) >= 5:
+                break
+    return EpsilonFormulaReport(samples=samples, violations=violations)
+
+
+def loop_acyclic_mask_table(n):
+    """Acyclicity of every edge subset of K_n (bit k = edge k), by a
+    union-find over each mask in turn."""
+    from treedet.model import _find, edge_count, edge_list
+
+    E = edge_count(n)
+    edges = edge_list(n)
+    table = np.zeros(1 << E, dtype=bool)
+    for mask in range(1 << E):
+        parent = list(range(n + 1))
+        acyclic = True
+        m, k = mask, 0
+        while m:
+            if m & 1:
+                i, j = edges[k]
+                ri, rj = _find(parent, i), _find(parent, j)
+                if ri == rj:
+                    acyclic = False
+                    break
+                parent[ri] = rj
+            m >>= 1
+            k += 1
+        table[mask] = acyclic
+    return table
+
+
+MR13_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def mr13_is_prime(p):
+    """Miller-Rabin with all 13 prime bases up to 41, exact for
+    5 <= p < 3317044064679887385961981."""
+    if any(p % q == 0 for q in MR13_BASES):
+        return p in MR13_BASES
+    odd = p - 1
+    while odd % 2 == 0:
+        odd //= 2
+    for a in MR13_BASES:
+        x, e = pow(a, odd, p), odd
+        while e != p - 1 and x not in (1, p - 1):
+            x, e = x * x % p, e * 2
+        if x != p - 1 and e % 2 == 0:
+            return False
+    return True

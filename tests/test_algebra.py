@@ -435,8 +435,21 @@ def test_validate_prime():
             assert is_prime, n
         except ValueError:
             assert not is_prime, n
-    # strong pseudoprimes to the bases up to 7, 23 and 37 respectively
-    for bad in (3215031751, 3825123056546413051, 318665857834031151167461):
+    # psi_t, the least strong pseudoprime to the first t prime bases, for
+    # t = 1..7, 9 and 12: each is the first number of the range that
+    # needs one more base, so an off-by-one range would accept it
+    for bad in (
+        2047,
+        1373653,
+        25326001,
+        3215031751,
+        2152302898747,
+        3474749660383,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,
+    ):
+        assert not helpers.mr13_is_prime(bad)
         with pytest.raises(ValueError, match="not prime"):
             validate_prime(bad)
     with pytest.raises(ValueError, match="cannot be certified"):

@@ -167,11 +167,12 @@ def test_verify_relations_sampled(capsys):
 
 
 def test_verify_appendix(capsys):
-    code, out, _ = run(capsys, ["verify-appendix", "--seed", "5", "--samples", "200"])
+    code, out, _ = run(capsys, ["verify-appendix"])
     assert code == 0
     cert = json.loads(out)
     assert cert["outcome"] == "pass"
     assert cert["numbers"]["references_checked"] == 19
+    assert cert["numbers"]["epsilon_samples"] == 82080
     assert cert["numbers"]["epsilon_violations"] == 0
 
 
@@ -192,9 +193,7 @@ def test_certify_all_d2(capsys):
 
 
 def test_certify_all_d3(capsys):
-    code, out, _ = run(
-        capsys, ["certify-all", "--d", "3", "--seed", "11", "--samples", "500"]
-    )
+    code, out, _ = run(capsys, ["certify-all", "--d", "3", "--seed", "11"])
     assert code == 0
     certs = [json.loads(line) for line in out.strip().splitlines()]
     assert all(c["outcome"] == "pass" for c in certs)
@@ -364,15 +363,53 @@ def test_certify_all_epsilon_witnesses_equal_verify_appendix(capsys, monkeypatch
     ctx3 = standard_context(3)
     tampered = _tampered_context(ctx3, slice(None, None, 10))
     monkeypatch.setattr(treedet.cli, "standard_context", lambda d, pset=None: tampered)
-    code, out, _ = run(capsys, ["verify-appendix", "--seed", "5", "--samples", "200"])
+    code, out, _ = run(capsys, ["verify-appendix"])
     assert code == 1
     standalone = json.loads(out)["witnesses"]
     assert [w["property"] for w in standalone] == ["signature_parity_formula"]
-    code, out, _ = run(
-        capsys, ["certify-all", "--d", "3", "--seed", "5", "--samples", "200"]
-    )
+    code, out, _ = run(capsys, ["certify-all", "--d", "3", "--seed", "5"])
     assert code == 1
     by_cmd = {c["command"]: c for c in map(json.loads, out.strip().splitlines())}
     epsilon = by_cmd["certify-all/epsilon-formula"]
     assert epsilon["outcome"] == "fail" and epsilon["witnesses"] == standalone
     assert by_cmd["certify-all/relations"]["witnesses"][0]["instances"]
+
+
+def test_parity_form_with_a_missing_orbit_is_a_failed_certificate(capsys, monkeypatch):
+    # the images of reference 19 are not members: each reads sign 0, a
+    # failed certificate (exit 1), not a usage error (exit 2)
+    import treedet.cli
+    from treedet import catalog
+    from treedet.context import Context, standard_context
+    from treedet.enumeration import PartitionSet
+    from treedet.flips import SignatureTable
+    from treedet.symmetry import orbit_decomposition
+
+    ctx3 = standard_context(3)
+    orbits = orbit_decomposition(ctx3.pset, with_stabilizers=False)
+    keep = orbits.roots != orbits.roots[ctx3.pset.index_of(catalog.reference_partition(19))]
+    pset = PartitionSet(3, 6, ctx3.pset.colors[keep], cycle_free=True)
+    short = Context(pset, ctx3.graph, SignatureTable(pset, ctx3.signature.signs[keep]))
+    monkeypatch.setattr(treedet.cli, "standard_context", lambda d, pset=None: short)
+    code, out, err = run(capsys, ["verify-appendix"])
+    assert code == 1 and err == ""
+    cert = json.loads(out)
+    assert cert["numbers"]["epsilon_samples"] == 82080
+    assert cert["numbers"]["epsilon_violations"] == 5
+    parity = [w for w in cert["witnesses"] if w["property"] == "signature_parity_formula"]
+    assert len(parity) == 1
+    assert {(v["reference"], v["got"]) for v in parity[0]["violations"]} == {(19, 0)}
+    assert "reference 19 is not a member of the set" in cert["witnesses"][0]["diffs"]
+
+
+@pytest.mark.parametrize("extra", [["--force"], ["--count-only"]])
+def test_enumerate_d4_is_refused_before_enumerating(capsys, monkeypatch, extra):
+    import treedet.enumeration
+
+    # an enumeration that starts touches numpy and exits 3, not 2
+    monkeypatch.setattr(treedet.enumeration, "np", None)
+    try:
+        code = main(["enumerate", "--d", "4", *extra])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
-from treedet.enumeration import enumerate_partitions
+from treedet.enumeration import count_homogeneous, enumerate_partitions
 from treedet.model import EdgePartition, is_cycle_free, is_homogeneous
 
 from test_model import FIG_CYCLIC, FIG_GOOD, FIG_LOPSIDED
@@ -55,6 +55,18 @@ def test_members_are_sorted_valid_and_unique(ctx2, ctx3):
 
 def test_multinomial_identity(set3_all):
     assert len(set3_all) == math.factorial(15) // math.factorial(5) ** 3 == 756756
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_budget_count_equals_the_enumeration(d, set3_all):
+    pset = set3_all if d == 3 else enumerate_partitions(d)
+    assert count_homogeneous(d) == len(pset)
+
+
+def test_budget_count_at_d4_is_the_multinomial():
+    assert count_homogeneous(4) == math.factorial(28) // math.factorial(7) ** 4
+    with pytest.raises(ValueError):
+        count_homogeneous(0)
 
 
 @pytest.mark.parametrize("cycle_free", [False, True])

@@ -1,9 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 from treedet.model import (
     NOT_TREE,
     EdgePartition,
+    acyclic_mask_table,
     classify_tree,
     component_count,
     edge_count,
@@ -133,3 +135,10 @@ def test_component_count():
     assert component_count([(1, 2), (2, 3)], 4) == 2
     assert component_count([], 3) == 3
     assert component_count([(1, 2), (2, 3), (3, 4)], 4) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_acyclic_mask_table_is_byte_equal_to_the_mask_loop(n):
+    table = acyclic_mask_table(n)
+    assert table.dtype == bool and table.shape == (1 << edge_count(n),)
+    assert table.tobytes() == helpers.loop_acyclic_mask_table(n).tobytes()

@@ -1,5 +1,6 @@
 """Property tests: the diagram determinant against the enumerative oracle,
-GF(p) against the rational residue, and `det --input` on arbitrary JSON."""
+GF(p) against the rational residue, validate_prime against Miller-Rabin
+with all 13 bases, and `det --input` on arbitrary JSON."""
 
 import contextlib
 import io
@@ -55,6 +56,19 @@ def test_diagram_equals_enumerative_oracle_on_huge_entries(d, examples):
         assert det_eval(vectors, ctx.pset, ctx.signature) == expected
 
     check()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(2, 10 ** 7), st.integers(2, 2 ** 63 - 1)).map(lambda k: 2 * k + 1)
+)
+def test_validate_prime_equals_the_13_base_test(n):
+    try:
+        validate_prime(n)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == helpers.mr13_is_prime(n)
 
 
 def next_prime(n):

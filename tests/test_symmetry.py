@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from treedet import catalog
-from treedet.flips import flip
+from treedet.flips import SignatureTable, flip
 from treedet.model import NOT_TREE, classify_tree, edge_list
 from treedet.symmetry import (
     PermPair,
@@ -144,14 +144,55 @@ def test_no_class_has_a_high_degree_vertex(ctx3):
 
 
 def test_epsilon_formula_sampled(ctx3):
-    report = epsilon_formula_check(ctx3.signature, samples=500, seed=123)
-    assert report.ok
+    assert helpers.sampled_epsilon_check(ctx3.signature, samples=500, seed=123).ok
+    report = epsilon_formula_check(ctx3.signature)
+    assert report.ok and report.samples == 6 * 5 * 4 * 3 * 2 * 6 * 19 == 82080
+
+
+def _negated(table, rows):
+    signs = table.signs.copy()
+    signs[rows] *= -1
+    return SignatureTable(table.pset, signs)
+
+
+@pytest.mark.parametrize("tamper", ["every_tenth", "orbit_of_reference_7"])
+def test_exhaustive_parity_form_agrees_with_sampled_oracle(ctx3, orbits3, tamper):
+    if tamper == "every_tenth":
+        rows = slice(None, None, 10)
+    else:
+        root = orbits3.roots[ctx3.pset.index_of(catalog.reference_partition(7))]
+        rows = orbits3.roots == root
+    table = _negated(ctx3.signature, rows)
+    report = epsilon_formula_check(table)
+    oracle = helpers.sampled_epsilon_check(table, samples=10000, seed=2024)
+    assert not report.ok and not oracle.ok
+    assert report.samples == 82080 and len(report.violations) == 5
+    for sigma, tau, i, got, expected in report.violations:  # each one is real
+        moved = act(PermPair(sigma, tau), catalog.reference_partition(i))
+        assert table.signature(moved) == got != expected == perm_sign(tau)
+    if tamper != "every_tenth":  # only reference 7 fails, in group order
+        identity = tuple(range(1, 7))
+        taus = list(permutations(range(1, 4)))[:5]
+        assert [v[:3] for v in report.violations] == [(identity, t, 7) for t in taus]
+        assert {v[2] for v in oracle.violations} == {7}
 
 
 def test_epsilon_product_formula_d2(ctx2):
     report = epsilon_product_check_d2(ctx2.signature)
     assert report.ok
     assert report.samples == 48
+
+
+def test_d2_product_form_witnesses_equal_the_group_loop(ctx2):
+    table = _negated(ctx2.signature, slice(None, None, 5))
+    loop = []
+    for pair in group_elements(4, 2):
+        got = table.signature(act(pair, catalog.BASE_PARTITION_D2))
+        expected = perm_sign(pair.sigma) * perm_sign(pair.tau)
+        if got != expected:
+            loop.append((pair.sigma, pair.tau, 1, got, expected))
+    assert len(loop) > 5
+    assert epsilon_product_check_d2(table).violations == loop[:5]
 
 
 def test_sigma_alone_preserves_d3_signature(ctx3):
