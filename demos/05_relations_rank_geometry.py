@@ -3,12 +3,13 @@
 
 Each relation instance fixes a face, a color multiset for its three
 edges, and the colors of every other edge; the signed sum over the
-multiset's arrangements must vanish.  Sweeping all of them (106 million
-at d = 3) certifies that the signature really does define a form on the
-quotient.  At d = 2 the quotient dimension is confirmed independently
-by eliminating the 128 relation vectors against the 64 generators, and
-the vanishing locus has a geometric meaning: the six vectors fit a
-quadrilateral's edge directions.
+multiset's arrangements must vanish.  The members among those terms are
+one flip pair, so the sweep over all of them (106 million at d = 3)
+reads the flip graph's pairs; it certifies that the signature really
+does define a form on the quotient.  At d = 2 the quotient dimension
+is confirmed independently by eliminating the 128 relation vectors
+against the 64 generators, and the vanishing locus has a geometric
+meaning: the six vectors fit a quadrilateral's edge directions.
 """
 
 import time
@@ -51,11 +52,20 @@ for colors, hit in zip(inst.expansions(), member_terms(inst)):
     else:
         print(f"    term {colors} (outside, contributes 0)")
 print(f"  signed sum: {relation_sum(inst, ctx2.pset, ctx2.signature)}")
+from treedet.model import EdgePartition
+
+a, b = (
+    ctx2.pset.index_of(EdgePartition(2, 4, colors))
+    for colors, hit in zip(inst.expansions(), member_terms(inst))
+    if hit
+)
+print(f"  the two members are flip partners across the face: {ctx2.graph.neighbor(a, inst.face) == b}")
+print("  so the full sweep sums s_i + s_partner over each face's flip pairs")
 print()
 
 for d, ctx in ((2, ctx2), (3, ctx3)):
     t0 = time.time()
-    report = verify_relations(ctx.pset, ctx.signature)
+    report = verify_relations(ctx.graph, ctx.signature)
     print(
         f"d={d} full sweep: {report.instances_checked} instances, "
         f"{report.violations} violations ({time.time() - t0:.1f}s)"

@@ -8,9 +8,10 @@ signature times that monomial.  The map is multilinear, normalized to 1
 on the nested generator input, and vanishes whenever the three vectors
 of some face coincide; those vanishing sums are exactly the face
 relations swept by verify_relations.  The nonzero terms of one relation
-instance are the members of one face group (flips.face_groups), the
-same groups whose pairs are the flips, so the full sweep is one signed
-sum per group and never visits the instances that no member reaches.
+instance are the members of one face group, and the flip graph has
+certified that every such group is one flip pair, so the full sweep is
+one sum s_i + s_partner per pair and never visits the instances that no
+member reaches.
 
 det_eval walks the signature table's reduced decision diagram (see
 diagram.py) bottom-up, one level per edge, in a single pass whose only
@@ -36,7 +37,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .enumeration import PartitionSet
-from .flips import SignatureTable, face_groups
+from .flips import FlipGraph, SignatureTable, face_keys, group_keys
 from .model import (
     EdgePartition,
     edge_count,
@@ -382,15 +383,8 @@ class RelationReport:
         return self.violations == 0
 
 
-def _signs_at(pset: PartitionSet, table: SignatureTable, codes: np.ndarray) -> np.ndarray:
-    """Sign of each code by a checked binary search: +-1 on members, 0 elsewhere."""
-    idx = np.searchsorted(pset.codes, codes)  # len(pset) reads the appended sentinels
-    member = np.append(pset.codes, -1)[idx] == codes
-    return np.where(member, np.append(table.signs, 0)[idx], 0)
-
-
 def verify_relations(
-    pset: PartitionSet,
+    graph: FlipGraph,
     table: SignatureTable,
     *,
     sample: Optional[int] = None,
@@ -400,29 +394,28 @@ def verify_relations(
 
     Each term of an instance is a single basis generator, so members of
     the set contribute their sign and everything else contributes 0.
-    Full mode reads the sums off the face groups of flips.face_groups:
-    the members of one group are exactly the nonzero terms of one
-    instance, and an instance that no member reaches sums to 0 by
-    definition, though it still counts as checked.  Witnesses come in
+    The members among an instance's terms are one flip pair of the
+    graph (its face sweep aborts on any other group), so the instance
+    sums to s_i + s_partner, or to 0 when no member is a term (it still
+    counts as checked).  Full mode sums every pair; witnesses come in
     stream order: face, multiset, then context with the first non-face
-    edge as the least significant digit.  Sampled mode draws seeded
-    uniform instances and looks each term up by binary search.
+    edge least significant.  Sampled mode draws seeded instances and
+    looks each up once in the face's sorted pair keys (flips.face_keys).
     """
+    pset = graph.pset
     d, n = pset.d, pset.n
     _check_table(pset, table)
     E = edge_count(n)
-    weights = pset.weights
     faces = faces_of(n)
     multisets = list(combinations_with_replacement(range(d), 3))
-    checked = 0
-    violations = 0
+    signs, adjacency = table.signs, graph.adjacency
     witnesses = []
 
     if sample is None:
-        for face in faces:
-            order, starts = face_groups(pset, face)
-            sums = np.add.reduceat(table.signs[order], starts, dtype=np.int16)
-            bad = order[starts[np.flatnonzero(sums)]]  # one member of each failing group
+        violations = 0
+        for fi, face in enumerate(faces):
+            first = np.flatnonzero(np.arange(len(pset)) < adjacency[:, fi])
+            bad = first[signs[first] + signs[adjacency[first, fi]] != 0]
             violations += len(bad)
             if len(bad) and len(witnesses) < 5:
                 pos = list(face_edge_indices(face, n))
@@ -441,38 +434,30 @@ def verify_relations(
     face_idx = rng.integers(0, len(faces), size=sample)
     ms_idx = rng.integers(0, len(multisets), size=sample)
     ctx_int = rng.integers(0, d ** (E - 3), size=sample, dtype=np.int64)
-    w_face = np.zeros((len(faces), 3), dtype=np.int64)
-    w_ctx = np.zeros((len(faces), E - 3), dtype=np.int64)
+    # context codes come from two tables, one for each half of the context digits
+    split = (E - 3) // 2
+    high, low = np.divmod(ctx_int, d ** split)
+    digits = [np.arange(d ** m)[:, None] // d ** np.arange(m) % d for m in (split, E - 3 - split)]
+    ms_colors = np.array(multisets, dtype=np.int64)
+    sums = np.zeros(sample, dtype=np.int16)
     for fi, face in enumerate(faces):
         pos = face_edge_indices(face, n)
-        w_face[fi] = weights[list(pos)]
-        w_ctx[fi] = weights[[k for k in range(E) if k not in pos]]
-    ctx_digit_cols = [((ctx_int // d ** j) % d) for j in range(E - 3)]
-    ctx_codes = np.zeros(sample, dtype=np.int64)
-    for j, dig in enumerate(ctx_digit_cols):
-        ctx_codes += dig * w_ctx[face_idx, j]
-    for mi, ms in enumerate(multisets):
-        rows = np.nonzero(ms_idx == mi)[0]
-        if rows.size == 0:
-            continue
-        sums = np.zeros(rows.size, dtype=np.int16)
-        for arr in sorted(set(permutations(ms))):
-            add = (
-                arr[0] * w_face[face_idx[rows], 0]
-                + arr[1] * w_face[face_idx[rows], 1]
-                + arr[2] * w_face[face_idx[rows], 2]
-            )
-            sums += _signs_at(pset, table, ctx_codes[rows] + add)
-        checked += rows.size
-        if np.any(sums):
-            bad = sums != 0
-            violations += int(bad.sum())
-            for r in rows[bad][: 5 - len(witnesses)]:
-                ctx = tuple(int(col[r]) for col in ctx_digit_cols)
-                witnesses.append(
-                    RelationInstance(d, n, faces[int(face_idx[r])], ms, ctx)
-                )
-    return RelationReport(checked, violations, witnesses, mode=f"sample({sample}, seed={seed})")
+        w = pset.weights[[k for k in range(E) if k not in pos]]  # digit j colors w[j]'s edge
+        rows = np.flatnonzero(face_idx == fi)
+        context = (digits[0] @ w[:split])[low[rows]] + (digits[1] @ w[split:])[high[rows]]
+        keys = group_keys(d, context, *ms_colors[ms_idx[rows]].T)
+        member_keys = face_keys(pset, face)
+        first = np.argsort(member_keys, kind="stable")[0::2]  # one member of each pair, by key
+        at = np.searchsorted(member_keys[first], keys)  # len(first) reads the appended sentinels
+        hit = np.append(member_keys[first], -1)[at] == keys
+        pair_sums = signs[first] + signs[adjacency[first, fi]]
+        sums[rows] = np.where(hit, np.append(pair_sums, 0)[at], 0)
+    bad = np.flatnonzero(sums)
+    for r in bad[np.lexsort((bad, ms_idx[bad]))][:5]:
+        ctx = tuple(int(ctx_int[r]) // d ** j % d for j in range(E - 3))
+        face, ms = faces[int(face_idx[r])], multisets[int(ms_idx[r])]
+        witnesses.append(RelationInstance(d, n, face, ms, ctx))
+    return RelationReport(sample, len(bad), witnesses, mode=f"sample({sample}, seed={seed})")
 
 
 def relation_sum(inst: RelationInstance, pset: PartitionSet, table: SignatureTable) -> int:

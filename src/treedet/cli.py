@@ -2,7 +2,8 @@
 
 Each verifying subcommand prints a JSON certificate with stable key
 order.  Exit codes: 0 all checks passed, 1 a mathematical certificate
-failed (including a flip-uniqueness violation), 2 bad input or usage,
+failed (including a flip-uniqueness violation and a set that is not
+closed under relabeling), 2 bad input or usage,
 3 an internal error (any other exception, reported on one stderr line).
 
 Only sampled modes draw random numbers: verify-relations --sample and
@@ -307,7 +308,7 @@ def cmd_verify_relations(args) -> int:
     t0 = time.perf_counter()
     ctx = standard_context(args.d)
     report = algebra.verify_relations(
-        ctx.pset, ctx.signature, sample=args.sample, seed=args.seed
+        ctx.graph, ctx.signature, sample=args.sample, seed=args.seed
     )
     outcome = PASS if report.ok else FAIL
     _emit(
@@ -462,7 +463,7 @@ def cmd_certify_all(args) -> int:
 
     t0 = time.perf_counter()
     report = algebra.verify_relations(
-        ctx.pset, ctx.signature, sample=args.sample_relations, seed=args.seed
+        ctx.graph, ctx.signature, sample=args.sample_relations, seed=args.seed
     )
     stage(
         _certificate(
@@ -570,17 +571,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (FlipUniquenessError, AnchorConflictError) as exc:
-        _emit(
-            _certificate(
-                args.command,
-                {},
-                FAIL,
-                {},
-                [{"property": "flip_uniqueness" if isinstance(exc, FlipUniquenessError) else "anchor_consistency", "detail": str(exc)}],
-                time.perf_counter(),
-            )
-        )
+    except (FlipUniquenessError, AnchorConflictError, symmetry.OrbitClosureError) as exc:
+        witness = {"property": exc.witness_property, "detail": str(exc)}
+        _emit(_certificate(args.command, {}, FAIL, {}, [witness], time.perf_counter()))
         return EXIT_CERT_FAIL
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,13 +7,13 @@ The map to that partner is an involution ("flip").  Nothing here takes
 that uniqueness on faith.  flip() tries all d^3 - 1 alternative face
 colorings of one partition and demands exactly one survivor.  The graph
 builder groups the members, face by face, by their coloring off the
-face and the multiset of their three face colors (face_groups): a
-partner keeps both, because homogeneity only sees the multiset, and two
-members of one group always differ on at least two face edges.  So a
-member's partners are the other members of its group, and a group of
-any size but two aborts the run loudly instead of being glossed over.
-The same groups hold the nonzero terms of the face relations, which is
-how algebra.verify_relations sweeps them.
+face and the multiset of their three face colors, one int64 key each
+(face_keys) sorted once per face: a partner keeps both, because
+homogeneity only sees the multiset, and two members of one group always
+differ on at least two face edges.  So a member's partners are the
+other members of its group, and a group of any size but two aborts the
+run loudly instead of being glossed over.  The certified pairs are the
+nonzero terms of the face relations, which algebra.verify_relations sums.
 
 The graph with one node per partition and one edge per flip carries the
 two certificates this package is built around:
@@ -23,9 +23,10 @@ two certificates this package is built around:
 * connectivity: when the involutions act transitively, the quotient of
   the tensor space by the face relations has dimension at most one.
 
-Both are read off one components kernel run on the parity double cover
-of the graph; a breadth-first search only extracts the witness of a
-failed check.
+Both are read off one level-synchronous breadth-first search
+(bfs_levels): a flip must join levels of opposite parity, and each
+component is named by its smallest node.  The node-by-node search
+two_color only extracts the witness of a failed check.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class FlipUniquenessError(RuntimeError):
     admissible flip partner.  This would falsify the uniqueness property
     the whole construction rests on, so it always aborts the run."""
 
+    witness_property = "flip_uniqueness"
+
     def __init__(self, partition: EdgePartition, face, survivors):
         self.partition = partition
         self.face = tuple(face)
@@ -67,6 +70,8 @@ class FlipUniquenessError(RuntimeError):
 
 class AnchorConflictError(ValueError):
     """Two anchors in one flip-graph component demand inconsistent signs."""
+
+    witness_property = "anchor_consistency"
 
     def __init__(self, first: int, second: int, path: list):
         self.first = first
@@ -124,14 +129,10 @@ class FlipGraph:
     diff_counts: np.ndarray  # (N, C(2d,3)) int8
 
     @cached_property
-    def cover_labels(self) -> np.ndarray:
-        """(2, N) component labels of the parity double cover: node i has
-        its even copy at i and its odd copy at i + N, and each flip joins
-        one parity to the other.  Shared by check_bipartite and
-        check_connected."""
-        N = len(self.adjacency)
-        cover = np.concatenate([self.adjacency + N, self.adjacency])
-        return components(cover).reshape(2, N)
+    def levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """(root, level) of bfs_levels over the flips, shared by
+        check_bipartite and check_connected."""
+        return bfs_levels(self.adjacency)
 
     @property
     def faces(self):
@@ -154,32 +155,28 @@ class FlipSoundnessReport:
         return self.involution_ok and self.pairs_checked == self.diff_two + self.diff_three
 
 
-def face_groups(pset: PartitionSet, face):
-    """Members grouped by their coloring off `face` and the multiset of
-    their three face colors.
+def group_keys(d: int, context, a, b, c) -> np.ndarray:
+    """One int64 per face group, ordered like (context, multiset): the
+    context code (a canonical code with the face colors taken out) shifted
+    by 2d bits, or'ed with the multiset of the face colors a, b, c (one
+    base-4 count digit per color)."""
+    return context << 2 * d | (1 << 2 * a) + (1 << 2 * b) + (1 << 2 * c)
 
-    Returns (order, starts): the member indices sorted by (context code,
-    face-color multiset), and the position in `order` where each group
-    begins.  The context code is the canonical code with the face colors
-    taken out; the multiset is the per-color count of the face colors,
-    one base-4 digit per color.  A group is exactly the set of members
-    that recolor one another on the face while staying homogeneous, so
-    its members are the flip partners of one another and the nonzero
-    terms of one relation instance.
-    """
+
+def face_keys(pset: PartitionSet, face) -> np.ndarray:
+    """The group_keys of the members at `face`.  The members of a group
+    recolor one another on the face and are the nonzero terms of one
+    relation instance."""
+    if pset.d ** len(pset.weights) << 2 * pset.d >= 2 ** 63:
+        raise ValueError(f"face keys for d={pset.d} exceed the 64-bit range")
     pos = list(face_edge_indices(face, pset.n))
-    face_colors = pset.colors[:, pos].astype(np.int64)
-    context = pset.codes - face_colors @ pset.weights[pos]
-    multiset = (1 << 2 * face_colors).sum(axis=1)
-    order = np.lexsort((multiset, context))
-    context, multiset = context[order], multiset[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (context[1:] != context[:-1]) | (multiset[1:] != multiset[:-1])
-    return order, np.flatnonzero(new)
+    a, b, c = pset.colors[:, pos].astype(np.int64).T
+    w = pset.weights[pos]
+    return group_keys(pset.d, pset.codes - a * w[0] - b * w[1] - c * w[2], a, b, c)
 
 
 def _face_sweep(pset: PartitionSet):
-    """Flip partners of every (partition, face) pair, from the face groups.
+    """Flip partners of every (partition, face) pair, from the face keys.
 
     Returns (adjacency, diff_counts) where diff_counts[i, f] in {2, 3}
     records on how many face edges node i and its partner differ.
@@ -191,18 +188,23 @@ def _face_sweep(pset: PartitionSet):
     adjacency = np.empty((N, len(faces)), dtype=np.int32)
     diff_counts = np.empty((N, len(faces)), dtype=np.int8)
     for fi, face in enumerate(faces):
-        order, starts = face_groups(pset, face)
-        sizes = np.diff(starts, append=N)
-        if np.any(sizes != 2):
+        keys = face_keys(pset, face)
+        order = np.argsort(keys, kind="stable")  # a group's members stay in index order
+        keys = keys[order]
+        # every group is a pair: sorted keys agree within pairs, differ across them
+        if N % 2 or np.any(keys[0::2] != keys[1::2]) or np.any(keys[1:-1:2] == keys[2::2]):
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            sizes = np.diff(starts, append=N)
             g = int(np.flatnonzero(sizes != 2)[0])
             first, *others = order[starts[g] : starts[g] + sizes[g]]
             raise FlipUniquenessError(
                 pset.partition(first), face, [pset.partition(j) for j in others]
             )
-        a, b = order.reshape(-1, 2).T
+        a, b = order[0::2], order[1::2]
         adjacency[a, fi], adjacency[b, fi] = b, a
         pos = list(face_edge_indices(face, pset.n))
-        ndiff = (pset.colors[a][:, pos] != pset.colors[b][:, pos]).sum(axis=1)
+        face_colors = np.take(pset.colors[:, pos].T, order, axis=1)
+        ndiff = (face_colors[:, 0::2] != face_colors[:, 1::2]).sum(axis=0, dtype=np.int8)
         diff_counts[a, fi] = diff_counts[b, fi] = ndiff
     return adjacency, diff_counts
 
@@ -236,27 +238,51 @@ def verify_flip_soundness(graph: FlipGraph) -> FlipSoundnessReport:
     )
 
 
-def components(neighbors) -> np.ndarray:
-    """Connected components by min-label hooking and pointer jumping
-    (Shiloach & Vishkin, J. Algorithms 1982), vectorized in numpy.
-
-    Row i of the (N, k) table `neighbors` lists nodes joined to node i
-    (an edge may be listed from one end only; k may be 0).  Returns int32
-    labels: labels[i] is the smallest node index in i's component.
+def bfs_levels(neighbors) -> tuple[np.ndarray, np.ndarray]:
+    """Level-synchronous breadth-first search over the symmetric (N, k)
+    neighbor table (row i lists the nodes joined to i; self-loops pad
+    rows; k may be 0), vectorized in numpy.  Returns int32 (root, level):
+    the smallest node index of each node's component and the distance
+    from it.  Each round searches from the `batch` smallest unvisited
+    nodes not ruled out as roots; a component two of them reach is
+    searched again later, its larger seeds ruled out.  The batch doubles
+    after rounds of small components (under 64 nodes each) and halves
+    otherwise, so tiny components go many to a round.
     """
     table = np.asarray(neighbors, dtype=np.int32)
-    labels = np.arange(len(table), dtype=np.int32)
-    while True:
-        near = labels[table]
-        if np.all(near == labels[:, None]):
-            return labels
-        # Hook roots under the smaller label across each edge, both ways.
-        # Labels only decrease and stay within the component.
-        np.minimum.at(labels, labels.copy(), near.min(axis=1))
-        np.minimum.at(labels, near.ravel(), np.repeat(labels, table.shape[1]))
-        jumped = labels[labels]
-        while not np.array_equal(jumped, labels):  # pointer jumping to the roots
-            labels, jumped = jumped, jumped[jumped]
+    N, k = table.shape
+    root = np.full(N, -1, dtype=np.int32)
+    level = np.full(N, -1, dtype=np.int32)
+    unseen = np.ones(N, dtype=bool)
+    candidate = np.ones(N, dtype=bool)
+    reach = np.empty(N, dtype=np.int32)  # the root of the last parent that reached a node
+    batch = 1
+    while (seeds := np.flatnonzero(candidate & unseen)[:batch]).size:
+        several = len(seeds) > 1
+        root[seeds], level[seeds], unseen[seeds] = seeds, 0, False
+        frontier, reached, depth = seeds, [seeds], 0
+        while frontier.size:
+            depth += 1
+            near = np.take(table, frontier, axis=0).ravel()
+            if several:
+                reach[near] = np.repeat(root[frontier], k)
+            new = np.zeros(N, dtype=bool)
+            new[near] = True
+            frontier = np.flatnonzero(new & unseen)
+            root[frontier] = reach[frontier] if several else seeds[0]
+            level[frontier], unseen[frontier] = depth, False
+            reached.append(frontier)
+        nodes = np.concatenate(reached)
+        candidate[nodes[len(seeds):]] = False  # each is larger than the seed that reached it
+        if several:
+            here, there = np.repeat(root[nodes], k), root[table[nodes].ravel()]
+            clash = here != there  # an edge between two seeds' trees: one component
+            candidate[np.maximum(here[clash], there[clash])] = False
+            redo = nodes[np.isin(root[nodes], here[clash])]
+            unseen[redo] = True
+        grow = not (several and redo.size) and len(nodes) < 64 * len(seeds)
+        batch = 2 * batch if grow else max(1, batch // 2)
+    return root, level
 
 
 @dataclass
@@ -284,7 +310,7 @@ def two_color(neighbors) -> Union[TwoColoring, OddCycleWitness]:
     `neighbors` may be an (N, k) integer array or a list of neighbor
     lists.  Returns the coloring, or an explicit odd cycle if any edge
     joins two nodes of the same BFS parity.  The flip-graph checks use
-    it only to extract the witness of a failure found by components().
+    it only to extract the witness of a failure found by bfs_levels().
     """
     if isinstance(neighbors, np.ndarray):
         rows = neighbors.tolist()
@@ -383,12 +409,10 @@ def check_bipartite(
     component that disagree raise AnchorConflictError with the
     connecting path as a witness.
     """
-    even, odd = graph.cover_labels
-    if np.any(even == odd):  # a node reaches its own odd copy: an odd cycle
+    root, level = graph.levels
+    sign = (1 - 2 * (level & 1)).astype(np.int8)  # +1 at the root, the BFS seed
+    if np.any(np.take(sign, graph.adjacency) == sign[:, None]):  # a flip within one level parity
         return two_color(graph.adjacency)
-    root = np.minimum(even, odd)
-    # +1 on the copy that holds the component's minimal node, the BFS seed
-    sign = np.where(even == root, 1, -1).astype(np.int8)
     flip_factor = np.zeros(len(root), dtype=np.int8)  # indexed by component root
     anchor_node = np.full(len(root), -1, dtype=np.int64)
     for partition, wanted in anchors or ():
@@ -426,7 +450,7 @@ def check_connected(graph: FlipGraph) -> ConnectivityReport:
     bounds the dimension of the associated quotient space by one.  The
     count is reported as measured, never assumed.
     """
-    root = graph.cover_labels.min(axis=0)
+    root = graph.levels[0]
     seeds = np.flatnonzero(root == np.arange(len(root)))
     return ConnectivityReport(len(seeds), [graph.pset.partition(int(i)) for i in seeds])
 

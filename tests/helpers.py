@@ -10,10 +10,13 @@ faster kernels, as reference implementations: the depth-first
 enumeration, the union-find orbit closure, the pair-by-pair stabilizer
 loop, the enumerative determinant (one product per member partition),
 the relation sweeps over a dense code-indexed sign table (full mode
-with precomputed context digit columns, and sampled mode), the face
-sweep over all candidate recolorings, the sampled check of the d = 3
-parity form, the acyclic-subset table filled one mask at a time, and
-Miller-Rabin with all 13 prime bases up to 41 for every number.
+with precomputed context digit columns, and sampled mode), the full
+relation sweep over the face groups (sorted by np.lexsort) and the
+sampled one that looks up every term, the face sweep over all candidate recolorings, the
+min-label hooking components kernel and the two-coloring read off it on
+the parity double cover of the flip graph, the sampled check of the
+d = 3 parity form, the acyclic-subset table filled one mask at a time,
+and Miller-Rabin with all 13 prime bases up to 41 for every number.
 """
 
 import math
@@ -570,3 +573,158 @@ def mr13_is_prime(p):
         if x != p - 1 and e % 2 == 0:
             return False
     return True
+
+
+def hooking_components(neighbors):
+    """Connected components by min-label hooking and pointer jumping
+    (Shiloach & Vishkin, J. Algorithms 1982), vectorized in numpy.
+
+    Row i of the (N, k) table `neighbors` lists nodes joined to node i
+    (an edge may be listed from one end only; k may be 0).  Returns int32
+    labels: labels[i] is the smallest node index in i's component.
+    """
+    table = np.asarray(neighbors, dtype=np.int32)
+    labels = np.arange(len(table), dtype=np.int32)
+    while True:
+        near = labels[table]
+        if np.all(near == labels[:, None]):
+            return labels
+        # Hook roots under the smaller label across each edge, both ways.
+        # Labels only decrease and stay within the component.
+        np.minimum.at(labels, labels.copy(), near.min(axis=1))
+        np.minimum.at(labels, near.ravel(), np.repeat(labels, table.shape[1]))
+        jumped = labels[labels]
+        while not np.array_equal(jumped, labels):  # pointer jumping to the roots
+            labels, jumped = jumped, jumped[jumped]
+
+
+def cover_check_bipartite(graph, anchors=None):
+    """check_bipartite read off the components of the parity double
+    cover: node i has its even copy at i and its odd copy at i + N, and
+    each flip joins one parity to the other.  Returns the signature
+    table, or the odd cycle that two_color extracts."""
+    from treedet.flips import AnchorConflictError, SignatureTable, _tree_path, two_color
+
+    N = len(graph.adjacency)
+    cover = np.concatenate([graph.adjacency + N, graph.adjacency])
+    even, odd = hooking_components(cover).reshape(2, N)
+    if np.any(even == odd):  # a node reaches its own odd copy: an odd cycle
+        return two_color(graph.adjacency)
+    root = np.minimum(even, odd)
+    sign = np.where(even == root, 1, -1).astype(np.int8)
+    flip_factor = np.zeros(N, dtype=np.int8)
+    anchor_node = np.full(N, -1, dtype=np.int64)
+    for partition, wanted in anchors or ():
+        i = graph.pset.index_of(partition)
+        r = int(root[i])
+        factor = wanted * int(sign[i])
+        if flip_factor[r] == 0:
+            flip_factor[r] = factor
+            anchor_node[r] = i
+        elif flip_factor[r] != factor:
+            first = int(anchor_node[r])
+            parent = two_color(graph.adjacency).parent
+            raise AnchorConflictError(first, i, _tree_path(parent, first, i))
+    flip_factor[flip_factor == 0] = 1
+    return SignatureTable(graph.pset, (sign * flip_factor[root]).astype(np.int8))
+
+
+def face_groups(pset, face):
+    """Members grouped by their coloring off `face` and the multiset of
+    their three face colors.
+
+    Returns (order, starts): the member indices sorted by (context code,
+    face-color multiset), and the position in `order` where each group
+    begins.  The context code is the canonical code with the face colors
+    taken out; the multiset is the per-color count of the face colors,
+    one base-4 digit per color.
+    """
+    from treedet.model import face_edge_indices
+
+    pos = list(face_edge_indices(face, pset.n))
+    face_colors = pset.colors[:, pos].astype(np.int64)
+    context = pset.codes - face_colors @ pset.weights[pos]
+    multiset = (1 << 2 * face_colors).sum(axis=1)
+    order = np.lexsort((multiset, context))
+    context, multiset = context[order], multiset[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (context[1:] != context[:-1]) | (multiset[1:] != multiset[:-1])
+    return order, np.flatnonzero(new)
+
+
+def face_group_relation_sweep(pset, table):
+    """Full-mode relation sweep that sums each face group's signs, the
+    groups sorted by (context code, face-color multiset)."""
+    from treedet.algebra import RelationInstance, RelationReport, count_relation_instances
+    from treedet.model import face_edge_indices, faces_of
+
+    d, n = pset.d, pset.n
+    E = n * (n - 1) // 2
+    violations = 0
+    witnesses = []
+    for face in faces_of(n):
+        order, starts = face_groups(pset, face)
+        sums = np.add.reduceat(table.signs[order], starts, dtype=np.int16)
+        bad = order[starts[np.flatnonzero(sums)]]  # one member of each failing group
+        violations += len(bad)
+        if len(bad) and len(witnesses) < 5:
+            pos = list(face_edge_indices(face, n))
+            others = [k for k in range(E) if k not in pos]
+            ms = np.sort(pset.colors[bad][:, pos], axis=1)
+            ctx = pset.colors[bad][:, others]
+            flat = ctx.astype(np.int64) @ d ** np.arange(E - 3, dtype=np.int64)
+            for r in np.lexsort((flat, *ms.T[::-1]))[: 5 - len(witnesses)]:
+                ms_r, ctx_r = (tuple(int(c) for c in row) for row in (ms[r], ctx[r]))
+                witnesses.append(RelationInstance(d, n, face, ms_r, ctx_r))
+    return RelationReport(count_relation_instances(d), violations, witnesses, mode="full")
+
+
+def per_term_sampled_relation_sweep(pset, table, sample, seed):
+    """Sampled-mode relation sweep that reads every term's sign by a
+    checked binary search on the member codes."""
+    from treedet.algebra import RelationInstance, RelationReport
+    from treedet.model import face_edge_indices, faces_of
+
+    d, n = pset.d, pset.n
+    E = n * (n - 1) // 2
+    weights = pset.weights
+    faces = faces_of(n)
+    multisets = list(combinations_with_replacement(range(d), 3))
+    checked = violations = 0
+    witnesses = []
+    rng = np.random.default_rng(seed)
+    face_idx = rng.integers(0, len(faces), size=sample)
+    ms_idx = rng.integers(0, len(multisets), size=sample)
+    ctx_int = rng.integers(0, d ** (E - 3), size=sample, dtype=np.int64)
+    w_face = np.zeros((len(faces), 3), dtype=np.int64)
+    w_ctx = np.zeros((len(faces), E - 3), dtype=np.int64)
+    for fi, face in enumerate(faces):
+        pos = face_edge_indices(face, n)
+        w_face[fi] = weights[list(pos)]
+        w_ctx[fi] = weights[[k for k in range(E) if k not in pos]]
+    ctx_digit_cols = [((ctx_int // d ** j) % d) for j in range(E - 3)]
+    ctx_codes = np.zeros(sample, dtype=np.int64)
+    for j, dig in enumerate(ctx_digit_cols):
+        ctx_codes += dig * w_ctx[face_idx, j]
+    for mi, ms in enumerate(multisets):
+        rows = np.nonzero(ms_idx == mi)[0]
+        if rows.size == 0:
+            continue
+        sums = np.zeros(rows.size, dtype=np.int16)
+        for arr in sorted(set(permutations(ms))):
+            codes = ctx_codes[rows] + (
+                arr[0] * w_face[face_idx[rows], 0]
+                + arr[1] * w_face[face_idx[rows], 1]
+                + arr[2] * w_face[face_idx[rows], 2]
+            )
+            idx = np.searchsorted(pset.codes, codes)  # len(pset) reads the appended sentinels
+            member = np.append(pset.codes, -1)[idx] == codes
+            sums += np.where(member, np.append(table.signs, 0)[idx], 0)
+        checked += rows.size
+        if np.any(sums):
+            bad = sums != 0
+            violations += int(bad.sum())
+            for r in rows[bad][: 5 - len(witnesses)]:
+                ctx = tuple(int(col[r]) for col in ctx_digit_cols)
+                witnesses.append(RelationInstance(d, n, faces[int(face_idx[r])], ms, ctx))
+    return RelationReport(checked, violations, witnesses, mode=f"sample({sample}, seed={seed})")

@@ -166,13 +166,13 @@ def test_criterion_08_face_vanishing(ctx2, ctx3):
 
 
 def test_criterion_09_relation_sweeps(ctx2, ctx3):
-    full2 = verify_relations(ctx2.pset, ctx2.signature)
+    full2 = verify_relations(ctx2.graph, ctx2.signature)
     assert full2.ok and full2.instances_checked == 128
     t0 = time.time()
-    full3 = verify_relations(ctx3.pset, ctx3.signature)
+    full3 = verify_relations(ctx3.graph, ctx3.signature)
     elapsed = time.time() - t0
     assert full3.ok and full3.instances_checked == 106_288_200
-    sampled = verify_relations(ctx3.pset, ctx3.signature, sample=1_000_000, seed=909)
+    sampled = verify_relations(ctx3.graph, ctx3.signature, sample=1_000_000, seed=909)
     assert sampled.ok and sampled.instances_checked == 1_000_000
     _report(
         9,

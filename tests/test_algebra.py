@@ -215,7 +215,7 @@ def test_relation_sweep_equals_digit_column_oracle(ctx2, ctx3, d, flipped):
     signs = ctx.signature.signs.copy()
     signs[list(flipped)] *= -1
     table = SignatureTable(ctx.pset, signs)
-    report = verify_relations(ctx.pset, table)
+    report = verify_relations(ctx.graph, table)
     assert report == helpers.digit_column_relation_sweep(ctx.pset, table)
     assert report.ok == (not flipped)
     if flipped:
@@ -230,11 +230,37 @@ def test_sampled_relation_sweep_equals_dense_oracle(ctx3):
     signs = ctx3.signature.signs.copy()
     signs[::10] *= -1
     table = SignatureTable(ctx3.pset, signs)
-    report = verify_relations(ctx3.pset, table, sample=50000, seed=5)
+    report = verify_relations(ctx3.graph, table, sample=50000, seed=5)
     assert report == helpers.dense_sampled_relation_sweep(ctx3.pset, table, 50000, 5)
     assert report.violations > 5 and len(report.witnesses) == 5
     for w in report.witnesses:
         assert relation_sum(w, ctx3.pset, table) != 0
+
+
+@pytest.mark.parametrize(
+    "d, flipped", [(2, []), (2, [0]), (2, [3, 8]), (3, []), (3, [7]), (3, slice(None, None, 10))]
+)
+def test_pair_sweep_equals_face_group_oracle(ctx2, ctx3, d, flipped):
+    ctx = {2: ctx2, 3: ctx3}[d]
+    signs = ctx.signature.signs.copy()
+    signs[flipped] *= -1
+    table = SignatureTable(ctx.pset, signs)
+    report = verify_relations(ctx.graph, table)
+    assert report == helpers.face_group_relation_sweep(ctx.pset, table)
+
+
+@pytest.mark.parametrize(
+    "d, flipped", [(2, []), (2, [0]), (3, []), (3, [7, 40000]), (3, slice(None, None, 10))]
+)
+@pytest.mark.parametrize("sample, seed", [(1, 0), (2000, 3), (30000, 17)])
+def test_sampled_sweep_equals_per_term_oracle(ctx2, ctx3, d, flipped, sample, seed):
+    # one lookup per instance in the sorted pair keys, against one binary search per term
+    ctx = {2: ctx2, 3: ctx3}[d]
+    signs = ctx.signature.signs.copy()
+    signs[flipped] *= -1
+    table = SignatureTable(ctx.pset, signs)
+    report = verify_relations(ctx.graph, table, sample=sample, seed=seed)
+    assert report == helpers.per_term_sampled_relation_sweep(ctx.pset, table, sample, seed)
 
 
 def test_relation_instance_counts():
@@ -254,7 +280,7 @@ def test_relation_instance_counts():
 
 
 def test_relation_sweep_d2_full_and_streaming(ctx2):
-    report = verify_relations(ctx2.pset, ctx2.signature)
+    report = verify_relations(ctx2.graph, ctx2.signature)
     assert report.ok and report.instances_checked == 128
     # the streaming route is the independent oracle for the vectorized sweep
     for inst in relation_instances(2):
@@ -262,10 +288,10 @@ def test_relation_sweep_d2_full_and_streaming(ctx2):
 
 
 def test_relation_sampled_mode(ctx3):
-    report = verify_relations(ctx3.pset, ctx3.signature, sample=20000, seed=99)
+    report = verify_relations(ctx3.graph, ctx3.signature, sample=20000, seed=99)
     assert report.ok and report.instances_checked == 20000
     with pytest.raises(ValueError):
-        verify_relations(ctx3.pset, ctx3.signature, sample=10)
+        verify_relations(ctx3.graph, ctx3.signature, sample=10)
 
 
 def test_relation_sweep_detects_tampered_signature(ctx2):
@@ -273,7 +299,7 @@ def test_relation_sweep_detects_tampered_signature(ctx2):
     broken[0] = -broken[0]
     from treedet.flips import SignatureTable
 
-    report = verify_relations(ctx2.pset, SignatureTable(ctx2.pset, broken))
+    report = verify_relations(ctx2.graph, SignatureTable(ctx2.pset, broken))
     assert not report.ok
     assert report.witnesses
 

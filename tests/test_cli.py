@@ -413,3 +413,78 @@ def test_enumerate_d4_is_refused_before_enumerating(capsys, monkeypatch, extra):
     except SystemExit as exc:
         code = exc.code
     assert code == 2
+
+
+@pytest.mark.parametrize("dropped", [0, 5, 11])
+def test_orbits_of_a_set_missing_a_member_is_a_failed_certificate(capsys, monkeypatch, dropped):
+    # exit 0 with one orbit of 11 (members 0 and 5) or exit 3 (member 11) before
+    from types import SimpleNamespace
+
+    import numpy as np
+
+    import treedet.cli
+    from treedet.context import standard_context
+    from treedet.enumeration import PartitionSet
+
+    full = standard_context(2).pset
+    pset = PartitionSet(2, 4, full.colors[np.arange(len(full)) != dropped], cycle_free=True)
+    monkeypatch.setattr(treedet.cli, "standard_context", lambda d: SimpleNamespace(pset=pset))
+    code, out, err = run(capsys, ["orbits", "--d", "2"])
+    assert code == 1 and err == ""
+    cert = json.loads(out)
+    assert cert["command"] == "orbits" and cert["outcome"] == "fail"
+    (witness,) = cert["witnesses"]
+    assert witness["property"] == "orbit_closure"
+    assert f"image code {full.partition(dropped).canonical_code()} " in witness["detail"]
+
+
+CERTIFY_ALL_NUMBERS = {
+    2: {
+        "certify-all/enumerate": {"cycle_free": 12, "homogeneous": 20},
+        "certify-all/flip-graph": {
+            "flip_pairs_checked": 48,
+            "flips_changing_three_edges": 0,
+            "flips_changing_two_edges": 48,
+            "involution": 1,
+        },
+        "certify-all/bipartite-connected": {
+            "class_minus": 6,
+            "class_plus": 6,
+            "components": 1,
+            "dimension_upper_bound_certified": 1,
+        },
+        "certify-all/orbits": {"orbit_stabilizer_identity": 1, "orbits": 1},
+        "certify-all/determinant": {"det_of_generator": "1"},
+        "certify-all/relations": {"instances_checked": 128, "violations": 0},
+    },
+    3: {
+        "certify-all/enumerate": {"cycle_free": 66240, "homogeneous": 756756},
+        "certify-all/flip-graph": {
+            "flip_pairs_checked": 1324800,
+            "flips_changing_three_edges": 149760,
+            "flips_changing_two_edges": 1175040,
+            "involution": 1,
+        },
+        "certify-all/bipartite-connected": {
+            "class_minus": 33120,
+            "class_plus": 33120,
+            "components": 1,
+            "dimension_upper_bound_certified": 1,
+        },
+        "certify-all/orbits": {"orbit_stabilizer_identity": 1, "orbits": 19},
+        "certify-all/catalog-match": {"mismatches": 0, "references_checked": 19},
+        "certify-all/epsilon-formula": {"epsilon_samples": 82080, "epsilon_violations": 0},
+        "certify-all/determinant": {"det_of_generator": "1"},
+        "certify-all/relations": {"instances_checked": 106288200, "violations": 0},
+    },
+}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_certify_all_numbers_and_outcomes_are_pinned(capsys, d):
+    code, out, _ = run(capsys, ["certify-all", "--d", str(d), "--seed", "7"])
+    assert code == 0
+    certs = [json.loads(line) for line in out.strip().splitlines()]
+    assert {c["command"]: c["numbers"] for c in certs} == CERTIFY_ALL_NUMBERS[d]
+    assert [c["command"] for c in certs] == list(CERTIFY_ALL_NUMBERS[d])
+    assert all(c["outcome"] == "pass" and c["witnesses"] == [] for c in certs)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from treedet.flips import (
     FlipGraph,
     FlipUniquenessError,
     OddCycleWitness,
+    bfs_levels,
     build_flip_graph,
     check_bipartite,
     check_connected,
-    components,
     flip,
+    standard_anchors,
     two_color,
     verify_flip_soundness,
 )
@@ -116,6 +119,33 @@ def test_crowded_group_is_a_uniqueness_failure(ctx2):
     for other in exc.survivors:
         assert other != exc.partition and pset.contains(other)
         assert _same_group(other, exc.partition, exc.face)
+
+
+def test_group_of_four_is_a_uniqueness_failure(ctx3):
+    # two more arrangements of a three-color face multiset join a flip pair's
+    # group on the first face: the keys pair up, but the pairs share a key
+    from itertools import permutations
+
+    face = (1, 2, 3)
+    pos = list(face_edge_indices(face, 6))
+    colors = ctx3.pset.colors
+    i = next(i for i in range(len(colors)) if len(set(colors[i, pos])) == 3)
+    pair = {tuple(colors[i]), tuple(colors[ctx3.graph.neighbor(i, face)])}
+    extra = []
+    for arrangement in permutations(colors[i, pos]):
+        row = colors[i].copy()
+        row[pos] = arrangement
+        if tuple(row) not in pair:
+            extra.append(row)
+    rows = np.concatenate([colors, extra[:2]])
+    rows = rows[np.argsort(rows.astype(np.int64) @ ctx3.pset.weights)]
+    with pytest.raises(FlipUniquenessError) as err:
+        build_flip_graph(PartitionSet(3, 6, rows, cycle_free=True))
+    exc = err.value
+    assert exc.face == face and len(exc.survivors) == 3
+    group = [exc.partition] + exc.survivors
+    assert {p.colors for p in group} == pair | {tuple(int(c) for c in r) for r in extra[:2]}
+    assert [p.canonical_code() for p in group] == sorted(p.canonical_code() for p in group)
 
 
 def test_flip_soundness_report_d2(ctx2):
@@ -228,7 +258,7 @@ def test_components_kernel_against_bfs_on_random_tables():
                     if v not in seen:
                         seen.add(v)
                         queue.append(v)
-        labels = components(table)
+        labels = helpers.hooking_components(table)
         assert labels.dtype == np.int32
         assert np.array_equal(labels, expected)
 
@@ -259,7 +289,7 @@ def test_single_node_graph_connectivity():
     ctx1 = standard_context(1)
     assert len(ctx1.pset) == 1
     assert ctx1.graph.adjacency.shape == (1, 0)  # K_2 has no faces
-    assert np.array_equal(components(ctx1.graph.adjacency), [0])
+    assert np.array_equal(helpers.hooking_components(ctx1.graph.adjacency), [0])
     report = check_connected(ctx1.graph)
     assert report.n_components == 1
     assert ctx1.signature.class_sizes() == (1, 0)
@@ -277,3 +307,90 @@ def test_classes_are_spanning_trees(ctx3):
     for i in rng.integers(0, len(ctx3.pset), size=50):
         for cls in ctx3.pset.partition(int(i)).color_classes():
             assert component_count(cls, 6) == 1
+
+
+def _random_symmetric_table(rng, N, edges):
+    """A symmetric (N, k) neighbor table of `edges` random edges (self-loops
+    and repeated edges included), each row padded with self-loops."""
+    rows = [[] for _ in range(N)]
+    for a, b in rng.integers(0, N, size=(edges, 2)):
+        rows[a].append(int(b))
+        if a != b:
+            rows[b].append(int(a))
+    k = max((len(r) for r in rows), default=0)
+    padded = [r + [i] * (k - len(r)) for i, r in enumerate(rows)]
+    return np.array(padded, dtype=np.int64).reshape(N, k)
+
+
+def _python_bfs(table):
+    """(root, level) by a queue-based search from each unvisited node in index order."""
+    N = len(table)
+    root, level = [-1] * N, [-1] * N
+    for seed in range(N):
+        if root[seed] >= 0:
+            continue
+        root[seed], level[seed], queue = seed, 0, [seed]
+        for u in queue:
+            for v in table[u]:
+                if root[v] < 0:
+                    root[v], level[v] = seed, level[u] + 1
+                    queue.append(int(v))
+    return root, level
+
+
+@pytest.mark.parametrize("N, edges", [(0, 0), (1, 0), (6, 2), (40, 25), (300, 280), (2000, 1200)])
+def test_bfs_levels_against_hooking_and_python_bfs(N, edges):
+    # sparse random graphs leave isolated nodes and many small components
+    rng = np.random.default_rng(N + edges)
+    for _ in range(3):
+        table = _random_symmetric_table(rng, N, edges)
+        root, level = bfs_levels(table)
+        assert root.dtype == level.dtype == np.int32
+        assert np.array_equal(root, helpers.hooking_components(table))
+        assert [root.tolist(), level.tolist()] == list(_python_bfs(table))
+
+
+def test_bfs_levels_on_a_wide_empty_table():
+    root, level = bfs_levels(np.zeros((5, 0), dtype=np.int32))
+    assert root.tolist() == [0, 1, 2, 3, 4] and level.tolist() == [0] * 5
+
+
+def test_bfs_levels_many_two_node_components_under_a_second():
+    rng = np.random.default_rng(20000)
+    order = rng.permutation(20000)
+    partner = np.empty(20000, dtype=np.int64)
+    partner[order[0::2]], partner[order[1::2]] = order[1::2], order[0::2]
+    t0 = time.perf_counter()
+    root, level = bfs_levels(partner[:, None])
+    elapsed = time.perf_counter() - t0
+    ids = np.arange(20000)
+    assert np.array_equal(root, np.minimum(ids, partner))
+    assert np.array_equal(level, (partner < ids).astype(np.int32))
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_level_signature_equals_the_cover_oracle(d, ctx2, ctx3):
+    from treedet.context import standard_context
+
+    graph = {1: standard_context(1), 2: ctx2, 3: ctx3}[d].graph
+    anchors = standard_anchors(graph.pset)
+    table = check_bipartite(graph, anchors)
+    assert table.signs.tobytes() == helpers.cover_check_bipartite(graph, anchors).signs.tobytes()
+    cover_roots = helpers.hooking_components(graph.adjacency)
+    assert np.array_equal(graph.levels[0], cover_roots)
+    assert check_connected(graph).n_components == len(np.unique(cover_roots))
+
+
+def test_failed_two_colorings_equal_the_cover_oracle(ctx2):
+    triangle = np.array([[1, 2], [0, 2], [0, 1]], dtype=np.int32)
+    pset = PartitionSet(2, 4, ctx2.pset.colors[:3], cycle_free=True)
+    graph = FlipGraph(pset, triangle, np.full((3, 2), 2, dtype=np.int8))
+    assert check_bipartite(graph).nodes == helpers.cover_check_bipartite(graph).nodes
+    anchors = [(BASE_PARTITION_D2, +1), (flip(BASE_PARTITION_D2, (1, 2, 3)), +1)]
+    errors = []
+    for check in (check_bipartite, helpers.cover_check_bipartite):
+        with pytest.raises(AnchorConflictError) as err:
+            check(ctx2.graph, anchors)
+        errors.append((err.value.first, err.value.second, err.value.path))
+    assert errors[0] == errors[1]

@@ -10,6 +10,7 @@ from treedet import catalog
 from treedet.flips import SignatureTable, flip
 from treedet.model import NOT_TREE, classify_tree, edge_list
 from treedet.symmetry import (
+    OrbitClosureError,
     PermPair,
     act,
     epsilon_formula_check,
@@ -235,3 +236,28 @@ def test_perm_pair_validation():
         PermPair((1, 1, 3), (1, 2))
     with pytest.raises(ValueError):
         act(PermPair((1, 2, 3), (1, 2)), FIG_GOOD)
+
+
+@pytest.mark.parametrize("dropped", [0, 5, 11])
+def test_a_set_missing_a_member_is_not_closed(dropped, ctx2):
+    # unchecked lookups gave one orbit of 11 (members 0 and 5) or an IndexError (member 11)
+    from treedet.enumeration import PartitionSet
+
+    keep = np.arange(len(ctx2.pset)) != dropped
+    pset = PartitionSet(2, 4, ctx2.pset.colors[keep], cycle_free=True)
+    with pytest.raises(OrbitClosureError) as err:
+        orbit_decomposition(pset)
+    assert err.value.image == ctx2.pset.partition(dropped)
+    assert str(err.value.image.canonical_code()) in str(err.value)
+
+
+def test_match_catalog_reads_stabilizer_orders_from_the_entries(ctx3, monkeypatch):
+    import treedet.symmetry
+
+    calls = []
+    real = treedet.symmetry.stabilizer
+    monkeypatch.setattr(treedet.symmetry, "stabilizer", lambda p: calls.append(p) or real(p))
+    table = orbit_decomposition(ctx3.pset)
+    assert match_catalog(table).ok and len(calls) == 19  # one per orbit, none per reference
+    monkeypatch.setitem(catalog.EXPECTED_STABILIZER_ORDERS, 2, 7)
+    assert match_catalog(table).mismatches == ["reference 2: stabilizer order 6 != 7"]
