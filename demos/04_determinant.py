@@ -46,6 +46,11 @@ value = det_eval(vectors, ctx3.pset, ctx3.signature)
 print(f"a random integer tensor evaluates to {value}")
 print(f"same tensor over GF(101): {det_eval(vectors, ctx3.pset, ctx3.signature, p=101)}"
       f"  (matches {value} mod 101: {value % 101 == det_eval(vectors, ctx3.pset, ctx3.signature, p=101)})")
+p = 2 ** 31 - 1
+full = tuple(tuple(Fraction(int(x)) for x in rng.integers(0, p, size=3)) for _ in range(15))
+modular = det_eval(full, ctx3.pset, ctx3.signature, p=p)
+print(f"full-size residues over GF(2^31 - 1): {modular}  (the mod-p pass; matches the"
+      f" rational value mod p: {det_eval(full, ctx3.pset, ctx3.signature) % p == modular})")
 print()
 
 shared = (Fraction(2), Fraction(-1), Fraction(3))

@@ -14,16 +14,15 @@ one sum s_i + s_partner per pair and never visits the instances that no
 member reaches.
 
 det_eval walks the signature table's reduced decision diagram (see
-diagram.py) bottom-up, one level per edge, in a single pass whose only
-variable is the numpy dtype.  Each edge vector is first scaled to
-integers by its common denominator.  Over the rationals the pass runs in
-int64 while the product over edges of each vector's absolute coordinate
-sum (at least 1, so a zero vector cannot hide a huge neighbour) stays
-below 2^63, since that product bounds every coefficient, node value and
-partial sum, and in exact Python ints above.  Over GF(p), p > 3
-prime, the integers are reduced mod p and the pass reduces after every
-product, in int64 while (p - 1)^2 fits and in Python ints above; the
-denominators are divided out at the end.  Every result is exact.
+diagram.py) bottom-up in one flat pass.  Each edge vector is scaled to
+integers by its common denominator and, over GF(p) for a prime p > 3,
+taken to balanced residues in (-p/2, p/2].  While the product over edges
+of each vector's absolute coordinate sum (at least 1, so a zero vector
+cannot hide a huge neighbour) stays below 2^63, it bounds every value of
+the pass, which then runs in int64 over both fields: the form has
+integer coefficients, so one reduction of the root mod p is exact.
+Above it the rationals run in Python ints and GF(p) in the mod-p pass;
+the denominators are divided out at the end.  Every result is exact.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .enumeration import PartitionSet
-from .flips import FlipGraph, SignatureTable, face_keys, group_keys
+from .flips import FlipGraph, SignatureTable, group_keys, sorted_face_keys
 from .model import (
     EdgePartition,
     edge_count,
@@ -99,11 +98,6 @@ def _is_prime(p: int) -> bool:
         if x != p - 1 and e % 2 == 0:
             return False
     return True
-
-
-def _residue_dtype(p: int):
-    """int64 while a product of two residues fits, exact Python ints above."""
-    return np.int64 if (p - 1) ** 2 < 2 ** 63 else object
 
 
 def parse_scalar(text) -> Fraction:
@@ -221,26 +215,37 @@ def det_eval(
     over all edges, of the edge vector's coordinate selected by the
     edge's color.  Exact over the rationals (Fraction result) or over
     GF(p) (int result) for a prime p > 3.  The sum is one bottom-up pass
-    over the table's decision diagram.
+    over the table's decision diagram, picked by the product bound that
+    the module docstring states.
     """
     d, n = pset.d, pset.n
     _check_table(pset, table)
     vectors = as_tensor(vectors, d, n)
-    # scale each edge vector to integers; the form is linear in every edge
-    dens = [math.lcm(*(x.denominator for x in vec)) for vec in vectors]
-    nums = [[x.numerator * (den // x.denominator) for x in vec] for vec, den in zip(vectors, dens)]
-    den = math.prod(dens)
     if p is not None:
         validate_prime(p)
-        if den % p == 0:
-            raise ValueError(f"a denominator of the tensor vanishes mod {p}")
-        coeffs = [[x % p for x in row] for row in nums]
-        return int(table.diagram.evaluate(coeffs, _residue_dtype(p), p)) * pow(den, -1, p) % p
-    # bounds every node value and partial sum of the pass; a zero edge
-    # vector counts as 1 so that its huge neighbours still force object
-    bound = math.prod(max(1, sum(abs(x) for x in row)) for row in nums)
-    dtype = np.int64 if bound < 2 ** 63 else object
-    return Fraction(int(table.diagram.evaluate(nums, dtype)), den)
+        h = p // 2
+    # per edge: integers (the form is linear in each), residues, the bound
+    nums, den, bound = [], 1, 1
+    for vec in vectors:
+        row = [x.numerator for x in vec]
+        if any(x.denominator != 1 for x in vec):
+            lcm = math.lcm(*(x.denominator for x in vec))
+            row = [x.numerator * (lcm // x.denominator) for x in vec]
+            den *= lcm
+        if p is not None:
+            row = [(x + h) % p - h for x in row]
+        bound *= max(1, sum(map(abs, row)))
+        nums.append(row)
+    diagram = table.diagram
+    if p is None:
+        return Fraction(int(diagram.evaluate(nums, np.int64 if bound < 2 ** 63 else object)), den)
+    if den % p == 0:
+        raise ValueError(f"a denominator of the tensor vanishes mod {p}")
+    if bound < 2 ** 63:  # the integer pass is exact, and the form has integer coefficients
+        value = int(diagram.evaluate(nums, np.int64))
+    else:
+        value = int(diagram.evaluate(nums, np.int64 if d * h * h + h < 2 ** 63 else object, p))
+    return value * pow(den, -1, p) % p
 
 
 # The twelve monomials of the d = 2 determinant in expanded form, written
@@ -446,12 +451,12 @@ def verify_relations(
         rows = np.flatnonzero(face_idx == fi)
         context = (digits[0] @ w[:split])[low[rows]] + (digits[1] @ w[split:])[high[rows]]
         keys = group_keys(d, context, *ms_colors[ms_idx[rows]].T)
-        member_keys = face_keys(pset, face)
-        first = np.argsort(member_keys, kind="stable")[0::2]  # one member of each pair, by key
-        at = np.searchsorted(member_keys[first], keys)  # len(first) reads the appended sentinels
-        hit = np.append(member_keys[first], -1)[at] == keys
-        pair_sums = signs[first] + signs[adjacency[first, fi]]
-        sums[rows] = np.where(hit, np.append(pair_sums, 0)[at], 0)
+        member_keys, order = sorted_face_keys(pset, face)
+        member_keys, first = member_keys[0::2], order[0::2]  # one member of each pair, by key
+        at = np.searchsorted(member_keys, keys)  # len(first) reads the appended sentinel
+        hit = np.append(member_keys, -1)[at] == keys
+        pair = first[at[hit]]
+        sums[rows[hit]] = signs[pair] + signs[adjacency[pair, fi]]
     bad = np.flatnonzero(sums)
     for r in bad[np.lexsort((bad, ms_idx[bad]))][:5]:
         ctx = tuple(int(ctx_int[r]) // d ** j % d for j in range(E - 3))
@@ -498,7 +503,7 @@ def rank_certify_d2(p: int) -> int:
 
 def gf_rank(matrix: np.ndarray, p: int) -> int:
     """Row-echelon rank over GF(p)."""
-    m = matrix.astype(_residue_dtype(p)) % p
+    m = matrix.astype(np.int64 if (p - 1) ** 2 < 2 ** 63 else object) % p  # products fit
     rank = 0
     n_rows, n_cols = m.shape
     for col in range(n_cols):

@@ -12,6 +12,12 @@ A multilinear form that sums, over the members, the sign times one
 coordinate per edge is then a single bottom-up pass: a node's value is
 the sum over c of the edge's coordinate c times the child's value.  At
 d = 3 the 66 240 members reduce to 5 287 internal nodes and 11 346 arcs.
+
+The pass runs on one flat value array.  Slot 0 holds a zero, which every
+missing arc reads; slots 1 and 2 hold the terminals; the levels follow
+bottom-up, so the root is the last slot.  Each level keeps its child
+table in these global slots, and its values are one gather and one
+matrix-vector product: val[span] = val.take(children) @ coeffs[k].
 """
 
 from __future__ import annotations
@@ -54,6 +60,13 @@ class SignedDiagram:
             ids = inverse.reshape(-1)[group]
             n_below = len(first)
         self.levels = levels
+        # the flat layout: (coefficient row, slots, child slots) per level, bottom-up
+        self.passes, start, below = [], 1 + TERMINALS, 1
+        for k in range(E - 1, -1, -1):
+            children = np.ascontiguousarray(np.where(levels[k] >= 0, levels[k] + below, 0))
+            self.passes.append((k, slice(start, start + len(children)), children))
+            start, below = start + len(children), start
+        self.slots = start
 
     @property
     def nodes(self) -> int:
@@ -67,25 +80,20 @@ class SignedDiagram:
     def evaluate(self, coeffs, dtype, p=None):
         """Root value for coeffs[k][c], the factor of color c on edge k.
 
-        dtype is int64 or object; with p given, every product and every
-        node value is reduced mod p.  The caller picks a dtype in which
-        no product or partial sum can overflow.
+        dtype is int64 or object, and the caller picks one in which no
+        value can overflow.  Without p the pass is exact over the integers;
+        every node value and partial sum is bounded by the product over
+        edges of max(1, sum_c |coeffs[k][c]|).  With p the coefficients
+        must be balanced residues, |x| <= h = (p - 1) / 2, and so is every
+        node value, so a level's sums plus h stay within d h^2 + h.
         """
         coeffs = np.array(coeffs, dtype=dtype)
-        # each level's values end in a zero sentinel, which a missing arc (-1) reads
-        val = np.array([1, -1 if p is None else p - 1, 0], dtype=dtype)
-        for k in range(len(self.levels) - 1, -1, -1):
-            child = self.levels[k]
-            out = np.zeros(len(child) + 1, dtype=dtype)
-            acc = out[:-1]
-            for c, factor in enumerate(coeffs[k]):
-                if not factor:  # a zero coordinate adds nothing
-                    continue
-                term = val[child[:, c]] * factor
-                if p is not None:
-                    term %= p
-                acc += term
-            if p is not None:
-                acc %= p
-            val = out
-        return val[0]
+        val = np.empty(self.slots, dtype=dtype)
+        val[: 1 + TERMINALS] = 0, 1, -1
+        h = None if p is None else p // 2
+        for k, span, children in self.passes:
+            if p is None:
+                val[span] = val.take(children) @ coeffs[k]
+            else:
+                val[span] = (val.take(children) @ coeffs[k] + h) % p - h
+        return val[-1]

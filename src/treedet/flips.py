@@ -166,13 +166,36 @@ def group_keys(d: int, context, a, b, c) -> np.ndarray:
 def face_keys(pset: PartitionSet, face) -> np.ndarray:
     """The group_keys of the members at `face`.  The members of a group
     recolor one another on the face and are the nonzero terms of one
-    relation instance."""
-    if pset.d ** len(pset.weights) << 2 * pset.d >= 2 ** 63:
-        raise ValueError(f"face keys for d={pset.d} exceed the 64-bit range")
+    relation instance.  A context code is the member's code less its
+    face part, so each key is the code shifted by 2d bits plus the entry
+    of a d^3-entry table for the member's face coloring."""
+    d = pset.d
+    if d ** len(pset.weights) << 2 * d + len(pset).bit_length() >= 2 ** 63:
+        raise ValueError(f"face keys for d={d} and their member index exceed the 64-bit range")
     pos = list(face_edge_indices(face, pset.n))
-    a, b, c = pset.colors[:, pos].astype(np.int64).T
     w = pset.weights[pos]
-    return group_keys(pset.d, pset.codes - a * w[0] - b * w[1] - c * w[2], a, b, c)
+    a, b, c = np.indices((d, d, d)).reshape(3, -1)  # face coloring t = (a d + b) d + c
+    table = group_keys(d, -(a * w[0] + b * w[1] + c * w[2]), a, b, c)
+    t = pset.colors[:, pos[0]].astype(np.intp)
+    for k in pos[1:]:
+        t *= d
+        t += pset.colors[:, k]
+    keys = table[t]
+    keys += pset.codes << 2 * d
+    return keys
+
+
+def sorted_face_keys(pset: PartitionSet, face) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, order): the face_keys in ascending order and the members in
+    that order.  One np.sort of key << index bits | index breaks ties by
+    index, so a group's members stay in index order, as a stable argsort
+    leaves them."""
+    bits = len(pset).bit_length()
+    packed = face_keys(pset, face)
+    packed <<= bits
+    packed |= np.arange(len(pset))
+    packed.sort()
+    return packed >> bits, packed & (1 << bits) - 1
 
 
 def _face_sweep(pset: PartitionSet):
@@ -188,9 +211,7 @@ def _face_sweep(pset: PartitionSet):
     adjacency = np.empty((N, len(faces)), dtype=np.int32)
     diff_counts = np.empty((N, len(faces)), dtype=np.int8)
     for fi, face in enumerate(faces):
-        keys = face_keys(pset, face)
-        order = np.argsort(keys, kind="stable")  # a group's members stay in index order
-        keys = keys[order]
+        keys, order = sorted_face_keys(pset, face)
         # every group is a pair: sorted keys agree within pairs, differ across them
         if N % 2 or np.any(keys[0::2] != keys[1::2]) or np.any(keys[1:-1:2] == keys[2::2]):
             starts = np.flatnonzero(np.diff(keys, prepend=-1))

@@ -341,7 +341,11 @@ def _parity_form_check(table: SignatureTable, refs, character) -> EpsilonFormula
     base = np.array([r.colors for r in refs], dtype=np.uint8)
     # moved[t, i, s] is the color sequence of (sigma_s, tau_t) * refs[i]
     moved = tau_maps[:, base[:, maps]]
-    codes = (moved @ pset.weights).transpose(2, 0, 1)  # (sigma, tau, reference)
+    codes = np.zeros(moved.shape[:-1], dtype=np.int64)
+    for k in range(moved.shape[-1]):  # Horner's rule, as PartitionSet: no int64 copy of moved
+        codes *= pset.d
+        codes += moved[..., k]
+    codes = codes.transpose(2, 0, 1)  # (sigma, tau, reference)
     pos = np.minimum(np.searchsorted(pset.codes, codes), len(pset) - 1)
     got = np.where(pset.codes[pos] == codes, table.signs[pos], 0)
     sigma_signs = np.array([perm_sign(s) for s in perms])

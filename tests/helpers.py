@@ -9,14 +9,16 @@ The last section keeps the library's earlier algorithms, replaced by
 faster kernels, as reference implementations: the depth-first
 enumeration, the union-find orbit closure, the pair-by-pair stabilizer
 loop, the enumerative determinant (one product per member partition),
-the relation sweeps over a dense code-indexed sign table (full mode
-with precomputed context digit columns, and sampled mode), the full
-relation sweep over the face groups (sorted by np.lexsort) and the
-sampled one that looks up every term, the face sweep over all candidate recolorings, the
-min-label hooking components kernel and the two-coloring read off it on
-the parity double cover of the flip graph, the sampled check of the
-d = 3 parity form, the acyclic-subset table filled one mask at a time,
-and Miller-Rabin with all 13 prime bases up to 41 for every number.
+the decision-diagram pass one color at a time (per level a gather, a
+product and an add for each color), the relation sweeps over a dense
+code-indexed sign table (full mode with precomputed context digit
+columns, and sampled mode), the full relation sweep over the face groups
+(sorted by np.lexsort) and the sampled one that looks up every term, the
+face sweep over all candidate recolorings, the min-label hooking
+components kernel and the two-coloring read off it on the parity double
+cover of the flip graph, the sampled check of the d = 3 parity form, the
+acyclic-subset table filled one mask at a time, and Miller-Rabin with
+all 13 prime bases up to 41 for every number.
 """
 
 import math
@@ -300,13 +302,13 @@ def residue(x, p):
 
 def enumerative_det_eval(vectors, pset, table, p=None):
     """The determinant form as one monomial per member partition."""
-    from treedet.algebra import _residue_dtype, as_tensor, validate_prime
+    from treedet.algebra import as_tensor, validate_prime
 
     vectors = as_tensor(vectors, pset.d, pset.n)
     colors, signs = pset.colors, table.signs
     if p is not None:
         validate_prime(p)
-        dtype = _residue_dtype(p)
+        dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
         vals = np.array([[residue(x, p) for x in vec] for vec in vectors], dtype=dtype)
         res = np.ones(len(pset), dtype=dtype)
         for e in range(colors.shape[1]):
@@ -316,6 +318,31 @@ def enumerative_det_eval(vectors, pset, table, p=None):
     nums = [[int(x * den) for x in vec] for vec, den in zip(vectors, dens)]
     total = _monomial_sum_int(colors, signs.astype(np.int64), nums)
     return Fraction(total, math.prod(dens))
+
+
+def level_pass_evaluate(diagram, coeffs, dtype, p=None):
+    """The diagram's bottom-up pass one color at a time: per level, one
+    gather, one product and one add per nonzero coordinate, on values
+    that end in a zero sentinel for the missing arcs (-1).  With p the
+    coefficients are residues in [0, p), and every product and every
+    node value is reduced mod p."""
+    coeffs = np.array(coeffs, dtype=dtype)
+    val = np.array([1, -1 if p is None else p - 1, 0], dtype=dtype)
+    for k in range(len(diagram.levels) - 1, -1, -1):
+        child = diagram.levels[k]
+        out = np.zeros(len(child) + 1, dtype=dtype)
+        acc = out[:-1]
+        for c, factor in enumerate(coeffs[k]):
+            if not factor:
+                continue
+            term = val[child[:, c]] * factor
+            if p is not None:
+                term %= p
+            acc += term
+        if p is not None:
+            acc %= p
+        val = out
+    return val[0]
 
 
 def digit_column_relation_sweep(pset, table):

@@ -143,6 +143,9 @@ def test_det_eval_around_the_int64_bound(ctx3):
     expected = helpers.enumerative_det_eval(vectors, ctx3.pset, ctx3.signature)
     assert abs(expected) >= 2 ** 63
     assert det_eval(vectors, ctx3.pset, ctx3.signature) == expected
+    # over a prime above 200 the balanced residues are the entries themselves
+    p = 4294967311
+    assert det_eval(vectors, ctx3.pset, ctx3.signature, p=p) == expected % p
 
 
 def test_det_eval_zero_edge_vector_next_to_huge_entries(ctx2):
@@ -188,6 +191,68 @@ def test_diagram_sizes(ctx2, ctx3):
             below = len(levels[k + 1]) if k + 1 < len(levels) else 2
             assert level.shape[1] == ctx.pset.d
             assert level.min() >= -1 and level.max() < below
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_flat_pass_equals_level_pass_oracle(d):
+    from treedet.context import standard_context
+
+    diagram = standard_context(d).signature.diagram
+    E = len(diagram.levels)
+    rng = np.random.default_rng(40 + d)
+    for _ in range(4):
+        small = rng.integers(-6, 7, size=(E, d)).tolist()  # bound 18^15 < 2^63
+        expected = helpers.level_pass_evaluate(diagram, small, np.int64)
+        assert diagram.evaluate(small, np.int64) == expected
+        assert diagram.evaluate(small, object) == expected
+        huge = [[x * 10 ** 30 + 7 for x in row] for row in small]
+        assert diagram.evaluate(huge, object) == helpers.level_pass_evaluate(diagram, huge, object)
+        for p in (101, 2147483647, 3037000493, 4294967311):
+            residues = [[int(x) for x in rng.integers(0, p, size=d)] for _ in range(E)]
+            h = p // 2
+            balanced = [[(x + h) % p - h for x in row] for row in residues]
+            dtype = np.int64 if d * h * h + h < 2 ** 63 else object
+            oracle_dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
+            expected = helpers.level_pass_evaluate(diagram, residues, oracle_dtype, p)
+            value = int(diagram.evaluate(balanced, dtype, p))
+            assert -h <= value <= h and value % p == expected
+
+
+@pytest.mark.parametrize("p", [101, 2147483647, 4294967311])
+def test_gfp_balanced_residue_edges(ctx2, ctx3, p):
+    # entries on both sides of p/2, at p - 1 and -p, and with denominators
+    edges = [(p - 1) // 2, (p + 1) // 2, p - 1, -p]
+    edges += [Fraction(p + 1, 2), Fraction(p, 2), Fraction(1, 2)]
+    rng = np.random.default_rng(p % 97)
+    for ctx in (ctx2, ctx3):
+        d, E = ctx.pset.d, len(ctx.pset.weights)
+        every_entry = [[edges[(k + j) % len(edges)] for j in range(d)] for k in range(E)]
+        drawn = [[[edges[i] for i in rng.integers(len(edges), size=d)] for _ in range(E)] for _ in range(3)]
+        for vectors in [every_entry] + drawn:
+            rational = det_eval(vectors, ctx.pset, ctx.signature)
+            assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == helpers.residue(rational, p)
+
+
+def test_gfp_pass_is_picked_by_the_bound(ctx3, monkeypatch):
+    from treedet.diagram import SignedDiagram
+
+    passes = []
+    evaluate = SignedDiagram.evaluate
+
+    def spy(self, coeffs, dtype, p=None):
+        passes.append((dtype, p))
+        return evaluate(self, coeffs, dtype, p)
+
+    monkeypatch.setattr(SignedDiagram, "evaluate", spy)
+    rng = np.random.default_rng(9)
+    small = helpers.rand_int_tensor(rng, 3, lo=-2, hi=2)
+    det_eval(small, ctx3.pset, ctx3.signature, p=2147483647)
+    assert passes.pop() == (np.int64, None)  # the integer pass, reduced once at the root
+    for p, dtype in ((101, np.int64), (2147483647, np.int64), (4294967311, object)):
+        full = [[int(x) for x in rng.integers(p // 4 + 1, p - p // 4, size=3)] for _ in range(15)]
+        rational = det_eval(full, ctx3.pset, ctx3.signature)
+        assert det_eval(full, ctx3.pset, ctx3.signature, p=p) == helpers.residue(rational, p)
+        assert passes.pop() == (dtype, p)
 
 
 def test_det2_explicit_examples(ctx2):

@@ -1,6 +1,7 @@
 """Property tests: the diagram determinant against the enumerative oracle,
-GF(p) against the rational residue, validate_prime against Miller-Rabin
-with all 13 bases, and `det --input` on arbitrary JSON."""
+GF(p) against the rational residue (small entries, and full-size residues
+that force the mod-p pass), validate_prime against Miller-Rabin with all
+13 bases, and `det --input` on arbitrary JSON."""
 
 import contextlib
 import io
@@ -87,6 +88,19 @@ def next_prime(n):
 def test_gfp_value_is_the_rational_residue(vectors, start):
     p = next_prime(start)
     assert p < 2 ** 64
+    ctx = standard_context(3)
+    rational = det_eval(vectors, ctx.pset, ctx.signature)
+    assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == helpers.residue(rational, p)
+
+
+@pytest.mark.parametrize("p", [101, 2147483647, 3037000493, 4294967311])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_mod_p_pass_on_full_size_residues(p, data):
+    # every first coordinate has a balanced residue of at least p/4, so the
+    # product bound passes 2^63 and det_eval takes the mod-p pass
+    big, full = st.integers(p // 4 + 1, p - p // 4 - 1), st.integers(0, p - 1)
+    vectors = data.draw(st.lists(st.tuples(big, full, full), min_size=15, max_size=15))
     ctx = standard_context(3)
     rational = det_eval(vectors, ctx.pset, ctx.signature)
     assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == helpers.residue(rational, p)
