@@ -16,13 +16,14 @@ member reaches.
 det_eval walks the signature table's reduced decision diagram (see
 diagram.py) bottom-up in one flat pass.  Each edge vector is scaled to
 integers by its common denominator and, over GF(p) for a prime p > 3,
-taken to balanced residues in (-p/2, p/2].  While the product over edges
-of each vector's absolute coordinate sum (at least 1, so a zero vector
-cannot hide a huge neighbour) stays below 2^63, it bounds every value of
-the pass, which then runs in int64 over both fields: the form has
-integer coefficients, so one reduction of the root mod p is exact.
-Above it the rationals run in Python ints and GF(p) in the mod-p pass;
-the denominators are divided out at the end.  Every result is exact.
+taken to balanced residues in (-p/2, p/2].  The product over edges of
+each vector's absolute coordinate sum (at least 1, so a zero vector
+cannot hide a huge neighbour) bounds every value of the integer pass,
+which runs in float64 below 2^53, int64 below 2^63 and Python ints
+above, over both fields: the form has integer coefficients, so one
+reduction of the root mod p is exact.  Past 2^63 GF(p) runs the mod-p
+pass instead, in int64 for p below about 9 * 10^11 at d = 3.  Every
+result is exact.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .diagram import exact_dtype, modp_dtype
 from .enumeration import PartitionSet
 from .flips import FlipGraph, SignatureTable, group_keys, sorted_face_keys
 from .model import (
@@ -119,20 +121,26 @@ def format_scalar(x) -> str:
     return str(x)
 
 
-def as_tensor(vectors, d: int, n: int) -> Tensor:
-    """A list or tuple of edge vectors, each a list or tuple of scalars;
-    anything else, strings and bare numbers included, raises ValueError."""
-    E = edge_count(n)
+def _scalars(vectors, d: int, n: int) -> list:
+    """The scalars edge by edge in one flat list, after as_tensor's checks:
+    ints and Fractions as they are, anything else through parse_scalar."""
     if not isinstance(vectors, (list, tuple)) or not all(
         isinstance(vec, (list, tuple)) for vec in vectors
     ):
         raise ValueError("a tensor is a list of edge vectors, each a list of scalars")
-    vectors = tuple(tuple(parse_scalar(x) for x in vec) for vec in vectors)
+    flat = [x if type(x) in (Fraction, int) else parse_scalar(x) for vec in vectors for x in vec]
+    E = edge_count(n)
     if len(vectors) != E:
         raise ValueError(f"expected {E} edge vectors, got {len(vectors)}")
     if any(len(vec) != d for vec in vectors):
         raise ValueError(f"every edge vector must have {d} coordinates")
-    return vectors
+    return flat
+
+
+def as_tensor(vectors, d: int, n: int) -> Tensor:
+    """A list or tuple of edge vectors, each a list or tuple of scalars;
+    anything else, strings and bare numbers included, raises ValueError."""
+    return tuple(zip(*[map(Fraction, _scalars(vectors, d, n))] * d))
 
 
 # ---------------------------------------------------------------------------
@@ -215,37 +223,30 @@ def det_eval(
     over all edges, of the edge vector's coordinate selected by the
     edge's color.  Exact over the rationals (Fraction result) or over
     GF(p) (int result) for a prime p > 3.  The sum is one bottom-up pass
-    over the table's decision diagram, picked by the product bound that
-    the module docstring states.
+    over the table's decision diagram, in float64, int64 or Python ints
+    as the product bound that the module docstring states allows.
     """
     d, n = pset.d, pset.n
     _check_table(pset, table)
-    vectors = as_tensor(vectors, d, n)
+    flat = _scalars(vectors, d, n)
+    nums, den = [x.numerator for x in flat], 1
+    if [x.denominator for x in flat].count(1) < len(flat):  # clear each edge's denominators
+        for i in range(0, len(flat), d):
+            lcm = math.lcm(*(x.denominator for x in flat[i : i + d]))
+            nums[i : i + d] = [x.numerator * (lcm // x.denominator) for x in flat[i : i + d]]
+            den *= lcm
     if p is not None:
         validate_prime(p)
         h = p // 2
-    # per edge: integers (the form is linear in each), residues, the bound
-    nums, den, bound = [], 1, 1
-    for vec in vectors:
-        row = [x.numerator for x in vec]
-        if any(x.denominator != 1 for x in vec):
-            lcm = math.lcm(*(x.denominator for x in vec))
-            row = [x.numerator * (lcm // x.denominator) for x in vec]
-            den *= lcm
-        if p is not None:
-            row = [(x + h) % p - h for x in row]
-        bound *= max(1, sum(map(abs, row)))
-        nums.append(row)
-    diagram = table.diagram
+        nums = [(x + h) % p - h for x in nums]
+    bound = math.prod(s or 1 for s in map(sum, zip(*[map(abs, nums)] * d)))
     if p is None:
-        return Fraction(int(diagram.evaluate(nums, np.int64 if bound < 2 ** 63 else object)), den)
+        return Fraction(int(table.diagram.evaluate(nums, exact_dtype(bound))), den)
     if den % p == 0:
         raise ValueError(f"a denominator of the tensor vanishes mod {p}")
-    if bound < 2 ** 63:  # the integer pass is exact, and the form has integer coefficients
-        value = int(diagram.evaluate(nums, np.int64))
-    else:
-        value = int(diagram.evaluate(nums, np.int64 if d * h * h + h < 2 ** 63 else object, p))
-    return value * pow(den, -1, p) % p
+    # below 2^63 the integer pass is exact, and the form has integer coefficients
+    dtype_p = (exact_dtype(bound), None) if bound < 2 ** 63 else (modp_dtype(d, p), p)
+    return int(table.diagram.evaluate(nums, *dtype_p)) * pow(den, -1, p) % p
 
 
 # The twelve monomials of the d = 2 determinant in expanded form, written

@@ -17,7 +17,7 @@ The pass runs on one flat value array.  Slot 0 holds a zero, which every
 missing arc reads; slots 1 and 2 hold the terminals; the levels follow
 bottom-up, so the root is the last slot.  Each level keeps its child
 table in these global slots, and its values are one gather and one
-matrix-vector product: val[span] = val.take(children) @ coeffs[k].
+matrix-vector product: matmul(val.take(children), coeffs[k], out=val[span]).
 """
 
 from __future__ import annotations
@@ -78,22 +78,46 @@ class SignedDiagram:
         return sum(int((level >= 0).sum()) for level in self.levels)
 
     def evaluate(self, coeffs, dtype, p=None):
-        """Root value for coeffs[k][c], the factor of color c on edge k.
+        """Root value for coeffs[k][c], the factor of color c on edge k
+        (nested, or flat at k * d + c).
 
-        dtype is int64 or object, and the caller picks one in which no
-        value can overflow.  Without p the pass is exact over the integers;
-        every node value and partial sum is bounded by the product over
-        edges of max(1, sum_c |coeffs[k][c]|).  With p the coefficients
-        must be balanced residues, |x| <= h = (p - 1) / 2, and so is every
-        node value, so a level's sums plus h stay within d h^2 + h.
+        Without p every node value and partial sum is an integer within the
+        bound, prod_k max(1, sum_c |coeffs[k][c]|), and dtype is
+        exact_dtype(bound): IEEE 754 rounds only what it cannot represent,
+        so no BLAS summation order or fused multiply-add changes a float64
+        value below 2^53.  With p, coeffs and node values g are balanced
+        residues, |x| <= h = (p - 1) / 2, and dtype is modp_dtype(d, p).  A
+        level is g @ c reduced while d h^2 + h < 2^63; above, with
+        hi = c >> 16 and lo = c & 0xFFFF, it is ((g @ hi) % p << 16) + g @ lo
+        reduced, within d h ((h >> 16) + 1) and (p << 16) + d h 2^16 + h.
         """
-        coeffs = np.array(coeffs, dtype=dtype)
+        coeffs = np.array(coeffs, dtype=dtype).reshape(len(self.levels), -1)
         val = np.empty(self.slots, dtype=dtype)
         val[: 1 + TERMINALS] = 0, 1, -1
-        h = None if p is None else p // 2
+        if p is None:  # ndarray.dot reaches BLAS soonest; matmul's loop is faster for int64
+            product = np.ndarray.dot if coeffs.dtype == np.float64 else np.matmul
+            for k, span, children in self.passes:
+                product(val.take(children), coeffs[k], out=val[span])
+            return val[-1]
+        h = p // 2
+        split = coeffs.dtype != object and coeffs.shape[1] * h * h + h >= 2 ** 63
+        if split:  # one product gives both g @ hi and g @ lo
+            coeffs = np.stack([coeffs >> 16, coeffs & 0xFFFF], axis=2)
         for k, span, children in self.passes:
-            if p is None:
-                val[span] = val.take(children) @ coeffs[k]
-            else:
-                val[span] = (val.take(children) @ coeffs[k] + h) % p - h
+            x = val.take(children) @ coeffs[k]
+            if split:
+                x = (x[:, 0] % p << 16) + x[:, 1]
+            val[span] = (x + h) % p - h
         return val[-1]
+
+
+def exact_dtype(bound: int):
+    """The cheapest dtype that holds every integer of magnitude at most bound."""
+    return np.float64 if bound < 2 ** 53 else np.int64 if bound < 2 ** 63 else object
+
+
+def modp_dtype(d: int, p: int):
+    """int64 while the mod-p pass (see evaluate) cannot overflow it, else object."""
+    h = p // 2
+    top = max(d * h * ((h >> 16) + 1), (p << 16) + d * h * 2 ** 16 + h)
+    return np.int64 if top < 2 ** 63 else object

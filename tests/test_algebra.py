@@ -193,9 +193,14 @@ def test_diagram_sizes(ctx2, ctx3):
             assert level.min() >= -1 and level.max() < below
 
 
+# the last prime whose d = 3 mod-p pass runs in int64 (split), and the next one
+LAST_INT64_PRIME, FIRST_OBJECT_PRIME = 897747452029, 897747452117
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_flat_pass_equals_level_pass_oracle(d):
     from treedet.context import standard_context
+    from treedet.diagram import modp_dtype
 
     diagram = standard_context(d).signature.diagram
     E = len(diagram.levels)
@@ -205,16 +210,18 @@ def test_flat_pass_equals_level_pass_oracle(d):
         expected = helpers.level_pass_evaluate(diagram, small, np.int64)
         assert diagram.evaluate(small, np.int64) == expected
         assert diagram.evaluate(small, object) == expected
+        tiny = rng.integers(-3, 4, size=(E, d)).tolist()  # bound 9^15 < 2^53
+        expected = helpers.level_pass_evaluate(diagram, tiny, np.int64)
+        assert diagram.evaluate(tiny, np.float64) == expected
         huge = [[x * 10 ** 30 + 7 for x in row] for row in small]
         assert diagram.evaluate(huge, object) == helpers.level_pass_evaluate(diagram, huge, object)
-        for p in (101, 2147483647, 3037000493, 4294967311):
+        for p in (101, 2147483647, 3037000493, 4294967311, LAST_INT64_PRIME, FIRST_OBJECT_PRIME):
             residues = [[int(x) for x in rng.integers(0, p, size=d)] for _ in range(E)]
             h = p // 2
             balanced = [[(x + h) % p - h for x in row] for row in residues]
-            dtype = np.int64 if d * h * h + h < 2 ** 63 else object
             oracle_dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
             expected = helpers.level_pass_evaluate(diagram, residues, oracle_dtype, p)
-            value = int(diagram.evaluate(balanced, dtype, p))
+            value = int(diagram.evaluate(balanced, modp_dtype(d, p), p))
             assert -h <= value <= h and value % p == expected
 
 
@@ -233,26 +240,64 @@ def test_gfp_balanced_residue_edges(ctx2, ctx3, p):
             assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == helpers.residue(rational, p)
 
 
-def test_gfp_pass_is_picked_by_the_bound(ctx3, monkeypatch):
+@pytest.fixture
+def passes(monkeypatch):
+    """The (dtype, p) of every diagram pass, in call order."""
     from treedet.diagram import SignedDiagram
 
-    passes = []
-    evaluate = SignedDiagram.evaluate
+    seen, evaluate = [], SignedDiagram.evaluate
 
     def spy(self, coeffs, dtype, p=None):
-        passes.append((dtype, p))
+        seen.append((dtype, p))
         return evaluate(self, coeffs, dtype, p)
 
     monkeypatch.setattr(SignedDiagram, "evaluate", spy)
+    return seen
+
+
+def test_gfp_pass_is_picked_by_the_bound(ctx3, passes):
     rng = np.random.default_rng(9)
     small = helpers.rand_int_tensor(rng, 3, lo=-2, hi=2)
     det_eval(small, ctx3.pset, ctx3.signature, p=2147483647)
-    assert passes.pop() == (np.int64, None)  # the integer pass, reduced once at the root
-    for p, dtype in ((101, np.int64), (2147483647, np.int64), (4294967311, object)):
+    assert passes.pop() == (np.float64, None)  # the integer pass, reduced once at the root
+    for p, dtype in (
+        (101, np.int64),
+        (2147483647, np.int64),
+        (4294967311, np.int64),  # split into 16-bit halves
+        (LAST_INT64_PRIME, np.int64),
+        (FIRST_OBJECT_PRIME, object),
+    ):
         full = [[int(x) for x in rng.integers(p // 4 + 1, p - p // 4, size=3)] for _ in range(15)]
         rational = det_eval(full, ctx3.pset, ctx3.signature)
         assert det_eval(full, ctx3.pset, ctx3.signature, p=p) == helpers.residue(rational, p)
         assert passes.pop() == (dtype, p)
+
+
+def scaled_generator(d, scales):
+    """The generator with edge vector e times scales[e]; its value and its
+    product bound are both the product of the scales."""
+    return [[x * r for x in vec] for vec, r in zip(unit_tensor(d), scales)]
+
+
+@pytest.mark.parametrize(
+    "scales, dtype",
+    [
+        ([11] * 14 + [23], np.float64),  # 8.7e15, just below 2^53
+        ([11] * 14 + [25], np.int64),  # odd in (2^53, 2^54): float64 would round it
+        ([11] * 14 + [24287], np.int64),  # odd, just below 2^63
+        ([21] * 15, object),  # past 2^63
+    ],
+)
+def test_scaled_generator_takes_the_cheapest_exact_pass(ctx3, passes, scales, dtype):
+    value = int(np.prod(scales, dtype=object))
+    assert value % 2 == 1 and value == helpers.enumerative_det_eval(
+        scaled_generator(3, scales), ctx3.pset, ctx3.signature
+    )
+    assert det_eval(scaled_generator(3, scales), ctx3.pset, ctx3.signature) == value
+    assert passes.pop() == (dtype, None)
+    p = 4294967311  # over GF(p) the bound passes 2^63 only for the last case
+    assert det_eval(scaled_generator(3, scales), ctx3.pset, ctx3.signature, p=p) == value % p
+    assert passes.pop() == ((dtype, None) if dtype is not object else (np.int64, p))
 
 
 def test_det2_explicit_examples(ctx2):

@@ -1,11 +1,13 @@
-"""Property tests: the diagram determinant against the enumerative oracle,
-GF(p) against the rational residue (small entries, and full-size residues
-that force the mod-p pass), validate_prime against Miller-Rabin with all
-13 bases, and `det --input` on arbitrary JSON."""
+"""Property tests: the diagram determinant against the enumerative oracle
+(also with product bounds on both sides of the float64 and int64
+limits), GF(p) against the rational residue (small entries, and
+full-size residues that force the mod-p pass), validate_prime against
+Miller-Rabin with all 13 bases, and `det --input` on arbitrary JSON."""
 
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -57,6 +59,27 @@ def test_diagram_equals_enumerative_oracle_on_huge_entries(d, examples):
         assert det_eval(vectors, ctx.pset, ctx.signature) == expected
 
     check()
+
+
+@pytest.mark.parametrize("limit", [53, 63])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_diagram_equals_enumerative_oracle_across_the_dtype_limits(limit, data):
+    # small entries scaled on every edge, and once more on one edge, so
+    # that the product bound lands between 2^(limit - 2) and 2^(limit + 1)
+    nonzero = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+    vectors = data.draw(st.lists(nonzero, min_size=15, max_size=15))
+    target = data.draw(st.integers(2 ** (limit - 1), 2 ** (limit + 1)))
+    rest = target // math.prod(sum(map(abs, row)) for row in vectors)
+    r = int(rest ** (1 / 15))
+    k = data.draw(st.integers(0, 14))
+    scales = [r * (max(1, rest // r ** 15) if e == k else 1) for e in range(15)]
+    vectors = [[x * scale for x in row] for row, scale in zip(vectors, scales)]
+    ctx = standard_context(3)
+    expected = helpers.enumerative_det_eval(vectors, ctx.pset, ctx.signature)
+    assert det_eval(vectors, ctx.pset, ctx.signature) == expected
+    p = 4294967311
+    assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == expected % p
 
 
 @settings(max_examples=300, deadline=None)
