@@ -217,7 +217,7 @@ def cmd_flip_graph(args) -> int:
 
 def cmd_orbits(args) -> int:
     t0 = time.perf_counter()
-    pset = standard_context(args.d).pset
+    pset = enumerate_partitions(args.d, cycle_free=True)
     table = symmetry.orbit_decomposition(pset)
     identity = _orbit_witnesses(table, args.d)
     sizes_ok = sum(e.size for e in table.entries) == len(pset)

@@ -1,13 +1,15 @@
 """Exhaustive enumeration of homogeneous d-partitions of K_{2d}.
 
-The set is grown one edge at a time, in lexicographic edge order, as a
-numpy array of all admissible prefixes.  Each prefix is extended by the
-colors 0..d-1 in that order and the survivors keep their order, so the
-final rows are strictly increasing in canonical code and need no sort.
-A color is admissible while it has used fewer than 2d - 1 edges; in
-cycle-free mode its edge bitmask plus the new edge must also be acyclic,
-which is read off the precomputed subset table, so cyclic prefixes are
-pruned as soon as they appear.
+The set is built from its color classes.  A class is an edge bitmask of
+K_{2d} with 2d - 1 edges (edge k is bit k): all 3003 such masks at
+d = 3, or in cycle-free mode the 1296 acyclic ones, the spanning trees
+of K_6, read off the precomputed subset table.  Classes 1..d-1 are
+chosen pairwise disjoint, one broadcast AND against every class per
+color (in chunks of rows, so the 3003 x 3003 pair step stays small), and
+a row is kept when the remaining edges, color 0, form a class as well.
+The canonical code of a row is the sum over its classes of the color
+times the class's base-d digit weight, so the codes are sorted once and
+the colors read back from them.
 
 The counts grow fast: d = 3 has multinomial(15; 5,5,5) = 756756
 homogeneous partitions, while d = 4 already has about 4.7 * 10^14, so
@@ -25,6 +27,8 @@ import numpy as np
 from .model import EdgePartition, acyclic_mask_table, edge_count
 
 MAX_EXHAUSTIVE_D = 3
+_PAIR_CHUNK = 1 << 18  # class pairs tested per broadcast
+_DIGIT_TABLE_ROWS = 1 << 13
 
 
 class PartitionSet:
@@ -115,6 +119,20 @@ def count_homogeneous(d: int) -> int:
     return states[(budget,) * d]
 
 
+def _class_masks(n: int, budget: int, cycle_free: bool) -> np.ndarray:
+    """Boolean table over all edge bitmasks of K_n (edge k is bit k): True
+    for the masks of `budget` edges, which in cycle-free mode must also be
+    acyclic (spanning trees when budget = n - 1)."""
+    masks = np.arange(1 << edge_count(n), dtype=np.int64)
+    ones = np.zeros(len(masks), dtype=np.int64)
+    for k in range(edge_count(n)):
+        ones += (masks >> k) & 1
+    table = ones == budget
+    if cycle_free:
+        table &= acyclic_mask_table(n)
+    return table
+
+
 def enumerate_partitions(d: int, cycle_free: bool = False) -> PartitionSet:
     """Build the set of homogeneous d-partitions of K_{2d}.
 
@@ -132,23 +150,48 @@ def enumerate_partitions(d: int, cycle_free: bool = False) -> PartitionSet:
         )
     n = 2 * d
     E = edge_count(n)
-    budget = 2 * d - 1
-    acyc = acyclic_mask_table(n) if cycle_free else None
-    colors = np.zeros((1, E), dtype=np.uint8)
-    counts = np.zeros((1, d), dtype=np.uint8)  # edges per color so far
-    masks = np.zeros((1, d), dtype=np.int64)  # edge bitmask per color so far
-    for k in range(E):
-        ok = counts < budget
-        if cycle_free:
-            ok &= acyc[masks | (1 << k)]
-        # row-major order: prefix first, then color, so rows stay code-sorted
-        rows, new = np.nonzero(ok)
-        colors = colors[rows]
-        colors[:, k] = new
-        at = (np.arange(len(rows)), new)
-        counts = counts[rows]
-        counts[at] += 1
-        if cycle_free:
-            masks = masks[rows]
-            masks[at] |= 1 << k
-    return PartitionSet(d, n, colors, cycle_free)
+    return PartitionSet(d, n, _digits(_member_codes(d, cycle_free), d, E), cycle_free)
+
+
+def _member_codes(d: int, cycle_free: bool) -> np.ndarray:
+    """Sorted canonical codes of the members, built from their classes."""
+    n = 2 * d
+    E = edge_count(n)
+    is_class = _class_masks(n, 2 * d - 1, cycle_free)
+    classes = np.flatnonzero(is_class)
+    # as color c, classes[i] adds c * digit[i] to the code
+    bits = (classes[:, None] >> np.arange(E)) & 1
+    digit = bits @ (d ** np.arange(E - 1, -1, -1, dtype=np.int64))
+    # one row per choice of disjoint classes 1..c: the union of their edges and their code
+    used = np.zeros(1, dtype=np.int64)
+    codes = np.zeros(1, dtype=np.int64)
+    step = max(1, _PAIR_CHUNK // len(classes))
+    for c in range(1, d):
+        grown_used, grown_codes = [], []
+        for lo in range(0, len(used), step):
+            block = used[lo:lo + step, None]
+            rows, new = np.nonzero((block & classes) == 0)
+            grown_used.append(block[rows, 0] | classes[new])
+            grown_codes.append(codes[lo + rows] + c * digit[new])
+        used, codes = np.concatenate(grown_used), np.concatenate(grown_codes)
+    codes = codes[is_class[((1 << E) - 1) ^ used]]  # color 0 takes the remaining edges
+    codes.sort()
+    return codes
+
+
+def _digits(codes: np.ndarray, d: int, E: int) -> np.ndarray:
+    """The (N, E) base-d digits of the codes, most significant first.
+
+    The digits are read g at a time from a table of all d^g digit strings
+    (g = 8 at d = 3), so the codes take two divisions, not E.
+    """
+    g = 1
+    while g < E and d ** (g + 1) <= _DIGIT_TABLE_ROWS:
+        g += 1
+    table = (np.arange(d ** g)[:, None] // d ** np.arange(g - 1, -1, -1) % d).astype(np.uint8)
+    colors = np.empty((len(codes), E), dtype=np.uint8)
+    for hi in range(E, 0, -g):
+        width = min(g, hi)
+        codes, low = np.divmod(codes, d ** width)
+        colors[:, hi - width:hi] = np.take(table, low, axis=0)[:, g - width:]
+    return colors

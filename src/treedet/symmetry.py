@@ -2,15 +2,16 @@
 
 A pair (sigma, tau) acts by relabeling vertices through sigma and
 colors through tau: the edge (i, j) of color c goes to the edge
-(sigma i, sigma j) of color tau(c).  Orbits are the connected
-components of the graph whose edges are the adjacent transpositions of
-both factors, given as vectorized index maps to the breadth-first
-search of flips.bfs_levels; an image outside the set raises
-OrbitClosureError, since the set is then no union of orbits.
-Stabilizers test all (2d)! * d! pairs in one numpy broadcast, which is
-4320 checks per representative at d = 3.  The parity forms of the
-signature are checked the same way, on every group element applied to
-every reference: 82,080 cases at d = 3 and 48 at d = 2.
+(sigma i, sigma j) of color tau(c).  One kernel, _image_codes, relabels
+color sequences by every group element at once ((2d)! * d! images, 4320
+at d = 3) and returns the images' canonical codes.  Orbits come from
+the least member not yet covered: its images are looked up in the
+code-sorted set, every image gets it as orbit root, and the images equal
+to it are its stabilizer; an image outside the set raises
+OrbitClosureError, since the set is then no union of orbits.  The d = 3
+set takes 19 such rounds.  The parity forms of the signature are
+checked on the same kernel, every group element applied to every
+reference: 82,080 cases at d = 3 and 48 at d = 2.
 
 Permutations are plain image tuples with 1-based values: sigma[i-1] is
 the image of vertex i.
@@ -21,20 +22,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
-from typing import Optional
 
 import numpy as np
 
 from . import catalog
 from .enumeration import PartitionSet
-from .flips import SignatureTable, bfs_levels
+from .flips import SignatureTable
 from .model import EdgePartition, classify_tree, edge_count, edge_index, edge_list
 
 Perm = tuple  # image tuple, 1-based values
 
 
 class OrbitClosureError(RuntimeError):
-    """A member's image under a generator of S_{2d} x S_d is not in the set."""
+    """A member's image under an element of S_{2d} x S_d is not in the set."""
 
     witness_property = "orbit_closure"
 
@@ -131,12 +131,47 @@ def act(pair: PermPair, partition: EdgePartition) -> EdgePartition:
 
 @lru_cache(maxsize=None)
 def _all_edge_maps(n: int) -> tuple[tuple[Perm, ...], np.ndarray]:
-    """All n! vertex relabelings with their edge-slot source maps."""
+    """All n! vertex relabelings, in lexicographic order, with their
+    edge-slot source maps: maps[s] is vertex_perm_edge_map(perms[s], n)."""
     if n > 8:
         raise ValueError(f"full S_{n} sweep is out of reach")
     perms = tuple(permutations(range(1, n + 1)))
-    maps = np.stack([vertex_perm_edge_map(p, n) for p in perms])
+    E = edge_count(n)
+    images = np.array(perms, dtype=np.int64) - 1
+    ends = np.array(edge_list(n)) - 1
+    slot = np.zeros((n, n), dtype=np.int64)
+    slot[ends[:, 0], ends[:, 1]] = slot[ends[:, 1], ends[:, 0]] = np.arange(E)
+    dest = slot[images[:, ends[:, 0]], images[:, ends[:, 1]]]  # edge k lands in slot dest[s, k]
+    maps = np.empty_like(dest)
+    np.put_along_axis(maps, dest, np.broadcast_to(np.arange(E), dest.shape), axis=1)
     return perms, maps
+
+
+@lru_cache(maxsize=None)
+def _color_perms(d: int) -> tuple[Perm, ...]:
+    return tuple(permutations(range(1, d + 1)))
+
+
+def _image_codes(colors: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Canonical codes of the images of each row of `colors` under all of
+    S_n x S_d: out[i, s, t] is the code of (sigma_s, tau_t) * row i, in
+    the order of group_elements."""
+    E = edge_count(n)
+    if d ** E >= 2 ** 63:
+        raise ValueError(f"canonical codes for d={d}, n={n} exceed 64-bit range")
+    _, maps = _all_edge_maps(n)
+    recolor = np.array(_color_perms(d), dtype=np.uint8).T - 1  # recolor[c, t] = tau_t(c), 0-based
+    moved = np.asarray(colors, dtype=np.uint8)[:, maps.T]  # (rows, E, n!): edge-major
+    codes = np.zeros((moved.shape[0], moved.shape[2], recolor.shape[1]), dtype=np.int64)
+    for k in range(E):  # Horner's rule, as PartitionSet
+        codes *= d
+        codes += recolor[moved[:, k]]
+    return codes
+
+
+def _pairs(sigma_idx, tau_idx, n: int, d: int) -> list:
+    perms, taus = _all_edge_maps(n)[0], _color_perms(d)
+    return [PermPair(perms[s], taus[t]) for s, t in zip(sigma_idx, tau_idx)]
 
 
 def group_elements(n: int, d: int):
@@ -148,17 +183,10 @@ def group_elements(n: int, d: int):
 
 def stabilizer(partition: EdgePartition) -> list[PermPair]:
     """Stabilizer of a partition inside S_{2d} x S_d, in the order of
-    group_elements.  Every pair is tested at once: the (2d)! relabeled
-    color sequences, recolored by each of the d! color maps, are
-    compared with the partition."""
+    group_elements: the pairs whose image has the partition's code."""
     n, d = partition.n, partition.d
-    perms, maps = _all_edge_maps(n)
-    base = np.array(partition.colors, dtype=np.uint8)
-    taus = tuple(permutations(range(1, d + 1)))
-    tau_maps = np.array(taus, dtype=np.uint8) - 1  # tau_maps[t, c] = tau_t(c), 0-based
-    fixed = (tau_maps[:, base[maps]] == base).all(axis=2)  # (d!, (2d)!)
-    sigma_idx, tau_idx = np.nonzero(fixed.T)
-    return [PermPair(perms[s], taus[t]) for s, t in zip(sigma_idx, tau_idx)]
+    codes = _image_codes(np.array([partition.colors]), n, d)[0]
+    return _pairs(*np.nonzero(codes == partition.canonical_code()), n, d)
 
 
 @dataclass
@@ -169,7 +197,7 @@ class OrbitEntry:
     stabilizer_order: int
     type_triple: tuple[str, ...]
     catalog_ids: tuple[int, ...] = ()
-    stabilizer: Optional[list] = field(default=None, repr=False)
+    stabilizer: list = field(default_factory=list, repr=False)  # in group_elements order
 
 
 @dataclass
@@ -188,33 +216,34 @@ class OrbitTable:
         raise AssertionError("orbit root without table entry")
 
 
-def _orbit_roots(pset: PartitionSet) -> np.ndarray:
-    """Components of the closure under adjacent transpositions of both
-    factors; each node's root is the minimal member index of its orbit.
-    Raises OrbitClosureError on the first image that is not a member."""
-    n, d = pset.n, pset.d
+def _orbit_kernel(pset: PartitionSet) -> tuple[np.ndarray, list]:
+    """Orbit roots (int32, the minimal member index of each orbit) and
+    the stabilizer of each root, in root order.
 
-    def images():
-        for a in range(1, n):
-            sigma = (*range(1, a), a + 1, a, *range(a + 2, n + 1))
-            yield pset.colors[:, vertex_perm_edge_map(sigma, n)]
-        for a in range(d - 1):
-            yield np.array([*range(a), a + 1, a, *range(a + 2, d)], dtype=np.uint8)[pset.colors]
-
-    neighbor_maps = []
-    for moved in images():
-        moved_codes = np.zeros(len(pset), dtype=np.int64)
-        for k in range(moved.shape[1]):  # column by column: no (N, E) int64 copy
-            moved_codes = moved_codes * d + moved[:, k]
-        idx = np.searchsorted(pset.codes, moved_codes)
-        missing = np.flatnonzero(np.append(pset.codes, -1)[idx] != moved_codes)
+    Each round seeds the least member not yet covered, which is then the
+    least member of its orbit, and relabels it by the whole group.
+    Raises OrbitClosureError on the first image, in group_elements
+    order, that is not a member.
+    """
+    N, n, d = len(pset), pset.n, pset.d
+    roots = np.full(N, -1, dtype=np.int32)
+    stabilizers = []
+    seed = 0
+    while seed < N:
+        codes = _image_codes(pset.colors[seed:seed + 1], n, d)[0]  # (n!, d!)
+        idx = np.minimum(np.searchsorted(pset.codes, codes), N - 1)
+        missing = np.argwhere(pset.codes[idx] != codes)
         if missing.size:
-            raise OrbitClosureError(EdgePartition(d, n, tuple(int(c) for c in moved[missing[0]])))
-        neighbor_maps.append(idx.astype(np.int32))
-    return bfs_levels(np.stack(neighbor_maps, axis=1))[0]
+            (pair,) = _pairs(*missing[:1].T, n, d)
+            raise OrbitClosureError(act(pair, pset.partition(seed)))
+        roots[idx] = seed
+        stabilizers.append(_pairs(*np.nonzero(idx == seed), n, d))
+        uncovered = np.flatnonzero(roots[seed:] < 0)
+        seed = seed + int(uncovered[0]) if uncovered.size else N
+    return roots, stabilizers
 
 
-def orbit_decomposition(pset: PartitionSet, with_stabilizers: bool = True) -> OrbitTable:
+def orbit_decomposition(pset: PartitionSet) -> OrbitTable:
     """Orbits of the set under S_{2d} x S_d, with representatives,
     sizes, stabilizers, and tree-shape triples.
 
@@ -222,7 +251,7 @@ def orbit_decomposition(pset: PartitionSet, with_stabilizers: bool = True) -> Or
     representatives' code order.  Known labeled representatives from the
     catalog are attached as aliases when they land in an orbit.
     """
-    roots = _orbit_roots(pset)
+    roots, stabilizers = _orbit_kernel(pset)
     root_ids, counts = np.unique(roots, return_counts=True)
     alias: dict[int, list[int]] = {}
     if pset.d == 3 and pset.cycle_free:
@@ -231,15 +260,14 @@ def orbit_decomposition(pset: PartitionSet, with_stabilizers: bool = True) -> Or
             if p in pset:  # a reference outside the set is match_catalog's finding
                 alias.setdefault(int(roots[pset.index_of(p)]), []).append(cid)
     entries = []
-    for oid, (root, size) in enumerate(zip(root_ids, counts)):
+    for oid, (root, size, stab) in enumerate(zip(root_ids, counts, stabilizers)):
         rep = pset.partition(int(root))
-        stab = stabilizer(rep) if with_stabilizers else None
         entries.append(
             OrbitEntry(
                 orbit_id=oid,
                 representative=rep,
                 size=int(size),
-                stabilizer_order=len(stab) if stab is not None else 0,
+                stabilizer_order=len(stab),
                 type_triple=tuple(classify_tree(cls) for cls in rep.color_classes())
                 if pset.n == 6
                 else (),
@@ -335,17 +363,9 @@ def _parity_form_check(table: SignatureTable, refs, character) -> EpsilonFormula
     reported in (sigma, tau, reference) order, the first five of them.
     """
     pset = table.pset
-    perms, maps = _all_edge_maps(pset.n)
-    taus = tuple(permutations(range(1, pset.d + 1)))
-    tau_maps = np.array(taus, dtype=np.uint8) - 1
+    perms, taus = _all_edge_maps(pset.n)[0], _color_perms(pset.d)
     base = np.array([r.colors for r in refs], dtype=np.uint8)
-    # moved[t, i, s] is the color sequence of (sigma_s, tau_t) * refs[i]
-    moved = tau_maps[:, base[:, maps]]
-    codes = np.zeros(moved.shape[:-1], dtype=np.int64)
-    for k in range(moved.shape[-1]):  # Horner's rule, as PartitionSet: no int64 copy of moved
-        codes *= pset.d
-        codes += moved[..., k]
-    codes = codes.transpose(2, 0, 1)  # (sigma, tau, reference)
+    codes = _image_codes(base, pset.n, pset.d).transpose(1, 2, 0)  # (sigma, tau, reference)
     pos = np.minimum(np.searchsorted(pset.codes, codes), len(pset) - 1)
     got = np.where(pset.codes[pos] == codes, table.signs[pos], 0)
     sigma_signs = np.array([perm_sign(s) for s in perms])

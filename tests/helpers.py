@@ -7,18 +7,20 @@ only use numpy RNGs and fractions.
 
 The last section keeps the library's earlier algorithms, replaced by
 faster kernels, as reference implementations: the depth-first
-enumeration, the union-find orbit closure, the pair-by-pair stabilizer
-loop, the enumerative determinant (one product per member partition),
-the decision-diagram pass one color at a time (per level a gather, a
-product and an add for each color), the relation sweeps over a dense
-code-indexed sign table (full mode with precomputed context digit
-columns, and sampled mode), the full relation sweep over the face groups
-(sorted by np.lexsort) and the sampled one that looks up every term, the
-face sweep over all candidate recolorings, the min-label hooking
-components kernel and the two-coloring read off it on the parity double
-cover of the flip graph, the sampled check of the d = 3 parity form, the
-acyclic-subset table filled one mask at a time, and Miller-Rabin with
-all 13 prime bases up to 41 for every number.
+enumeration and the numpy one that grows all admissible edge prefixes,
+the union-find orbit closure and the breadth-first one over the
+generator images, the pair-by-pair stabilizer loop, the enumerative
+determinant (one product per member partition), the decision-diagram
+pass one color at a time (per level a gather, a product and an add for
+each color), the relation sweeps over a dense code-indexed sign table
+(full mode with precomputed context digit columns, and sampled mode),
+the full relation sweep over the face groups (sorted by np.lexsort) and
+the sampled one that looks up every term, the face sweep over all
+candidate recolorings, the min-label hooking components kernel and the
+two-coloring read off it on the parity double cover of the flip graph,
+the sampled check of the d = 3 parity form, the acyclic-subset table
+filled one mask at a time, and Miller-Rabin with all 13 prime bases up
+to 41 for every number.
 """
 
 import math
@@ -186,6 +188,66 @@ def dfs_blob(d, cycle_free):
 
     rec(0)
     return b"".join(out)
+
+
+def prefix_enumeration(d, cycle_free):
+    """The (N, E) color array of the set, grown one edge at a time as all
+    admissible prefixes: each prefix is extended by the colors 0..d-1 in
+    order while the color is under its budget and, in cycle-free mode,
+    its edge bitmask stays acyclic, so the rows come out code-sorted."""
+    from treedet.model import acyclic_mask_table, edge_count
+
+    n = 2 * d
+    E = edge_count(n)
+    budget = 2 * d - 1
+    acyc = acyclic_mask_table(n) if cycle_free else None
+    colors = np.zeros((1, E), dtype=np.uint8)
+    counts = np.zeros((1, d), dtype=np.uint8)  # edges per color so far
+    masks = np.zeros((1, d), dtype=np.int64)  # edge bitmask per color so far
+    for k in range(E):
+        ok = counts < budget
+        if cycle_free:
+            ok &= acyc[masks | (1 << k)]
+        # row-major order: prefix first, then color, so rows stay code-sorted
+        rows, new = np.nonzero(ok)
+        colors = colors[rows]
+        colors[:, k] = new
+        at = (np.arange(len(rows)), new)
+        counts = counts[rows]
+        counts[at] += 1
+        if cycle_free:
+            masks = masks[rows]
+            masks[at] |= 1 << k
+    return colors
+
+
+def generator_bfs_orbit_roots(pset):
+    """Minimal member index of each orbit, by the breadth-first search of
+    flips.bfs_levels over the adjacent transpositions of both factors.
+    Raises OrbitClosureError on the first generator image that is not a
+    member."""
+    from treedet.flips import bfs_levels
+    from treedet.model import EdgePartition
+    from treedet.symmetry import OrbitClosureError, vertex_perm_edge_map
+
+    n, d = pset.n, pset.d
+
+    def images():
+        for a in range(1, n):
+            sigma = (*range(1, a), a + 1, a, *range(a + 2, n + 1))
+            yield pset.colors[:, vertex_perm_edge_map(sigma, n)]
+        for a in range(d - 1):
+            yield np.array([*range(a), a + 1, a, *range(a + 2, d)], dtype=np.uint8)[pset.colors]
+
+    neighbor_maps = []
+    for moved in images():
+        moved_codes = moved.astype(np.int64) @ pset.weights
+        idx = np.searchsorted(pset.codes, moved_codes)
+        missing = np.flatnonzero(np.append(pset.codes, -1)[idx] != moved_codes)
+        if missing.size:
+            raise OrbitClosureError(EdgePartition(d, n, tuple(int(c) for c in moved[missing[0]])))
+        neighbor_maps.append(idx.astype(np.int32))
+    return bfs_levels(np.stack(neighbor_maps, axis=1))[0]
 
 
 def union_find_orbit_roots(pset):

@@ -133,7 +133,11 @@ def test_rank_command(capsys):
     assert code == 2
 
 
-def test_orbits_csv(capsys, tmp_path):
+def test_orbits_csv(capsys, tmp_path, monkeypatch):
+    import treedet.cli
+
+    # the orbit table needs only the set: no flip graph, signature or diagram
+    monkeypatch.setattr(treedet.cli, "standard_context", None)
     csv_path = tmp_path / "orbits.csv"
     code, out, _ = run(capsys, ["orbits", "--d", "2", "--out", str(csv_path)])
     assert code == 0
@@ -386,7 +390,7 @@ def test_parity_form_with_a_missing_orbit_is_a_failed_certificate(capsys, monkey
     from treedet.symmetry import orbit_decomposition
 
     ctx3 = standard_context(3)
-    orbits = orbit_decomposition(ctx3.pset, with_stabilizers=False)
+    orbits = orbit_decomposition(ctx3.pset)
     keep = orbits.roots != orbits.roots[ctx3.pset.index_of(catalog.reference_partition(19))]
     pset = PartitionSet(3, 6, ctx3.pset.colors[keep], cycle_free=True)
     short = Context(pset, ctx3.graph, SignatureTable(pset, ctx3.signature.signs[keep]))
@@ -418,8 +422,6 @@ def test_enumerate_d4_is_refused_before_enumerating(capsys, monkeypatch, extra):
 @pytest.mark.parametrize("dropped", [0, 5, 11])
 def test_orbits_of_a_set_missing_a_member_is_a_failed_certificate(capsys, monkeypatch, dropped):
     # exit 0 with one orbit of 11 (members 0 and 5) or exit 3 (member 11) before
-    from types import SimpleNamespace
-
     import numpy as np
 
     import treedet.cli
@@ -428,7 +430,7 @@ def test_orbits_of_a_set_missing_a_member_is_a_failed_certificate(capsys, monkey
 
     full = standard_context(2).pset
     pset = PartitionSet(2, 4, full.colors[np.arange(len(full)) != dropped], cycle_free=True)
-    monkeypatch.setattr(treedet.cli, "standard_context", lambda d: SimpleNamespace(pset=pset))
+    monkeypatch.setattr(treedet.cli, "enumerate_partitions", lambda d, cycle_free: pset)
     code, out, err = run(capsys, ["orbits", "--d", "2"])
     assert code == 1 and err == ""
     cert = json.loads(out)

@@ -72,7 +72,10 @@ def test_budget_count_at_d4_is_the_multinomial():
 @pytest.mark.parametrize("cycle_free", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_level_expansion_is_byte_equal_to_dfs(d, cycle_free, set3_all):
+    # the class-choosing enumeration against both earlier ones: the
+    # prefix-growing level expansion and the depth-first scan
     pset = set3_all if (d, cycle_free) == (3, False) else enumerate_partitions(d, cycle_free)
+    assert pset.colors.tobytes() == helpers.prefix_enumeration(d, cycle_free).tobytes()
     assert pset.colors.tobytes() == helpers.dfs_blob(d, cycle_free)
 
 

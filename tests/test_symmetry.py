@@ -18,9 +18,10 @@ from treedet.symmetry import (
     group_elements,
     match_catalog,
     orbit_decomposition,
-    _orbit_roots,
     perm_sign,
     stabilizer,
+    vertex_perm_edge_map,
+    _all_edge_maps,
 )
 
 from test_model import FIG_GOOD
@@ -104,11 +105,31 @@ def test_broadcast_stabilizer_equals_the_pair_loop():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_orbit_roots_equal_union_find(d, ctx3):
+def test_orbit_roots_equal_union_find(d, ctx3, orbits3):
     from treedet.context import standard_context
 
     pset = ctx3.pset if d == 3 else standard_context(d).pset
-    assert np.array_equal(_orbit_roots(pset), helpers.union_find_orbit_roots(pset))
+    roots = orbits3.roots if d == 3 else orbit_decomposition(pset).roots
+    assert roots.dtype == np.int32
+    assert np.array_equal(roots, helpers.union_find_orbit_roots(pset))
+    assert np.array_equal(roots, helpers.generator_bfs_orbit_roots(pset))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_entry_stabilizers_equal_the_pair_loop(d, orbits3):
+    from treedet.context import standard_context
+
+    table = orbits3 if d == 3 else orbit_decomposition(standard_context(d).pset)
+    for entry in table.entries:
+        assert entry.stabilizer == helpers.loop_stabilizer(entry.representative)
+        assert entry.stabilizer_order == len(entry.stabilizer)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_edge_map_table_equals_the_per_permutation_maps(n):
+    perms, maps = _all_edge_maps(n)
+    assert perms == tuple(permutations(range(1, n + 1)))
+    assert np.array_equal(maps, np.stack([vertex_perm_edge_map(p, n) for p in perms]))
 
 
 def test_specific_stabilizer_orders():
@@ -251,6 +272,17 @@ def test_a_set_missing_a_member_is_not_closed(dropped, ctx2):
     assert str(err.value.image.canonical_code()) in str(err.value)
 
 
+@pytest.mark.parametrize("dropped", [0, 40000, 66239])
+def test_a_d3_set_missing_a_member_is_not_closed(dropped, ctx3):
+    from treedet.enumeration import PartitionSet
+
+    keep = np.arange(len(ctx3.pset)) != dropped
+    pset = PartitionSet(3, 6, ctx3.pset.colors[keep], cycle_free=True)
+    with pytest.raises(OrbitClosureError) as err:
+        orbit_decomposition(pset)
+    assert err.value.image == ctx3.pset.partition(dropped)
+
+
 def test_match_catalog_reads_stabilizer_orders_from_the_entries(ctx3, monkeypatch):
     import treedet.symmetry
 
@@ -258,6 +290,6 @@ def test_match_catalog_reads_stabilizer_orders_from_the_entries(ctx3, monkeypatc
     real = treedet.symmetry.stabilizer
     monkeypatch.setattr(treedet.symmetry, "stabilizer", lambda p: calls.append(p) or real(p))
     table = orbit_decomposition(ctx3.pset)
-    assert match_catalog(table).ok and len(calls) == 19  # one per orbit, none per reference
+    assert match_catalog(table).ok and len(calls) == 0  # the orbit kernel yields them
     monkeypatch.setitem(catalog.EXPECTED_STABILIZER_ORDERS, 2, 7)
     assert match_catalog(table).mismatches == ["reference 2: stabilizer order 6 != 7"]
