@@ -15,14 +15,15 @@ member reaches.
 
 det_eval walks the signature table's reduced decision diagram (see
 diagram.py) bottom-up in one flat pass.  Each edge vector is scaled to
-integers by its common denominator and, over GF(p) for a prime p > 3,
-taken to balanced residues in (-p/2, p/2].  The product over edges of
-each vector's absolute coordinate sum (at least 1, so a zero vector
-cannot hide a huge neighbour) bounds every value of the integer pass,
-which runs in float64 below 2^53, int64 below 2^63 and Python ints
-above, over both fields: the form has integer coefficients, so one
-reduction of the root mod p is exact.  Past 2^63 GF(p) runs the mod-p
-pass instead, in int64 for p below about 9 * 10^11 at d = 3.  Every
+integers by the lcm of its denominators, and, over GF(p) for a prime
+p > 3, taken to balanced residues in (-p/2, p/2].  The product over the
+edges from level k down of each vector's absolute coordinate sum (at
+least 1, so a zero vector cannot hide a huge neighbour) bounds every
+value of that level, and each level runs in the cheapest exact dtype
+its own bound allows: float64 below 2^53, int64 below 2^63, and above
+that Python ints over Q, or over GF(p) the mod-p pass (in int64 for p
+below about 9 * 10^11 at d = 3).  The form has integer coefficients, so
+a root reached without the mod-p pass is reduced mod p once.  Every
 result is exact.
 """
 
@@ -36,7 +37,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .diagram import exact_dtype, modp_dtype
 from .enumeration import PartitionSet
 from .flips import FlipGraph, SignatureTable, group_keys, sorted_face_keys
 from .model import (
@@ -223,30 +223,27 @@ def det_eval(
     over all edges, of the edge vector's coordinate selected by the
     edge's color.  Exact over the rationals (Fraction result) or over
     GF(p) (int result) for a prime p > 3.  The sum is one bottom-up pass
-    over the table's decision diagram, in float64, int64 or Python ints
-    as the product bound that the module docstring states allows.
+    over the table's decision diagram, each level in float64, int64,
+    Python ints or residues mod p as its suffix bound allows (see the
+    module docstring and SignedDiagram.evaluate).
     """
     d, n = pset.d, pset.n
     _check_table(pset, table)
     flat = _scalars(vectors, d, n)
-    nums, den = [x.numerator for x in flat], 1
-    if [x.denominator for x in flat].count(1) < len(flat):  # clear each edge's denominators
-        for i in range(0, len(flat), d):
-            lcm = math.lcm(*(x.denominator for x in flat[i : i + d]))
-            nums[i : i + d] = [x.numerator * (lcm // x.denominator) for x in flat[i : i + d]]
-            den *= lcm
-    if p is not None:
-        validate_prime(p)
-        h = p // 2
-        nums = [(x + h) % p - h for x in nums]
-    bound = math.prod(s or 1 for s in map(sum, zip(*[map(abs, nums)] * d)))
+    nums, dens, den = [x.numerator for x in flat], [x.denominator for x in flat], 1
+    if dens.count(1) < len(dens):  # clear each edge's denominators
+        lcms = list(map(math.lcm, *[iter(dens)] * d))
+        nums = [x * (lcms[i // d] // y) for i, (x, y) in enumerate(zip(nums, dens))]
+        den = math.prod(lcms)
     if p is None:
-        return Fraction(int(table.diagram.evaluate(nums, exact_dtype(bound))), den)
+        return Fraction(int(table.diagram.evaluate(nums)), den)
+    validate_prime(p)
     if den % p == 0:
         raise ValueError(f"a denominator of the tensor vanishes mod {p}")
-    # below 2^63 the integer pass is exact, and the form has integer coefficients
-    dtype_p = (exact_dtype(bound), None) if bound < 2 ** 63 else (modp_dtype(d, p), p)
-    return int(table.diagram.evaluate(nums, *dtype_p)) * pow(den, -1, p) % p
+    h = p // 2
+    nums = [(x + h) % p - h for x in nums]
+    # the form has integer coefficients, so any value congruent mod p will do
+    return int(table.diagram.evaluate(nums, p)) * pow(den, -1, p) % p
 
 
 # The twelve monomials of the d = 2 determinant in expanded form, written

@@ -79,6 +79,27 @@ def _partition_line(p: EdgePartition) -> str:
     return json.dumps(p.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
+_LINE_CHUNK = 1 << 16  # rows formatted per block
+
+
+def _partition_lines(pset):
+    """The _partition_line of every member, newline-terminated, formatted
+    in blocks of rows from the color array: every color is one digit,
+    since enumeration stops at d = 3."""
+    head = b'{"colors":['
+    tail = f'],"d":{pset.d},"n":{pset.n}}}\n'.encode()
+    E = pset.colors.shape[1]
+    body = slice(len(head), len(head) + 2 * E - 1)
+    for start in range(0, len(pset), _LINE_CHUNK):
+        colors = pset.colors[start : start + _LINE_CHUNK]
+        rows = np.empty((len(colors), body.stop + len(tail)), dtype=np.uint8)
+        rows[:, : body.start] = np.frombuffer(head, dtype=np.uint8)
+        rows[:, body][:, 0::2] = colors + ord("0")
+        rows[:, body][:, 1::2] = ord(",")
+        rows[:, body.stop :] = np.frombuffer(tail, dtype=np.uint8)
+        yield rows.tobytes().decode("ascii")
+
+
 # --------------------------------------------------------------------------
 # witness lists, shared by the standalone commands and certify-all; each is
 # empty exactly when its check passed
@@ -131,11 +152,10 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         print(len(pset))
         return EXIT_OK
-    lines = (_partition_line(p) for p in pset)
+    lines = _partition_lines(pset)
     if args.out:
         with open(args.out, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(lines)
         _emit(
             _certificate(
                 "enumerate",
@@ -147,8 +167,7 @@ def cmd_enumerate(args) -> int:
             )
         )
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(lines)
     return EXIT_OK
 
 

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 
@@ -195,34 +196,77 @@ def test_diagram_sizes(ctx2, ctx3):
 
 # the last prime whose d = 3 mod-p pass runs in int64 (split), and the next one
 LAST_INT64_PRIME, FIRST_OBJECT_PRIME = 897747452029, 897747452117
+PRIMES = (101, 2147483647, 3037000493, 4294967311, LAST_INT64_PRIME, FIRST_OBJECT_PRIME)
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The (dtype, levels, p) of every run of diagram levels, in call order."""
+    from treedet.diagram import SignedDiagram
+
+    seen, run = [], SignedDiagram._run
+
+    def spy(self, val, passes, coeffs, p=None):
+        seen.append((val.dtype, len(passes), p))
+        return run(self, val, passes, coeffs, p)
+
+    monkeypatch.setattr(SignedDiagram, "_run", spy)
+    return seen
+
+
+def level_runs(counts, p=None, top=object):
+    """The runs of (float64, int64, top) levels that counts gives, the top
+    run being the mod-p pass when p is given."""
+    kinds = (np.float64, None), (np.int64, None), (top, p)
+    return [(dtype, n, q) for (dtype, q), n in zip(kinds, counts) if n]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_flat_pass_equals_level_pass_oracle(d):
+def test_flat_pass_equals_level_pass_oracle(d, runs):
     from treedet.context import standard_context
     from treedet.diagram import modp_dtype
 
     diagram = standard_context(d).signature.diagram
     E = len(diagram.levels)
     rng = np.random.default_rng(40 + d)
+    reached = set()
     for _ in range(4):
-        small = rng.integers(-6, 7, size=(E, d)).tolist()  # bound 18^15 < 2^63
-        expected = helpers.level_pass_evaluate(diagram, small, np.int64)
-        assert diagram.evaluate(small, np.int64) == expected
-        assert diagram.evaluate(small, object) == expected
-        tiny = rng.integers(-3, 4, size=(E, d)).tolist()  # bound 9^15 < 2^53
-        expected = helpers.level_pass_evaluate(diagram, tiny, np.int64)
-        assert diagram.evaluate(tiny, np.float64) == expected
-        huge = [[x * 10 ** 30 + 7 for x in row] for row in small]
-        assert diagram.evaluate(huge, object) == helpers.level_pass_evaluate(diagram, huge, object)
-        for p in (101, 2147483647, 3037000493, 4294967311, LAST_INT64_PRIME, FIRST_OBJECT_PRIME):
-            residues = [[int(x) for x in rng.integers(0, p, size=d)] for _ in range(E)]
+        tiny = rng.integers(-3, 4, size=E * d).tolist()  # bound 9^15 < 2^53
+        small = rng.integers(-6, 7, size=E * d).tolist()  # bound 18^15 < 2^63
+        huge = [x * 10 ** 30 + 7 for x in small]  # every level past 2^63
+        top_heavy = [10 ** 30] * d + small[d:]  # the root's level alone past 2^63
+        bottom_heavy = small[:-d] + [2 ** 60 + 1] + [0] * (d - 1)  # no float64 level
+        for coeffs, oracle_dtype in (
+            (tiny, np.int64),
+            (small, np.int64),
+            (huge, object),
+            (top_heavy, object),
+            (bottom_heavy, object),
+        ):
+            runs.clear()
+            rows = np.reshape(coeffs, (E, d))
+            expected = helpers.level_pass_evaluate(diagram, rows, oracle_dtype)
+            assert diagram.evaluate(coeffs) == expected
+            reached.update((dtype, q) for dtype, _, q in runs)
+            assert sum(n for _, n, _ in runs) == E
+        for p in PRIMES:
+            residues = [int(x) for x in rng.integers(0, p, size=E * d)]
             h = p // 2
-            balanced = [[(x + h) % p - h for x in row] for row in residues]
+            balanced = [(x + h) % p - h for x in residues]
             oracle_dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
-            expected = helpers.level_pass_evaluate(diagram, residues, oracle_dtype, p)
-            value = int(diagram.evaluate(balanced, modp_dtype(d, p), p))
-            assert -h <= value <= h and value % p == expected
+            rows = np.reshape(residues, (E, d))
+            expected = helpers.level_pass_evaluate(diagram, rows, oracle_dtype, p)
+            runs.clear()
+            value = int(diagram.evaluate(balanced, p))
+            assert value % p == expected
+            # at d = 3 full residues pass 2^63 for every prime, at d = 2 above 101
+            if d == 3 or (d == 2 and p > 101):
+                assert runs[-1][::2] == (modp_dtype(d, p), p) and -h <= value <= h
+            reached.update((dtype, q) for dtype, _, q in runs)
+    kinds = {(np.dtype(dtype), None) for dtype in (np.float64, np.int64, object)}
+    if d == 3:  # the mod-p pass unsplit, split into 16-bit halves, and in Python ints
+        kinds.update((np.dtype(modp_dtype(d, p)), p) for p in PRIMES)
+    assert reached >= kinds
 
 
 @pytest.mark.parametrize("p", [101, 2147483647, 4294967311])
@@ -240,26 +284,13 @@ def test_gfp_balanced_residue_edges(ctx2, ctx3, p):
             assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == helpers.residue(rational, p)
 
 
-@pytest.fixture
-def passes(monkeypatch):
-    """The (dtype, p) of every diagram pass, in call order."""
-    from treedet.diagram import SignedDiagram
+def test_gfp_pass_is_picked_by_the_bound(ctx3, runs):
+    from treedet.diagram import modp_dtype
 
-    seen, evaluate = [], SignedDiagram.evaluate
-
-    def spy(self, coeffs, dtype, p=None):
-        seen.append((dtype, p))
-        return evaluate(self, coeffs, dtype, p)
-
-    monkeypatch.setattr(SignedDiagram, "evaluate", spy)
-    return seen
-
-
-def test_gfp_pass_is_picked_by_the_bound(ctx3, passes):
     rng = np.random.default_rng(9)
     small = helpers.rand_int_tensor(rng, 3, lo=-2, hi=2)
     det_eval(small, ctx3.pset, ctx3.signature, p=2147483647)
-    assert passes.pop() == (np.float64, None)  # the integer pass, reduced once at the root
+    assert runs.pop() == (np.float64, 15, None)  # the integer pass, reduced once at the root
     for p, dtype in (
         (101, np.int64),
         (2147483647, np.int64),
@@ -267,37 +298,53 @@ def test_gfp_pass_is_picked_by_the_bound(ctx3, passes):
         (LAST_INT64_PRIME, np.int64),
         (FIRST_OBJECT_PRIME, object),
     ):
+        assert modp_dtype(3, p) == dtype
         full = [[int(x) for x in rng.integers(p // 4 + 1, p - p // 4, size=3)] for _ in range(15)]
         rational = det_eval(full, ctx3.pset, ctx3.signature)
+        runs.clear()
         assert det_eval(full, ctx3.pset, ctx3.signature, p=p) == helpers.residue(rational, p)
-        assert passes.pop() == (dtype, p)
+        # the integer levels below the mod-p pass, then the mod-p pass up to the root
+        assert [q for _, _, q in runs] == [None] * (len(runs) - 1) + [p]
+        assert runs[-1][0] == dtype and sum(n for _, n, _ in runs) == 15
 
 
 def scaled_generator(d, scales):
     """The generator with edge vector e times scales[e]; its value and its
-    product bound are both the product of the scales."""
+    product bound are both the product of the scales, and every node on
+    its path through the diagram is a suffix product of the scales."""
     return [[x * r for x in vec] for vec, r in zip(unit_tensor(d), scales)]
 
 
 @pytest.mark.parametrize(
-    "scales, dtype",
+    "scales, over_q, over_gfp",
     [
-        ([11] * 14 + [23], np.float64),  # 8.7e15, just below 2^53
-        ([11] * 14 + [25], np.int64),  # odd in (2^53, 2^54): float64 would round it
-        ([11] * 14 + [24287], np.int64),  # odd, just below 2^63
-        ([21] * 15, object),  # past 2^63
+        # (float64, int64, top) levels; edge 14 is the bottom level
+        ([11] * 14 + [23], (15, 0, 0), (15, 0, 0)),  # 8.7e15, just below 2^53
+        ([11] * 14 + [25], (14, 1, 0), (14, 1, 0)),  # odd in (2^53, 2^54): float64 would round it
+        ([11] * 14 + [24287], (12, 3, 0), (12, 3, 0)),  # odd, just below 2^63
+        ([21] * 15, (12, 2, 1), (12, 2, 1)),  # past 2^63 at the root only
+        ([2 ** 62 + 1] * 2 + [3] * 13, (13, 0, 2), (14, 0, 1)),  # large scales on the top edges
+        ([3] * 13 + [2 ** 30 + 1] * 2, (1, 2, 12), (1, 2, 12)),  # large scales on the bottom edges
+        ([1] * 14 + [2 ** 53 + 1], (0, 15, 0), (15, 0, 0)),  # the bottom level past 2^53
+        ([1] * 14 + [2 ** 63 + 1], (0, 0, 15), (15, 0, 0)),  # the bottom level past 2^63
+    ],
+    # each case is named by the dtype of the root's level over Q
+    ids=[
+        f"scales{i}-{top}"
+        for i, top in enumerate("float64 int64 int64 object object object int64 object".split())
     ],
 )
-def test_scaled_generator_takes_the_cheapest_exact_pass(ctx3, passes, scales, dtype):
-    value = int(np.prod(scales, dtype=object))
+def test_scaled_generator_takes_the_cheapest_exact_pass(ctx3, runs, scales, over_q, over_gfp):
+    value = math.prod(scales)
     assert value % 2 == 1 and value == helpers.enumerative_det_eval(
         scaled_generator(3, scales), ctx3.pset, ctx3.signature
     )
     assert det_eval(scaled_generator(3, scales), ctx3.pset, ctx3.signature) == value
-    assert passes.pop() == (dtype, None)
-    p = 4294967311  # over GF(p) the bound passes 2^63 only for the last case
+    assert runs == level_runs(over_q)
+    runs.clear()
+    p = 4294967311  # the mod-p pass is split into 16-bit halves
     assert det_eval(scaled_generator(3, scales), ctx3.pset, ctx3.signature, p=p) == value % p
-    assert passes.pop() == ((dtype, None) if dtype is not object else (np.int64, p))
+    assert runs == level_runs(over_gfp, p, np.int64)
 
 
 def test_det2_explicit_examples(ctx2):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from treedet.cli import main
@@ -42,6 +43,34 @@ def test_enumerate_stream_and_guard(capsys):
     assert code == 0 and json.loads(out.strip()) == {"colors": [0], "d": 1, "n": 2}
     code, _, err = run(capsys, ["enumerate", "--d", "4", "--count-only"])
     assert code == 2 and "infeasible" in err
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("cycle_free", [False, True], ids=["homogeneous", "cycle-free"])
+def test_enumerate_lines_equal_partition_line(capsys, tmp_path, d, cycle_free):
+    from treedet.cli import _partition_line
+    from treedet.enumeration import enumerate_partitions
+
+    pset = enumerate_partitions(d, cycle_free=cycle_free)
+    flags = ["enumerate", "--d", str(d)] + (["--cycle-free"] if cycle_free else [])
+    code, out, _ = run(capsys, flags)
+    assert code == 0
+    out_file = tmp_path / "parts.jsonl"
+    code, cert, _ = run(capsys, flags + ["--out", str(out_file)])
+    assert code == 0 and json.loads(cert)["numbers"]["count"] == len(pset)
+    assert out_file.read_bytes() == out.encode()
+    lines = out.split("\n")
+    assert lines.pop() == "" and len(lines) == len(pset)
+    # every row, but a stride of the 756756 homogeneous rows at d = 3
+    step = 1 if len(pset) < 10 ** 5 else 37
+    for i in [*range(0, len(pset), step), len(pset) - 1]:
+        assert lines[i] == _partition_line(pset.partition(i))
+    # the strided-out rows: same length, and their colors read back
+    width = len(lines[0])
+    assert {len(line) for line in lines} == {width}
+    body = np.frombuffer(out.encode(), dtype=np.uint8).reshape(len(pset), width + 1)
+    start, stop = len('{"colors":['), width - len(f'],"d":{d},"n":{2 * d}}}')
+    assert np.array_equal(body[:, start:stop:2] - ord("0"), pset.colors)
 
 
 def test_flip_roundtrip(capsys, tmp_path):

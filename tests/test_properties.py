@@ -1,6 +1,7 @@
 """Property tests: the diagram determinant against the enumerative oracle
 (also with product bounds on both sides of the float64 and int64
-limits), GF(p) against the rational residue (small entries, and
+limits), each level's dtype run against the whole-diagram oracles over
+Q and GF(p), GF(p) against the rational residue (small entries, and
 full-size residues that force the mod-p pass), validate_prime against
 Miller-Rabin with all 13 bases, and `det --input` on arbitrary JSON."""
 
@@ -12,6 +13,7 @@ import os
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -80,6 +82,34 @@ def test_diagram_equals_enumerative_oracle_across_the_dtype_limits(limit, data):
     assert det_eval(vectors, ctx.pset, ctx.signature) == expected
     p = 4294967311
     assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == expected % p
+
+
+# the primes of test_flat_pass_equals_level_pass_oracle: the mod-p pass
+# unsplit, split into 16-bit halves (the last two int64 primes at d = 3),
+# and in Python ints
+PRIMES = (101, 2147483647, 3037000493, 4294967311, 897747452029, 897747452117)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_level_runs_equal_the_whole_diagram_oracles(data):
+    # every edge row scaled by about 2^u for a drawn u in [0, 12], so the
+    # suffix bounds cross 2^53 and 2^63 at drawn levels, or never
+    nonzero = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+    rows = data.draw(st.lists(nonzero, min_size=15, max_size=15))
+    scale = st.integers(0, 12).flatmap(lambda u: st.integers(2 ** u, 2 ** (u + 1) - 1))
+    scales = data.draw(st.lists(scale, min_size=15, max_size=15))
+    vectors = [[x * r for x in row] for row, r in zip(rows, scales)]
+    ctx = standard_context(3)
+    diagram = ctx.signature.diagram
+    value = det_eval(vectors, ctx.pset, ctx.signature)
+    assert value == helpers.enumerative_det_eval(vectors, ctx.pset, ctx.signature)
+    assert value == helpers.level_pass_evaluate(diagram, vectors, object)
+    for p in PRIMES:
+        residues = [[x % p for x in row] for row in vectors]
+        oracle_dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
+        expected = helpers.level_pass_evaluate(diagram, residues, oracle_dtype, p)
+        assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == expected
 
 
 @settings(max_examples=300, deadline=None)
