@@ -345,6 +345,15 @@ def count_relation_instances(d: int) -> int:
     return n_faces * n_multisets * d ** (edge_count(n) - 3)
 
 
+def _sample_rng(sample: int, seed: Optional[int]) -> np.random.Generator:
+    """The seeded generator of a sampled mode, which draws at least once."""
+    if sample < 1:
+        raise ValueError(f"sampled mode needs a sample of at least 1, got {sample}")
+    if seed is None:
+        raise ValueError("sampled mode needs an explicit seed")
+    return np.random.default_rng(seed)
+
+
 def relation_instances(
     d: int, *, sample: Optional[int] = None, seed: Optional[int] = None
 ) -> Iterable[RelationInstance]:
@@ -363,9 +372,7 @@ def relation_instances(
                 for ctx in product(range(d), repeat=E - 3):
                     yield RelationInstance(d, n, face, ms, ctx)
         return
-    if seed is None:
-        raise ValueError("sampled mode needs an explicit seed")
-    rng = np.random.default_rng(seed)
+    rng = _sample_rng(sample, seed)
     faces = faces_of(n)
     for _ in range(sample):
         face = faces[int(rng.integers(len(faces)))]
@@ -431,9 +438,7 @@ def verify_relations(
                     witnesses.append(RelationInstance(d, n, face, ms_r, ctx_r))
         return RelationReport(count_relation_instances(d), violations, witnesses, mode="full")
 
-    if seed is None:
-        raise ValueError("sampled mode needs an explicit seed")
-    rng = np.random.default_rng(seed)
+    rng = _sample_rng(sample, seed)
     face_idx = rng.integers(0, len(faces), size=sample)
     ms_idx = rng.integers(0, len(multisets), size=sample)
     ctx_int = rng.integers(0, d ** (E - 3), size=sample, dtype=np.int64)

@@ -1,10 +1,15 @@
 """Command-line interface: every operation, machine-readable certificates.
 
 Each verifying subcommand prints a JSON certificate with stable key
-order.  Exit codes: 0 all checks passed, 1 a mathematical certificate
-failed (including a flip-uniqueness violation and a set that is not
-closed under relabeling), 2 bad input or usage,
-3 an internal error (any other exception, reported on one stderr line).
+order.  A certificate's outcome is "fail" exactly when its witness list
+is non-empty.  Its wall_time_s times its own stage: from the start of
+the command, or in certify-all from the print of the previous stage's
+certificate.  Exit codes: 0 all checks passed, 1 a mathematical
+certificate failed (including a flip-uniqueness violation and a set that
+is not closed under relabeling), 2 bad input or usage (among them a
+--sample or --sample-relations below 1, a sample without --seed, and
+enumerate --count-only with --out), 3 an internal error (any other
+exception, reported on one stderr line).
 
 Only sampled modes draw random numbers: verify-relations --sample and
 certify-all --sample-relations read the --seed, which certify-all always
@@ -43,20 +48,20 @@ PASS, FAIL = "pass", "fail"
 EXIT_OK, EXIT_CERT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
 
 
-def _certificate(command, parameters, outcome, numbers, witnesses, t0) -> dict:
-    return {
+def _emit(command, parameters, numbers, witnesses, t0) -> int:
+    """Print one certificate, timed from t0; it fails exactly when it
+    carries a witness, and the exit code says which."""
+    cert = {
         "command": command,
         "library_version": __version__,
         "numbers": numbers,
-        "outcome": outcome,
+        "outcome": FAIL if witnesses else PASS,
         "parameters": parameters,
         "wall_time_s": round(time.perf_counter() - t0, 3),
         "witnesses": witnesses,
     }
-
-
-def _emit(cert: dict):
     print(json.dumps(cert, sort_keys=True))
+    return EXIT_CERT_FAIL if witnesses else EXIT_OK
 
 
 def _load_partition(path: str) -> EdgePartition:
@@ -156,18 +161,9 @@ def cmd_enumerate(args) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(lines)
-        _emit(
-            _certificate(
-                "enumerate",
-                {"d": args.d, "cycle_free": args.cycle_free, "out": args.out},
-                PASS,
-                {"count": len(pset)},
-                [],
-                t0,
-            )
-        )
-    else:
-        sys.stdout.writelines(lines)
+        parameters = {"d": args.d, "cycle_free": args.cycle_free, "out": args.out}
+        return _emit("enumerate", parameters, {"count": len(pset)}, [], t0)
+    sys.stdout.writelines(lines)
     return EXIT_OK
 
 
@@ -220,18 +216,8 @@ def cmd_flip_graph(args) -> int:
         conn = check_connected(ctx.graph)
         numbers["components"] = conn.n_components
         numbers["dimension_upper_bound_certified"] = int(conn.transitive)
-    outcome = FAIL if witnesses else PASS
-    _emit(
-        _certificate(
-            "flip-graph",
-            {"d": args.d, "check": checks, "anchors": args.anchors},
-            outcome,
-            numbers,
-            witnesses,
-            t0,
-        )
-    )
-    return EXIT_OK if outcome == PASS else EXIT_CERT_FAIL
+    parameters = {"d": args.d, "check": checks, "anchors": args.anchors}
+    return _emit("flip-graph", parameters, numbers, witnesses, t0)
 
 
 def cmd_orbits(args) -> int:
@@ -252,24 +238,14 @@ def cmd_orbits(args) -> int:
                     [e.orbit_id, e.representative.canonical_code(), e.size, e.stabilizer_order]
                     + shapes
                 )
+    numbers = {
+        "orbits": len(table.entries),
+        "members": len(pset),
+        "orbit_stabilizer_identity": int(not identity),
+        "sizes_sum_to_members": int(sizes_ok),
+    }
     witnesses = identity + ([] if sizes_ok else [{"property": "orbit_sizes_sum_to_members"}])
-    outcome = FAIL if witnesses else PASS
-    _emit(
-        _certificate(
-            "orbits",
-            {"d": args.d, "out": args.out},
-            outcome,
-            {
-                "orbits": len(table.entries),
-                "members": len(pset),
-                "orbit_stabilizer_identity": int(not identity),
-                "sizes_sum_to_members": int(sizes_ok),
-            },
-            witnesses,
-            t0,
-        )
-    )
-    return EXIT_OK if outcome == PASS else EXIT_CERT_FAIL
+    return _emit("orbits", {"d": args.d, "out": args.out}, numbers, witnesses, t0)
 
 
 def cmd_verify_appendix(args) -> int:
@@ -278,24 +254,14 @@ def cmd_verify_appendix(args) -> int:
     table = symmetry.orbit_decomposition(ctx.pset)
     match = symmetry.match_catalog(table)
     eps = symmetry.epsilon_formula_check(ctx.signature)
+    numbers = {
+        "references_checked": match.checked,
+        "catalog_mismatches": len(match.mismatches),
+        "epsilon_samples": eps.samples,
+        "epsilon_violations": len(eps.violations),
+    }
     witnesses = _catalog_witnesses(match) + _epsilon_witnesses(eps)
-    outcome = FAIL if witnesses else PASS
-    _emit(
-        _certificate(
-            "verify-appendix",
-            {},
-            outcome,
-            {
-                "references_checked": match.checked,
-                "catalog_mismatches": len(match.mismatches),
-                "epsilon_samples": eps.samples,
-                "epsilon_violations": len(eps.violations),
-            },
-            witnesses,
-            t0,
-        )
-    )
-    return EXIT_OK if outcome == PASS else EXIT_CERT_FAIL
+    return _emit("verify-appendix", {}, numbers, witnesses, t0)
 
 
 def cmd_signature(args) -> int:
@@ -329,18 +295,13 @@ def cmd_verify_relations(args) -> int:
     report = algebra.verify_relations(
         ctx.graph, ctx.signature, sample=args.sample, seed=args.seed
     )
-    outcome = PASS if report.ok else FAIL
-    _emit(
-        _certificate(
-            "verify-relations",
-            {"d": args.d, "sample": args.sample, "seed": args.seed},
-            outcome,
-            {"instances_checked": report.instances_checked, "violations": report.violations},
-            _relation_witnesses(report),
-            t0,
-        )
+    return _emit(
+        "verify-relations",
+        {"d": args.d, "sample": args.sample, "seed": args.seed},
+        {"instances_checked": report.instances_checked, "violations": report.violations},
+        _relation_witnesses(report),
+        t0,
     )
-    return EXIT_OK if outcome == PASS else EXIT_CERT_FAIL
 
 
 def cmd_rank(args) -> int:
@@ -362,139 +323,77 @@ def cmd_emat(args) -> int:
 
 
 def cmd_certify_all(args) -> int:
-    failures = 0
-
-    def stage(cert: dict):
-        nonlocal failures
-        _emit(cert)
-        if cert["outcome"] != PASS:
-            failures += 1
-
     d = args.d
+    codes = []
     t0 = time.perf_counter()
+
+    def stage(name, numbers, witnesses, **parameters):
+        # each stage is timed from the previous certificate's print
+        nonlocal t0
+        codes.append(_emit(f"certify-all/{name}", {"d": d, **parameters}, numbers, witnesses, t0))
+        t0 = time.perf_counter()
+
     homogeneous = count_homogeneous(d)
     pset = enumerate_partitions(d, cycle_free=True)
     expected = {2: (20, 12), 3: (756756, 66240)}.get(d)
     counts_ok = expected is None or (homogeneous, len(pset)) == expected
     stage(
-        _certificate(
-            "certify-all/enumerate",
-            {"d": d},
-            PASS if counts_ok else FAIL,
-            {"homogeneous": homogeneous, "cycle_free": len(pset)},
-            [] if counts_ok else [{"property": "enumeration_counts", "expected": list(expected)}],
-            t0,
-        )
+        "enumerate",
+        {"homogeneous": homogeneous, "cycle_free": len(pset)},
+        [] if counts_ok else [{"property": "enumeration_counts", "expected": list(expected)}],
     )
 
-    t0 = time.perf_counter()
     ctx = standard_context(d, pset)
     soundness = verify_flip_soundness(ctx.graph)
-    stage(
-        _certificate(
-            "certify-all/flip-graph",
-            {"d": d},
-            PASS if soundness.ok else FAIL,
-            {
-                "flip_pairs_checked": soundness.pairs_checked,
-                "flips_changing_two_edges": soundness.diff_two,
-                "flips_changing_three_edges": soundness.diff_three,
-                "involution": int(soundness.involution_ok),
-            },
-            _soundness_witnesses(soundness),
-            t0,
-        )
-    )
+    numbers = {
+        "flip_pairs_checked": soundness.pairs_checked,
+        "flips_changing_two_edges": soundness.diff_two,
+        "flips_changing_three_edges": soundness.diff_three,
+        "involution": int(soundness.involution_ok),
+    }
+    stage("flip-graph", numbers, _soundness_witnesses(soundness))
 
-    t0 = time.perf_counter()
     plus, minus = ctx.signature.class_sizes()
-    witnesses = _alternation_witnesses(ctx.graph, ctx.signature)
     conn = check_connected(ctx.graph)
-    stage(
-        _certificate(
-            "certify-all/bipartite-connected",
-            {"d": d},
-            FAIL if witnesses else PASS,
-            {
-                "class_plus": plus,
-                "class_minus": minus,
-                "components": conn.n_components,
-                "dimension_upper_bound_certified": int(conn.transitive),
-            },
-            witnesses,
-            t0,
-        )
-    )
+    numbers = {
+        "class_plus": plus,
+        "class_minus": minus,
+        "components": conn.n_components,
+        "dimension_upper_bound_certified": int(conn.transitive),
+    }
+    stage("bipartite-connected", numbers, _alternation_witnesses(ctx.graph, ctx.signature))
 
-    t0 = time.perf_counter()
     table = symmetry.orbit_decomposition(ctx.pset)
     witnesses = _orbit_witnesses(table, d)
-    stage(
-        _certificate(
-            "certify-all/orbits",
-            {"d": d},
-            FAIL if witnesses else PASS,
-            {"orbits": len(table.entries), "orbit_stabilizer_identity": int(not witnesses)},
-            witnesses,
-            t0,
-        )
-    )
+    numbers = {"orbits": len(table.entries), "orbit_stabilizer_identity": int(not witnesses)}
+    stage("orbits", numbers, witnesses)
 
     if d == 3:
-        t0 = time.perf_counter()
         match = symmetry.match_catalog(table)
-        stage(
-            _certificate(
-                "certify-all/catalog-match",
-                {"d": d},
-                PASS if match.ok else FAIL,
-                {"references_checked": match.checked, "mismatches": len(match.mismatches)},
-                _catalog_witnesses(match),
-                t0,
-            )
-        )
+        numbers = {"references_checked": match.checked, "mismatches": len(match.mismatches)}
+        stage("catalog-match", numbers, _catalog_witnesses(match))
 
-        t0 = time.perf_counter()
         eps = symmetry.epsilon_formula_check(ctx.signature)
-        stage(
-            _certificate(
-                "certify-all/epsilon-formula",
-                {"d": d},
-                PASS if eps.ok else FAIL,
-                {"epsilon_samples": eps.samples, "epsilon_violations": len(eps.violations)},
-                _epsilon_witnesses(eps),
-                t0,
-            )
-        )
+        numbers = {"epsilon_samples": eps.samples, "epsilon_violations": len(eps.violations)}
+        stage("epsilon-formula", numbers, _epsilon_witnesses(eps))
 
-    t0 = time.perf_counter()
     det_value = algebra.det_eval(algebra.unit_tensor(d), ctx.pset, ctx.signature)
     stage(
-        _certificate(
-            "certify-all/determinant",
-            {"d": d},
-            PASS if det_value == 1 else FAIL,
-            {"det_of_generator": algebra.format_scalar(det_value)},
-            [] if det_value == 1 else [{"property": "determinant_normalization"}],
-            t0,
-        )
+        "determinant",
+        {"det_of_generator": algebra.format_scalar(det_value)},
+        [] if det_value == 1 else [{"property": "determinant_normalization"}],
     )
 
-    t0 = time.perf_counter()
     report = algebra.verify_relations(
         ctx.graph, ctx.signature, sample=args.sample_relations, seed=args.seed
     )
     stage(
-        _certificate(
-            "certify-all/relations",
-            {"d": d, "sample": args.sample_relations},
-            PASS if report.ok else FAIL,
-            {"instances_checked": report.instances_checked, "violations": report.violations},
-            _relation_witnesses(report),
-            t0,
-        )
+        "relations",
+        {"instances_checked": report.instances_checked, "violations": report.violations},
+        _relation_witnesses(report),
+        sample=args.sample_relations,
     )
-    return EXIT_OK if failures == 0 else EXIT_CERT_FAIL
+    return max(codes)
 
 
 # --------------------------------------------------------------------------
@@ -512,8 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate homogeneous d-partitions of K_{2d}")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--cycle-free", action="store_true")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--out", help="write JSONL partition objects here")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--count-only", action="store_true")
+    output.add_argument("--out", help="write JSONL partition objects here")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("flip", help="flip a partition across a face")
@@ -585,15 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sample", None) is not None and getattr(args, "seed", None) is None:
-        print("error: --sample requires --seed", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except (FlipUniquenessError, AnchorConflictError, symmetry.OrbitClosureError) as exc:
         witness = {"property": exc.witness_property, "detail": str(exc)}
-        _emit(_certificate(args.command, {}, FAIL, {}, [witness], time.perf_counter()))
-        return EXIT_CERT_FAIL
+        return _emit(args.command, {}, {}, [witness], time.perf_counter())
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -451,6 +451,14 @@ def test_relation_sampled_mode(ctx3):
         verify_relations(ctx3.graph, ctx3.signature, sample=10)
 
 
+@pytest.mark.parametrize("sample", [0, -2])
+def test_sampled_modes_need_a_positive_sample(ctx2, sample):
+    with pytest.raises(ValueError, match="sample of at least 1"):
+        verify_relations(ctx2.graph, ctx2.signature, sample=sample, seed=1)
+    with pytest.raises(ValueError, match="sample of at least 1"):
+        list(relation_instances(2, sample=sample, seed=1))
+
+
 def test_relation_sweep_detects_tampered_signature(ctx2):
     broken = np.array(ctx2.signature.signs, dtype=np.int8)
     broken[0] = -broken[0]

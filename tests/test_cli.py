@@ -9,6 +9,10 @@ from treedet.cli import main
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
+    for line in captured.out.splitlines():
+        if line.startswith('{"command": '):  # a certificate fails exactly when it has witnesses
+            cert = json.loads(line)
+            assert cert["outcome"] == ("fail" if cert["witnesses"] else "pass"), line
     return code, captured.out, captured.err
 
 
@@ -187,6 +191,27 @@ def test_verify_relations_full_d2(capsys):
 def test_verify_relations_sample_needs_seed(capsys):
     code, _, err = run(capsys, ["verify-relations", "--d", "2", "--sample", "10"])
     assert code == 2
+
+
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_sample_below_one_is_a_usage_error(capsys, sample):
+    code, out, err = run(
+        capsys, ["verify-relations", "--d", "2", "--sample", sample, "--seed", "1"]
+    )
+    assert code == 2 and out == "" and "sample of at least 1" in err
+    code, out, err = run(
+        capsys, ["certify-all", "--d", "2", "--seed", "1", "--sample-relations", sample]
+    )
+    assert code == 2 and "sample of at least 1" in err
+    assert "certify-all/relations" not in out
+
+
+def test_enumerate_count_only_excludes_out(capsys, tmp_path):
+    out_file = tmp_path / "parts.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--d", "2", "--count-only", "--out", str(out_file)])
+    assert exc.value.code == 2 and not out_file.exists()
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_verify_relations_sampled(capsys):
