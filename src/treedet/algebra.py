@@ -410,7 +410,7 @@ def verify_relations(
     counts as checked).  Full mode sums every pair; witnesses come in
     stream order: face, multiset, then context with the first non-face
     edge least significant.  Sampled mode draws seeded instances and
-    looks each up once in the face's sorted pair keys (flips.face_keys).
+    looks each up once in the face's sorted pair keys (flips.sorted_face_keys).
     """
     pset = graph.pset
     d, n = pset.d, pset.n

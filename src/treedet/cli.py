@@ -36,6 +36,7 @@ from .flips import (
     AnchorConflictError,
     FlipUniquenessError,
     OddCycleWitness,
+    alternates,
     check_bipartite,
     check_connected,
     flip,
@@ -114,8 +115,7 @@ def _soundness_witnesses(soundness) -> list:
 
 
 def _alternation_witnesses(graph, table) -> list:
-    alternating = (table.signs[graph.adjacency] == -table.signs[:, None]).all()
-    return [] if alternating else [{"property": "signature_alternation"}]
+    return [] if alternates(graph, table.signs) else [{"property": "signature_alternation"}]
 
 
 def _orbit_witnesses(table, d: int) -> list:
@@ -399,6 +399,18 @@ def cmd_certify_all(args) -> int:
 # --------------------------------------------------------------------------
 # parser
 
+def _sample_size(text: str) -> int:
+    """argparse type of a sample size: an int of at least 1, checked
+    while parsing, so that a usage error prints no certificate."""
+    try:
+        sample = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if sample < 1:
+        raise argparse.ArgumentTypeError(f"sampled mode needs a sample of at least 1, got {sample}")
+    return sample
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treedet",
@@ -451,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-relations", help="sweep the face relations")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--sample", type=int, help="sampled mode instead of the full sweep")
+    p.add_argument("--sample", type=_sample_size, help="sampled mode instead of the full sweep")
     p.add_argument("--seed", type=int, help="seed, required in sampled mode")
     p.set_defaults(func=cmd_verify_relations)
 
@@ -472,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--sample-relations",
-        type=int,
+        type=_sample_size,
         default=None,
         dest="sample_relations",
         help="sampled relation sweep instead of the full one",

@@ -13,6 +13,16 @@ coordinate per edge is then a single bottom-up pass: a node's value is
 the sum over c of the edge's coordinate c times the child's value.  At
 d = 3 the 66 240 members reduce to 5 287 internal nodes and 11 346 arcs.
 
+The build runs bottom-up over shrinking prefix groups, in O(N) scratch
+memory for N members.  The rows of level k are the distinct k-prefixes;
+each is the group of distinct (k + 1)-prefixes below it, which the code
+order keeps contiguous, so the row count falls from N at the bottom to
+one at the root and no level rescans the members.  A row's child nodes
+pack into one integer key, and the level's nodes are its distinct keys in
+ascending order: a seen-table over the key range, ranked by a cumsum,
+finds them on the wide bottom levels, where that range is within a few
+times the row count, and a sort on the others.
+
 The pass runs on one flat value array.  Slot 0 holds a zero, which every
 missing arc reads; slots 1 and 2 hold the terminals; the levels follow
 bottom-up, so the root is the last slot.  Each level keeps its child
@@ -45,29 +55,43 @@ class SignedDiagram:
     """
 
     def __init__(self, colors: np.ndarray, codes: np.ndarray, signs: np.ndarray, d: int):
-        N, E = colors.shape
-        ids = (1 - signs.astype(np.intp)) // 2  # each row's node one level down
+        E = colors.shape[1]
+        # the elements of level k are the distinct (k + 1)-prefixes, each named
+        # by its first member row and knowing its node one level down; those
+        # sharing k leading colors are contiguous (rows are code-sorted) and
+        # make up one row of level k
+        ids = (1 - signs.astype(np.int32)) // 2  # each element's node one level down
+        rows = slice(None)  # at the bottom the elements are the members
         n_below = TERMINALS
         levels = [None] * E
         for k in range(E - 1, -1, -1):
-            # rows are code-sorted, so rows sharing k leading colors are contiguous
-            prefix = codes // d ** (E - k)
-            starts = np.ones(N, dtype=bool)
-            starts[1:] = prefix[1:] != prefix[:-1]
-            group = np.cumsum(starts) - 1
-            table = np.full((int(group[-1]) + 1, d), -1, dtype=np.intp)
-            table[group, colors[:, k]] = ids
             base = n_below + 1
             if base ** d >= 2 ** 63:
                 raise ValueError(f"level {k} is too wide to pack its child rows in int64")
-            key = np.zeros(len(table), dtype=np.int64)
-            for c in range(d):  # one int64 key per child row, digits in base n_below + 1
-                key *= base
-                key += table[:, c] + 1
-            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-            levels[k] = np.asfortranarray(table[first])  # one contiguous column per color
-            ids = inverse.reshape(-1)[group]
-            n_below = len(first)
+            prefix = codes[rows] // d ** (E - k)
+            starts = np.flatnonzero(np.concatenate(([True], prefix[1:] != prefix[:-1])))
+            del prefix
+            # one key per row of level k, child c + 1 the digit of weight
+            # base^(d-1-c), in int32 while the key range allows
+            dtype = np.int32 if base ** d < 2 ** 31 else np.int64
+            key = np.power(base, d - 1 - colors[rows, k], dtype=dtype)
+            key *= ids + 1
+            key = np.add.reduceat(key, starts)
+            if base ** d <= 4 * len(key):  # a seen-table over the key range, ranked by a cumsum
+                seen = np.zeros(base ** d, dtype=bool)
+                seen[key] = True
+                unique = np.flatnonzero(seen)
+                ids = np.cumsum(seen, dtype=np.int32)[key] - 1
+            else:
+                unique, inverse = np.unique(key, return_inverse=True)
+                ids = inverse.astype(np.int32)
+            table = np.empty((len(unique), d), dtype=np.intp, order="F")  # one column per color
+            for c in range(d - 1, -1, -1):
+                table[:, c] = unique % base - 1
+                unique //= base
+            levels[k] = table
+            rows = starts if isinstance(rows, slice) else rows[starts]
+            n_below = len(table)
         self.levels = levels
         # the flat layout: (coefficient row, slots, child slots) per level, bottom-up
         self.passes, start, below = [], 1 + TERMINALS, 1

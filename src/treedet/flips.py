@@ -8,7 +8,7 @@ that uniqueness on faith.  flip() tries all d^3 - 1 alternative face
 colorings of one partition and demands exactly one survivor.  The graph
 builder groups the members, face by face, by their coloring off the
 face and the multiset of their three face colors, one int64 key each
-(face_keys) sorted once per face: a partner keeps both, because
+(sorted_face_keys) sorted once per face: a partner keeps both, because
 homogeneity only sees the multiset, and two members of one group always
 differ on at least two face edges.  So a member's partners are the
 other members of its group, and a group of any size but two aborts the
@@ -24,9 +24,14 @@ two certificates this package is built around:
   the tensor space by the face relations has dimension at most one.
 
 Both are read off one level-synchronous breadth-first search
-(bfs_levels): a flip must join levels of opposite parity, and each
-component is named by its smallest node.  The node-by-node search
-two_color only extracts the witness of a failed check.
+(bfs_levels): a flip must join levels of opposite parity (alternates),
+and each component is named by its smallest node.  The node-by-node
+search two_color only extracts the witness of a failed check.
+
+Besides its (N, C(2d,3)) output, every step of the stage works in O(N)
+scratch memory for N members: the face sweep writes one face at a time
+through (N,) buffers it reuses, and alternates and each breadth-first
+round read the flip table in blocks of rows.
 """
 
 from __future__ import annotations
@@ -163,38 +168,45 @@ def group_keys(d: int, context, a, b, c) -> np.ndarray:
     return context << 2 * d | (1 << 2 * a) + (1 << 2 * b) + (1 << 2 * c)
 
 
-def face_keys(pset: PartitionSet, face) -> np.ndarray:
-    """The group_keys of the members at `face`.  The members of a group
-    recolor one another on the face and are the nonzero terms of one
-    relation instance.  A context code is the member's code less its
-    face part, so each key is the code shifted by 2d bits plus the entry
-    of a d^3-entry table for the member's face coloring."""
+def _packed_face_keys(pset: PartitionSet, faces):
+    """For each face in turn, (packed, t, bits): the group_keys of the
+    members shifted by bits, or'ed with the member index and sorted, and
+    t, each member's face coloring index (a d + b) d + c.  A context code
+    is the member's code less its face part, so a key is the code shifted
+    by 2d bits plus the entry of a d^3-entry table for the face coloring.
+    The code and index part of the packing is built once, and every face
+    overwrites the same two arrays."""
     d = pset.d
     if d ** len(pset.weights) << 2 * d + len(pset).bit_length() >= 2 ** 63:
         raise ValueError(f"face keys for d={d} and their member index exceed the 64-bit range")
-    pos = list(face_edge_indices(face, pset.n))
-    w = pset.weights[pos]
-    a, b, c = np.indices((d, d, d)).reshape(3, -1)  # face coloring t = (a d + b) d + c
-    table = group_keys(d, -(a * w[0] + b * w[1] + c * w[2]), a, b, c)
-    t = pset.colors[:, pos[0]].astype(np.intp)
-    for k in pos[1:]:
-        t *= d
-        t += pset.colors[:, k]
-    keys = table[t]
-    keys += pset.codes << 2 * d
-    return keys
+    bits = len(pset).bit_length()
+    members = pset.codes << 2 * d + bits
+    members |= np.arange(len(pset))
+    a, b, c = np.indices((d, d, d)).reshape(3, -1)
+    packed = np.empty(len(pset), dtype=np.int64)
+    t = np.empty(len(pset), dtype=np.int32)
+    for face in faces:
+        pos = list(face_edge_indices(face, pset.n))
+        w = pset.weights[pos]
+        table = group_keys(d, -(a * w[0] + b * w[1] + c * w[2]), a, b, c) << bits
+        t[:] = pset.colors[:, pos[0]]
+        for k in pos[1:]:
+            t *= d
+            t += pset.colors[:, k]
+        np.take(table, t, out=packed, mode="clip")  # "clip" writes straight into out
+        packed += members
+        packed.sort()
+        yield packed, t, bits
 
 
 def sorted_face_keys(pset: PartitionSet, face) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, order): the face_keys in ascending order and the members in
-    that order.  One np.sort of key << index bits | index breaks ties by
+    """(keys, order): the group_keys of the members at `face` in ascending
+    order and the members in that order.  The members of a group recolor
+    one another on the face and are the nonzero terms of one relation
+    instance.  One np.sort of key << index bits | index breaks ties by
     index, so a group's members stay in index order, as a stable argsort
     leaves them."""
-    bits = len(pset).bit_length()
-    packed = face_keys(pset, face)
-    packed <<= bits
-    packed |= np.arange(len(pset))
-    packed.sort()
+    packed, _, bits = next(_packed_face_keys(pset, [face]))
     return packed >> bits, packed & (1 << bits) - 1
 
 
@@ -206,27 +218,36 @@ def _face_sweep(pset: PartitionSet):
     Raises FlipUniquenessError, with the group's other members as the
     survivors, if any group does not have exactly two members.
     """
+    d = pset.d
     faces = faces_of(pset.n)
     N = len(pset)
     adjacency = np.empty((N, len(faces)), dtype=np.int32)
     diff_counts = np.empty((N, len(faces)), dtype=np.int8)
-    for fi, face in enumerate(faces):
-        keys, order = sorted_face_keys(pset, face)
+    # face edges on which two face colorings differ, indexed t_a * d^3 + t_b
+    digits = np.indices((d, d, d)).reshape(3, -1)
+    ndiff_of = (digits[:, :, None] != digits[:, None, :]).sum(axis=0, dtype=np.int8).ravel()
+    partner = np.empty(N, dtype=np.int32)  # one face's column, written contiguously
+    ndiff = np.empty(N, dtype=np.int8)
+    for fi, (packed, t, bits) in enumerate(_packed_face_keys(pset, faces)):
         # every group is a pair: sorted keys agree within pairs, differ across them
-        if N % 2 or np.any(keys[0::2] != keys[1::2]) or np.any(keys[1:-1:2] == keys[2::2]):
+        even, odd = packed[0::2] >> bits, packed[1::2] >> bits
+        if N % 2 or np.any(even != odd) or np.any(odd[:-1] == even[1:]):
+            keys, order = packed >> bits, packed & (1 << bits) - 1
             starts = np.flatnonzero(np.diff(keys, prepend=-1))
             sizes = np.diff(starts, append=N)
             g = int(np.flatnonzero(sizes != 2)[0])
             first, *others = order[starts[g] : starts[g] + sizes[g]]
             raise FlipUniquenessError(
-                pset.partition(first), face, [pset.partition(j) for j in others]
+                pset.partition(first), faces[fi], [pset.partition(j) for j in others]
             )
-        a, b = order[0::2], order[1::2]
-        adjacency[a, fi], adjacency[b, fi] = b, a
-        pos = list(face_edge_indices(face, pset.n))
-        face_colors = np.take(pset.colors[:, pos].T, order, axis=1)
-        ndiff = (face_colors[:, 0::2] != face_colors[:, 1::2]).sum(axis=0, dtype=np.int8)
-        diff_counts[a, fi] = diff_counts[b, fi] = ndiff
+        del even, odd  # freed before the column writes
+        packed &= (1 << bits) - 1  # the members in key order
+        a, b = packed[0::2], packed[1::2]
+        partner[a], partner[b] = b, a
+        adjacency[:, fi] = partner
+        pair_ndiff = ndiff_of[t[a] * d ** 3 + t[b]]
+        ndiff[a], ndiff[b] = pair_ndiff, pair_ndiff
+        diff_counts[:, fi] = ndiff
     return adjacency, diff_counts
 
 
@@ -259,6 +280,9 @@ def verify_flip_soundness(graph: FlipGraph) -> FlipSoundnessReport:
     )
 
 
+_ROW_BLOCK = 4096  # rows of a neighbor table read at a time
+
+
 def bfs_levels(neighbors) -> tuple[np.ndarray, np.ndarray]:
     """Level-synchronous breadth-first search over the symmetric (N, k)
     neighbor table (row i lists the nodes joined to i; self-loops pad
@@ -284,11 +308,13 @@ def bfs_levels(neighbors) -> tuple[np.ndarray, np.ndarray]:
         frontier, reached, depth = seeds, [seeds], 0
         while frontier.size:
             depth += 1
-            near = np.take(table, frontier, axis=0).ravel()
-            if several:
-                reach[near] = np.repeat(root[frontier], k)
             new = np.zeros(N, dtype=bool)
-            new[near] = True
+            for start in range(0, len(frontier), _ROW_BLOCK):  # a block of rows at a time
+                block = frontier[start : start + _ROW_BLOCK]
+                near = np.take(table, block, axis=0).ravel()
+                if several:
+                    reach[near] = np.repeat(root[block], k)
+                new[near] = True
             frontier = np.flatnonzero(new & unseen)
             root[frontier] = reach[frontier] if several else seeds[0]
             level[frontier], unseen[frontier] = depth, False
@@ -304,6 +330,19 @@ def bfs_levels(neighbors) -> tuple[np.ndarray, np.ndarray]:
         grow = not (several and redo.size) and len(nodes) < 64 * len(seeds)
         batch = 2 * batch if grow else max(1, batch // 2)
     return root, level
+
+
+def alternates(graph: FlipGraph, sign: np.ndarray) -> bool:
+    """Whether every flip joins opposite signs: sign[adjacency[i, f]] ==
+    -sign[i] for every node i and face f.  The table is read in blocks of
+    rows, so the index copy that np.take makes is one block's, not the
+    whole table's."""
+    adjacency = graph.adjacency
+    for start in range(0, len(adjacency), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        if np.any(sign.take(adjacency[rows]) != -sign[rows, None]):
+            return False
+    return True
 
 
 @dataclass
@@ -432,7 +471,7 @@ def check_bipartite(
     """
     root, level = graph.levels
     sign = (1 - 2 * (level & 1)).astype(np.int8)  # +1 at the root, the BFS seed
-    if np.any(np.take(sign, graph.adjacency) == sign[:, None]):  # a flip within one level parity
+    if not alternates(graph, sign):  # a flip within one level parity
         return two_color(graph.adjacency)
     flip_factor = np.zeros(len(root), dtype=np.int8)  # indexed by component root
     anchor_node = np.full(len(root), -1, dtype=np.int64)

@@ -11,6 +11,7 @@ enumeration and the numpy one that grows all admissible edge prefixes,
 the union-find orbit closure and the breadth-first one over the
 generator images, the pair-by-pair stabilizer loop, the enumerative
 determinant (one product per member partition), the decision-diagram
+build that rescans every row at each level, the decision-diagram
 pass one color at a time (per level a gather, a product and an add for
 each color), the relation sweeps over a dense code-indexed sign table
 (full mode with precomputed context digit columns, and sampled mode),
@@ -380,6 +381,35 @@ def enumerative_det_eval(vectors, pset, table, p=None):
     nums = [[int(x * den) for x in vec] for vec, den in zip(vectors, dens)]
     total = _monomial_sum_int(colors, signs.astype(np.int64), nums)
     return Fraction(total, math.prod(dens))
+
+
+def prefix_rescan_levels(colors, codes, signs, d):
+    """The decision diagram's child tables, level by level from the bottom,
+    each level rescanning all N rows: the groups of rows sharing k leading
+    colors (a cumsum over the code prefixes), their child rows, and the
+    distinct child rows by np.unique of one int64 key each, whose sorted
+    order numbers the level's nodes."""
+    N, E = colors.shape
+    ids = (1 - signs.astype(np.intp)) // 2  # each row's node one level down
+    n_below = 2  # the two terminals
+    levels = [None] * E
+    for k in range(E - 1, -1, -1):
+        prefix = codes // d ** (E - k)
+        starts = np.ones(N, dtype=bool)
+        starts[1:] = prefix[1:] != prefix[:-1]
+        group = np.cumsum(starts) - 1
+        table = np.full((int(group[-1]) + 1, d), -1, dtype=np.intp)
+        table[group, colors[:, k]] = ids
+        base = n_below + 1
+        key = np.zeros(len(table), dtype=np.int64)
+        for c in range(d):  # digits in base n_below + 1
+            key *= base
+            key += table[:, c] + 1
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        levels[k] = np.asfortranarray(table[first])
+        ids = inverse.reshape(-1)[group]
+        n_below = len(first)
+    return levels
 
 
 def level_pass_evaluate(diagram, coeffs, dtype, p=None):

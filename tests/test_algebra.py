@@ -31,6 +31,7 @@ from treedet.algebra import (
     verify_relations,
     zero_by_multiplicity,
 )
+from treedet.diagram import SignedDiagram
 from treedet.flips import SignatureTable
 from treedet.model import EdgePartition, is_cycle_free, is_homogeneous
 
@@ -192,6 +193,19 @@ def test_diagram_sizes(ctx2, ctx3):
             below = len(levels[k + 1]) if k + 1 < len(levels) else 2
             assert level.shape[1] == ctx.pset.d
             assert level.min() >= -1 and level.max() < below
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_diagram_levels_equal_the_prefix_rescan_oracle(d, ctx2, ctx3):
+    ctx = {2: ctx2, 3: ctx3}[d]
+    pset, signs = ctx.pset, ctx.signature.signs
+    levels = SignedDiagram(pset.colors, pset.codes, signs, d).levels
+    expected = helpers.prefix_rescan_levels(pset.colors, pset.codes, signs, d)
+    assert len(levels) == len(expected)
+    for level, oracle in zip(levels, expected):
+        assert level.dtype == oracle.dtype == np.intp
+        assert level.flags.f_contiguous and oracle.flags.f_contiguous
+        assert np.array_equal(level, oracle)
 
 
 # the last prime whose d = 3 mod-p pass runs in int64 (split), and the next one

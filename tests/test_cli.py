@@ -7,7 +7,10 @@ from treedet.cli import main
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a usage error while parsing
+        code = exc.code
     captured = capsys.readouterr()
     for line in captured.out.splitlines():
         if line.startswith('{"command": '):  # a certificate fails exactly when it has witnesses
@@ -202,8 +205,7 @@ def test_sample_below_one_is_a_usage_error(capsys, sample):
     code, out, err = run(
         capsys, ["certify-all", "--d", "2", "--seed", "1", "--sample-relations", sample]
     )
-    assert code == 2 and "sample of at least 1" in err
-    assert "certify-all/relations" not in out
+    assert code == 2 and out == "" and "sample of at least 1" in err
 
 
 def test_enumerate_count_only_excludes_out(capsys, tmp_path):

@@ -11,6 +11,7 @@ from treedet.flips import (
     FlipGraph,
     FlipUniquenessError,
     OddCycleWitness,
+    alternates,
     bfs_levels,
     build_flip_graph,
     check_bipartite,
@@ -394,3 +395,15 @@ def test_failed_two_colorings_equal_the_cover_oracle(ctx2):
             check(ctx2.graph, anchors)
         errors.append((err.value.first, err.value.second, err.value.path))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("row", [0, 4095, 4096, 66239])
+def test_alternates_equals_the_whole_table_check(ctx3, row):
+    # one bad sign on either side of the first block boundary, or in the last row
+    graph, signs = ctx3.graph, ctx3.signature.signs
+    assert alternates(graph, signs)
+    for value in (-signs[row], 0):
+        tampered = signs.copy()
+        tampered[row] = value
+        whole = bool((tampered[graph.adjacency] == -tampered[:, None]).all())
+        assert not whole and not alternates(graph, tampered)

@@ -1,0 +1,54 @@
+"""Scratch-memory bounds of the flip-graph stage at d = 3.
+
+tracemalloc sees numpy's buffers, so the traced peak of a call is the
+most memory it held at once, its result included.  Each bound sits a
+little above the stage's O(N) scratch (N = 66 240 members) and well
+below what a copy of the whole (N, 20) flip table as intp (10.1 MiB)
+would cost.
+"""
+
+import tracemalloc
+
+import pytest
+
+from treedet.cli import _alternation_witnesses
+from treedet.diagram import SignedDiagram
+from treedet.flips import _face_sweep, bfs_levels, check_bipartite, standard_anchors
+
+MiB = 2 ** 20
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+STAGES = {
+    # each breadth-first round reads the rows of its frontier in blocks
+    "bfs_levels": (lambda ctx: bfs_levels(ctx.graph.adjacency), 3 * MiB),
+    # the alternation check reads the flip table in blocks of rows
+    "check_bipartite": (
+        lambda ctx: check_bipartite(ctx.graph, standard_anchors(ctx.pset)),
+        2 * MiB,
+    ),
+    "alternation_witnesses": (lambda ctx: _alternation_witnesses(ctx.graph, ctx.signature), 1 * MiB),
+    # the levels shrink from N rows at the bottom to one at the root
+    "diagram": (
+        lambda ctx: SignedDiagram(ctx.pset.colors, ctx.pset.codes, ctx.signature.signs, 3),
+        4.5 * MiB,
+    ),
+    # 6.3 MiB of it are the (N, 20) int32 adjacency and int8 diff_counts
+    "face_sweep": (lambda ctx: _face_sweep(ctx.pset), 9.5 * MiB),
+}
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_flip_graph_stage_scratch_memory(stage, ctx3):
+    call, bound = STAGES[stage]
+    call(ctx3)  # a first call pays for any lazy imports
+    peak = traced_peak(lambda: call(ctx3))
+    assert peak <= bound, f"{stage}: traced peak {peak / MiB:.2f} MiB > {bound / MiB} MiB"

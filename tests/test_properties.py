@@ -1,4 +1,5 @@
-"""Property tests: the diagram determinant against the enumerative oracle
+"""Property tests: the diagram build on signed subsets against the
+prefix-rescan oracle, the diagram determinant against the enumerative oracle
 (also with product bounds on both sides of the float64 and int64
 limits), each level's dtype run against the whole-diagram oracles over
 Q and GF(p), GF(p) against the rational residue (small entries, and
@@ -21,6 +22,7 @@ import helpers
 from treedet.algebra import det_eval, validate_prime
 from treedet.cli import main
 from treedet.context import standard_context
+from treedet.diagram import SignedDiagram
 
 EDGES = {d: d * (2 * d - 1) for d in (1, 2, 3)}
 
@@ -86,6 +88,24 @@ def test_diagram_equals_enumerative_oracle_across_the_dtype_limits(limit, data):
     assert det_eval(vectors, ctx.pset, ctx.signature) == expected
     p = 4294967311
     assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == expected % p
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), share=st.sampled_from([1e-4, 1e-3, 0.02, 0.3, 1.0]))
+def test_diagram_levels_of_signed_subsets_equal_the_prefix_rescan_oracle(seed, share):
+    # code-sorted subsets of the d = 3 set with random signs: levels with
+    # many rows for their key range dedupe by a seen-table (the bottom ones
+    # of large subsets), the others by a sort (nearly all of small subsets)
+    ctx = standard_context(3)
+    rng = np.random.default_rng(seed)
+    keep = rng.random(len(ctx.pset)) < share
+    keep[rng.integers(len(keep))] = True
+    colors, codes = ctx.pset.colors[keep], ctx.pset.codes[keep]
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=len(codes))
+    levels = SignedDiagram(colors, codes, signs, 3).levels
+    for level, oracle in zip(levels, helpers.prefix_rescan_levels(colors, codes, signs, 3), strict=True):
+        assert level.dtype == oracle.dtype and level.flags.f_contiguous
+        assert np.array_equal(level, oracle)
 
 
 # the primes of test_flat_pass_equals_level_pass_oracle: the mod-p pass
