@@ -423,9 +423,11 @@ def verify_relations(
 
     if sample is None:
         violations = 0
+        ids = np.arange(len(pset), dtype=np.int32)
         for fi, face in enumerate(faces):
-            first = np.flatnonzero(np.arange(len(pset)) < adjacency[:, fi])
-            bad = first[signs[first] + signs[adjacency[first, fi]] != 0]
+            partner = adjacency[:, fi]  # contiguous in the face-major table
+            first = np.flatnonzero(ids < partner)
+            bad = first[signs[first] + signs[partner[first]] != 0]
             violations += len(bad)
             if len(bad) and len(witnesses) < 5:
                 pos = list(face_edge_indices(face, n))

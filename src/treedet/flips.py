@@ -28,10 +28,12 @@ Both are read off one level-synchronous breadth-first search
 and each component is named by its smallest node.  The node-by-node
 search two_color only extracts the witness of a failed check.
 
-Besides its (N, C(2d,3)) output, every step of the stage works in O(N)
-scratch memory for N members: the face sweep writes one face at a time
-through (N,) buffers it reuses, and alternates and each breadth-first
-round read the flip table in blocks of rows.
+Besides its (N, C(2d,3)) flip table, every step of the stage works in
+O(N) scratch memory for N members.  The table is stored face-major, so
+the face sweep writes each face's column in place, and the soundness
+check and alternates read it one column at a time; the sweep keeps two
+counts per face of the face edges its flips change; each breadth-first
+round reads the rows of its frontier in blocks.
 """
 
 from __future__ import annotations
@@ -125,13 +127,16 @@ class FlipGraph:
     """Flip adjacency over a cycle-free homogeneous partition set.
 
     adjacency[i, f] is the index of the flip partner of node i across
-    face number f (faces in lexicographic order); diff_counts[i, f] is
-    the number of face edges (2 or 3) on which the two partners differ.
+    face number f (faces in lexicographic order); diff_counts[f] counts
+    the nodes whose flip across face f changes 2 and 3 face edges.  The
+    built table is stored face-major (Fortran order), so each face's
+    column is contiguous for the sweep that writes it and the checks that
+    read it.
     """
 
     pset: PartitionSet
-    adjacency: np.ndarray  # (N, C(2d,3)) int32
-    diff_counts: np.ndarray  # (N, C(2d,3)) int8
+    adjacency: np.ndarray  # (N, C(2d,3)) int32, face-major
+    diff_counts: np.ndarray  # (C(2d,3), 2) int64
 
     @cached_property
     def levels(self) -> tuple[np.ndarray, np.ndarray]:
@@ -213,21 +218,19 @@ def sorted_face_keys(pset: PartitionSet, face) -> tuple[np.ndarray, np.ndarray]:
 def _face_sweep(pset: PartitionSet):
     """Flip partners of every (partition, face) pair, from the face keys.
 
-    Returns (adjacency, diff_counts) where diff_counts[i, f] in {2, 3}
-    records on how many face edges node i and its partner differ.
+    Returns (adjacency, diff_counts) where diff_counts[f] is the number
+    of nodes whose flip across face f changes 2 and 3 face edges.
     Raises FlipUniquenessError, with the group's other members as the
     survivors, if any group does not have exactly two members.
     """
     d = pset.d
     faces = faces_of(pset.n)
     N = len(pset)
-    adjacency = np.empty((N, len(faces)), dtype=np.int32)
-    diff_counts = np.empty((N, len(faces)), dtype=np.int8)
+    adjacency = np.empty((len(faces), N), dtype=np.int32).T  # face-major
+    diff_counts = np.empty((len(faces), 2), dtype=np.int64)
     # face edges on which two face colorings differ, indexed t_a * d^3 + t_b
     digits = np.indices((d, d, d)).reshape(3, -1)
     ndiff_of = (digits[:, :, None] != digits[:, None, :]).sum(axis=0, dtype=np.int8).ravel()
-    partner = np.empty(N, dtype=np.int32)  # one face's column, written contiguously
-    ndiff = np.empty(N, dtype=np.int8)
     for fi, (packed, t, bits) in enumerate(_packed_face_keys(pset, faces)):
         # every group is a pair: sorted keys agree within pairs, differ across them
         even, odd = packed[0::2] >> bits, packed[1::2] >> bits
@@ -243,11 +246,10 @@ def _face_sweep(pset: PartitionSet):
         del even, odd  # freed before the column writes
         packed &= (1 << bits) - 1  # the members in key order
         a, b = packed[0::2], packed[1::2]
+        partner = adjacency[:, fi]  # a contiguous column
         partner[a], partner[b] = b, a
-        adjacency[:, fi] = partner
         pair_ndiff = ndiff_of[t[a] * d ** 3 + t[b]]
-        ndiff[a], ndiff[b] = pair_ndiff, pair_ndiff
-        diff_counts[:, fi] = ndiff
+        diff_counts[fi] = [2 * np.count_nonzero(pair_ndiff == k) for k in (2, 3)]  # 2 nodes a pair
     return adjacency, diff_counts
 
 
@@ -266,16 +268,15 @@ def verify_flip_soundness(graph: FlipGraph) -> FlipSoundnessReport:
     edges, and double-flip returning the original node.
     """
     adjacency, diff_counts = graph.adjacency, graph.diff_counts
-    ids = np.arange(len(graph.pset))
+    ids = np.arange(len(adjacency), dtype=np.int32)
     involution_ok = all(
-        np.array_equal(adjacency[adjacency[:, f], f], ids)
-        and not np.any(adjacency[:, f] == ids)
-        for f in range(adjacency.shape[1])
+        np.array_equal(partner[partner], ids) and not np.any(partner == ids)
+        for partner in adjacency.T  # the face columns, contiguous in the face-major table
     )
     return FlipSoundnessReport(
         pairs_checked=int(adjacency.size),
-        diff_two=int((diff_counts == 2).sum()),
-        diff_three=int((diff_counts == 3).sum()),
+        diff_two=int(diff_counts[:, 0].sum()),
+        diff_three=int(diff_counts[:, 1].sum()),
         involution_ok=bool(involution_ok),
     )
 
@@ -311,7 +312,7 @@ def bfs_levels(neighbors) -> tuple[np.ndarray, np.ndarray]:
             new = np.zeros(N, dtype=bool)
             for start in range(0, len(frontier), _ROW_BLOCK):  # a block of rows at a time
                 block = frontier[start : start + _ROW_BLOCK]
-                near = np.take(table, block, axis=0).ravel()
+                near = table[block].ravel()  # np.take would copy a face-major table whole
                 if several:
                     reach[near] = np.repeat(root[block], k)
                 new[near] = True
@@ -334,15 +335,11 @@ def bfs_levels(neighbors) -> tuple[np.ndarray, np.ndarray]:
 
 def alternates(graph: FlipGraph, sign: np.ndarray) -> bool:
     """Whether every flip joins opposite signs: sign[adjacency[i, f]] ==
-    -sign[i] for every node i and face f.  The table is read in blocks of
-    rows, so the index copy that np.take makes is one block's, not the
-    whole table's."""
-    adjacency = graph.adjacency
-    for start in range(0, len(adjacency), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        if np.any(sign.take(adjacency[rows]) != -sign[rows, None]):
-            return False
-    return True
+    -sign[i] for every node i and face f.  The table is read one face
+    column at a time, contiguous in the face-major table, so the index
+    copy that np.take makes is one column's, not the whole table's."""
+    negated = -sign
+    return all(np.array_equal(sign.take(partner), negated) for partner in graph.adjacency.T)
 
 
 @dataclass

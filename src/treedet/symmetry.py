@@ -1,17 +1,19 @@
 """The S_{2d} x S_d action on partitions: orbits and stabilizers.
 
-A pair (sigma, tau) acts by relabeling vertices through sigma and
-colors through tau: the edge (i, j) of color c goes to the edge
+A pair (sigma, tau) acts by relabeling vertices through sigma and colors
+through tau: the edge (i, j) of color c goes to the edge
 (sigma i, sigma j) of color tau(c).  One kernel, _image_codes, relabels
 color sequences by every group element at once ((2d)! * d! images, 4320
-at d = 3) and returns the images' canonical codes.  Orbits come from
-the least member not yet covered: its images are looked up in the
-code-sorted set, every image gets it as orbit root, and the images equal
-to it are its stabilizer; an image outside the set raises
-OrbitClosureError, since the set is then no union of orbits.  The d = 3
-set takes 19 such rounds.  The parity forms of the signature are
-checked on the same kernel, every group element applied to every
-reference: 82,080 cases at d = 3 and 48 at d = 2.
+at d = 3) and returns the images' canonical codes, by one matrix product
+with a digit-weight table built once per (n, d).  One lookup,
+_member_positions, finds image codes in the code-sorted set.  Orbits
+come from the least member not yet covered: its images are looked up,
+every image gets it as orbit root, and the images equal to it are its
+stabilizer; an image outside the set raises OrbitClosureError, since the
+set is then no union of orbits.  The d = 3 set takes 19 such rounds.
+The parity forms of the signature are checked on the same kernel, every
+group element applied to every reference: 82,080 cases at d = 3 and 48
+at d = 2.
 
 Permutations are plain image tuples with 1-based values: sigma[i-1] is
 the image of vertex i.
@@ -152,21 +154,65 @@ def _color_perms(d: int) -> tuple[Perm, ...]:
     return tuple(permutations(range(1, d + 1)))
 
 
+@lru_cache(maxsize=None)
+def _relabel_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(weights, recolor, sigma_signs, tau_signs) for relabeling color
+    sequences by S_n x S_d, in group_elements order.  weights[s, e] is
+    the digit weight d^(E-1-k) of the slot k that edge e lands in under
+    sigma_s: float64 while d^E < 2^53, int64 above (d = 4: 4^28 = 2^56).
+    recolor[c, t] is tau_t(c), 0-based."""
+    E = edge_count(n)
+    perms, maps = _all_edge_maps(n)
+    taus = _color_perms(d)
+    weights = np.empty(maps.shape, dtype=np.float64 if d ** E < 2 ** 53 else np.int64)
+    slot_weights = np.broadcast_to(d ** np.arange(E - 1, -1, -1, dtype=np.int64), maps.shape)
+    np.put_along_axis(weights, maps, slot_weights, axis=1)  # slot k receives edge maps[s, k]
+    recolor = np.array(taus, dtype=np.uint8).T - 1
+    sigma_signs = np.array([perm_sign(s) for s in perms], dtype=np.int8)
+    tau_signs = np.array([perm_sign(t) for t in taus], dtype=np.int8)
+    return weights, recolor, sigma_signs, tau_signs
+
+
 def _image_codes(colors: np.ndarray, n: int, d: int) -> np.ndarray:
     """Canonical codes of the images of each row of `colors` under all of
     S_n x S_d: out[i, s, t] is the code of (sigma_s, tau_t) * row i, in
-    the order of group_elements."""
+    the order of group_elements.
+
+    The code of (sigma, tau) * P is sum_e tau(P_e) * weights[sigma, e],
+    so one matrix product, (n!, E) by (E, rows * d!), gives every image.
+    In float64 every partial sum is a non-negative integer no larger
+    than the code, below 2^53, so the result is exact.  The array is laid
+    out (sigma, row, tau) in memory.
+    """
     E = edge_count(n)
     if d ** E >= 2 ** 63:
         raise ValueError(f"canonical codes for d={d}, n={n} exceed 64-bit range")
-    _, maps = _all_edge_maps(n)
-    recolor = np.array(_color_perms(d), dtype=np.uint8).T - 1  # recolor[c, t] = tau_t(c), 0-based
-    moved = np.asarray(colors, dtype=np.uint8)[:, maps.T]  # (rows, E, n!): edge-major
-    codes = np.zeros((moved.shape[0], moved.shape[2], recolor.shape[1]), dtype=np.int64)
-    for k in range(E):  # Horner's rule, as PartitionSet
-        codes *= d
-        codes += recolor[moved[:, k]]
-    return codes
+    weights, recolor = _relabel_tables(n, d)[:2]
+    moved = recolor[np.asarray(colors, dtype=np.uint8)]  # (rows, E, d!): tau_t of each edge's color
+    rows, taus = len(moved), recolor.shape[1]
+    codes = weights @ moved.transpose(1, 0, 2).reshape(E, rows * taus).astype(weights.dtype)
+    return codes.astype(np.int64).reshape(len(weights), rows, taus).transpose(1, 0, 2)
+
+
+_LOOKUP_CHUNK = 1 << 14  # queries sorted and searched at a time
+
+
+def _member_positions(members: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """np.minimum(np.searchsorted(members, queries), len(members) - 1):
+    for each query the position of its code among the ascending member
+    codes, if it is one, and a position whose code differs otherwise.
+    The queries are sorted and searched _LOOKUP_CHUNK at a time: numpy
+    starts the binary search of an ascending query where the previous one
+    ended, and the chunks keep the sort's scratch small.  The positions
+    are scattered back to the queries' order."""
+    flat = queries.reshape(-1)
+    out = np.empty(flat.shape, dtype=np.intp)
+    for start in range(0, len(flat), _LOOKUP_CHUNK):
+        chunk = flat[start : start + _LOOKUP_CHUNK]
+        order = np.argsort(chunk)
+        out[start + order] = np.searchsorted(members, chunk[order])
+    np.minimum(out, len(members) - 1, out=out)
+    return out.reshape(queries.shape)
 
 
 def _pairs(sigma_idx, tau_idx, n: int, d: int) -> list:
@@ -231,7 +277,7 @@ def _orbit_kernel(pset: PartitionSet) -> tuple[np.ndarray, list]:
     seed = 0
     while seed < N:
         codes = _image_codes(pset.colors[seed:seed + 1], n, d)[0]  # (n!, d!)
-        idx = np.minimum(np.searchsorted(pset.codes, codes), N - 1)
+        idx = _member_positions(pset.codes, codes)
         missing = np.argwhere(pset.codes[idx] != codes)
         if missing.size:
             (pair,) = _pairs(*missing[:1].T, n, d)
@@ -357,25 +403,22 @@ def _parity_form_check(table: SignatureTable, refs, character) -> EpsilonFormula
     """Check s((sigma, tau) * refs[i]) = character(sgn sigma, sgn tau) for
     every group element and every reference in one numpy pass.
 
-    Every image's code is looked up in the set by one binary search; an
+    Every image's code is looked up in the set (_member_positions); an
     image that is not a member reads as sign 0, which no character value
     matches, so it is a violation and not an error.  Violations are
     reported in (sigma, tau, reference) order, the first five of them.
     """
     pset = table.pset
     perms, taus = _all_edge_maps(pset.n)[0], _color_perms(pset.d)
+    sigma_signs, tau_signs = _relabel_tables(pset.n, pset.d)[2:]
     base = np.array([r.colors for r in refs], dtype=np.uint8)
-    codes = _image_codes(base, pset.n, pset.d).transpose(1, 2, 0)  # (sigma, tau, reference)
-    pos = np.minimum(np.searchsorted(pset.codes, codes), len(pset) - 1)
+    codes = _image_codes(base, pset.n, pset.d).transpose(1, 0, 2)  # (sigma, reference, tau), contiguous
+    pos = _member_positions(pset.codes, codes)
     got = np.where(pset.codes[pos] == codes, table.signs[pos], 0)
-    sigma_signs = np.array([perm_sign(s) for s in perms])
-    tau_signs = np.array([perm_sign(t) for t in taus])
-    expected = np.broadcast_to(
-        character(sigma_signs[:, None], tau_signs[None, :])[:, :, None], got.shape
-    )
-    bad = np.argwhere(got != expected)[:5]
+    expected = character(sigma_signs[:, None, None], tau_signs[None, None, :])
+    bad = np.argwhere((got != expected).transpose(0, 2, 1))[:5]  # in (sigma, tau, reference) order
     violations = [
-        (perms[s], taus[t], int(i) + 1, int(got[s, t, i]), int(expected[s, t, i]))
+        (perms[s], taus[t], int(i) + 1, int(got[s, i, t]), int(expected[s, 0, t]))
         for s, t, i in bad
     ]
     return EpsilonFormulaReport(samples=got.size, violations=violations)

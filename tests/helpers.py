@@ -9,19 +9,23 @@ The last section keeps the library's earlier algorithms, replaced by
 faster kernels, as reference implementations: the depth-first
 enumeration and the numpy one that grows all admissible edge prefixes,
 the union-find orbit closure and the breadth-first one over the
-generator images, the pair-by-pair stabilizer loop, the enumerative
-determinant (one product per member partition), the decision-diagram
-build that rescans every row at each level, the decision-diagram
-pass one color at a time (per level a gather, a product and an add for
-each color), the relation sweeps over a dense code-indexed sign table
-(full mode with precomputed context digit columns, and sampled mode),
-the full relation sweep over the face groups (sorted by np.lexsort) and
-the sampled one that looks up every term, the face sweep over all
-candidate recolorings, the min-label hooking components kernel and the
-two-coloring read off it on the parity double cover of the flip graph,
-the sampled check of the d = 3 parity form, the acyclic-subset table
-filled one mask at a time, and Miller-Rabin with all 13 prime bases up
-to 41 for every number.
+generator images, the relabeling of color rows by Horner's rule over the
+moved edge columns and the exhaustive parity-form check that looks its
+images up by one plain binary search, the pair-by-pair stabilizer loop,
+the enumerative determinant (one product per member partition), the
+decision-diagram build that rescans every row at each level, the
+decision-diagram pass one color at a time (per level a gather, a product
+and an add for each color), the relation sweeps over a dense
+code-indexed sign table (full mode with precomputed context digit
+columns, and sampled mode), the full relation sweep over the face groups
+(sorted by np.lexsort) and the sampled one that looks up every term, the
+face sweep over all candidate recolorings (with its (N, C(2d,3)) table
+of changed face edges), the flip-soundness check that reads the strided
+columns of the flip table, the min-label hooking components kernel and
+the two-coloring read off it on the parity double cover of the flip
+graph, the sampled check of the d = 3 parity form, the acyclic-subset
+table filled one mask at a time, and Miller-Rabin with all 13 prime
+bases up to 41 for every number.
 """
 
 import math
@@ -307,6 +311,56 @@ def loop_stabilizer(partition):
             if np.array_equal(tmap[moved], base):
                 found.append(PermPair(sigma, tau))
     return found
+
+
+def horner_image_codes(colors, n, d):
+    """Canonical codes of the images of each row of `colors` under all of
+    S_n x S_d, out[i, s, t] for (sigma_s, tau_t) in group_elements order,
+    by Horner's rule over the edge columns moved by every sigma."""
+    from treedet.model import edge_count
+    from treedet.symmetry import _all_edge_maps
+
+    E = edge_count(n)
+    _, maps = _all_edge_maps(n)
+    recolor = np.array(list(permutations(range(1, d + 1))), dtype=np.uint8).T - 1
+    moved = np.asarray(colors, dtype=np.uint8)[:, maps.T]  # (rows, E, n!): edge-major
+    codes = np.zeros((moved.shape[0], moved.shape[2], recolor.shape[1]), dtype=np.int64)
+    for k in range(E):
+        codes *= d
+        codes += recolor[moved[:, k]]
+    return codes
+
+
+def plain_member_positions(members, queries):
+    """The member lookup as one plain binary search over all queries."""
+    return np.minimum(np.searchsorted(members, queries), len(members) - 1)
+
+
+def searchsorted_parity_form_check(table, refs, character):
+    """s((sigma, tau) * refs[i]) = character(sgn sigma, sgn tau) over every
+    group element and reference: Horner image codes, one plain binary
+    search, and perm_sign on every sigma and tau; the first five
+    violations in (sigma, tau, reference) order."""
+    from treedet.symmetry import EpsilonFormulaReport, perm_sign
+
+    pset = table.pset
+    perms = list(permutations(range(1, pset.n + 1)))
+    taus = list(permutations(range(1, pset.d + 1)))
+    base = np.array([r.colors for r in refs], dtype=np.uint8)
+    codes = horner_image_codes(base, pset.n, pset.d).transpose(1, 2, 0)  # (sigma, tau, reference)
+    pos = plain_member_positions(pset.codes, codes)
+    got = np.where(pset.codes[pos] == codes, table.signs[pos], 0)
+    sigma_signs = np.array([perm_sign(s) for s in perms])
+    tau_signs = np.array([perm_sign(t) for t in taus])
+    expected = np.broadcast_to(
+        character(sigma_signs[:, None], tau_signs[None, :])[:, :, None], got.shape
+    )
+    bad = np.argwhere(got != expected)[:5]
+    violations = [
+        (perms[s], taus[t], int(i) + 1, int(got[s, t, i]), int(expected[s, t, i]))
+        for s, t, i in bad
+    ]
+    return EpsilonFormulaReport(samples=got.size, violations=violations)
 
 
 _INT64_SAFE = 2 ** 62
@@ -622,6 +676,26 @@ def candidate_face_sweep(pset):
                 survivors = exc.survivors
             raise FlipUniquenessError(partition, face, survivors)
     return adjacency, diff_counts
+
+
+def strided_flip_soundness(adjacency, diff_table):
+    """The flip-soundness report from the (N, C(2d,3)) flip table, each
+    face read through its strided column, and the (N, C(2d,3)) table of
+    changed face edges that candidate_face_sweep returns."""
+    from treedet.flips import FlipSoundnessReport
+
+    ids = np.arange(len(adjacency))
+    involution_ok = all(
+        np.array_equal(adjacency[adjacency[:, f], f], ids)
+        and not np.any(adjacency[:, f] == ids)
+        for f in range(adjacency.shape[1])
+    )
+    return FlipSoundnessReport(
+        pairs_checked=int(adjacency.size),
+        diff_two=int((diff_table == 2).sum()),
+        diff_three=int((diff_table == 3).sum()),
+        involution_ok=bool(involution_ok),
+    )
 
 
 def sampled_epsilon_check(table, samples, seed):

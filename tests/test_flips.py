@@ -76,15 +76,21 @@ def test_graph_shapes(ctx2, ctx3):
     assert ctx3.graph.adjacency.shape == (66240, 20)
 
 
+def test_flip_table_is_face_major(ctx3):
+    # the sweep writes, and the soundness and relation checks read, one contiguous column per face
+    assert ctx3.graph.adjacency.flags.f_contiguous
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_face_sweep_equals_candidate_oracle(d, ctx2, ctx3):
     from treedet.context import standard_context
 
     graph = {1: standard_context(1), 2: ctx2, 3: ctx3}[d].graph
     adjacency, diff_counts = helpers.candidate_face_sweep(graph.pset)
-    assert graph.adjacency.dtype == adjacency.dtype and graph.diff_counts.dtype == diff_counts.dtype
+    assert graph.adjacency.dtype == adjacency.dtype
     assert graph.adjacency.tobytes() == adjacency.tobytes()
-    assert graph.diff_counts.tobytes() == diff_counts.tobytes()
+    per_face = np.stack([(diff_counts == 2).sum(axis=0), (diff_counts == 3).sum(axis=0)], axis=1)
+    assert graph.diff_counts.dtype == np.int64 and np.array_equal(graph.diff_counts, per_face)
 
 
 def _same_group(a: EdgePartition, b: EdgePartition, face) -> bool:
@@ -154,6 +160,20 @@ def test_flip_soundness_report_d2(ctx2):
     assert report.ok
     assert report.pairs_checked == 12 * 4
     assert report.diff_two + report.diff_three == report.pairs_checked
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_flip_soundness_equals_the_strided_column_oracle(ctx2, ctx3, d):
+    graph = {2: ctx2, 3: ctx3}[d].graph
+    diff_table = helpers.candidate_face_sweep(graph.pset)[1]
+    swapped = graph.adjacency.copy()  # nodes 0 and 1 trade partners: no longer an involution
+    swapped[[0, 1], -1] = swapped[[1, 0], -1]
+    looped = graph.adjacency.copy()
+    looped[5, 3] = 5
+    for adjacency, sound in ((graph.adjacency, True), (swapped, False), (looped, False)):
+        report = verify_flip_soundness(FlipGraph(graph.pset, adjacency, graph.diff_counts))
+        assert report == helpers.strided_flip_soundness(adjacency, diff_table)
+        assert report.ok == sound
 
 
 def test_bipartite_d2(ctx2):

@@ -1,19 +1,28 @@
-"""Scratch-memory bounds of the flip-graph stage at d = 3.
+"""Scratch-memory bounds of the d = 3 certificate stages.
 
 tracemalloc sees numpy's buffers, so the traced peak of a call is the
 most memory it held at once, its result included.  Each bound sits a
 little above the stage's O(N) scratch (N = 66 240 members) and well
 below what a copy of the whole (N, 20) flip table as intp (10.1 MiB)
-would cost.
+would cost.  The relabeling and lookup stages are bounded the same way:
+their 82 080 image codes take 0.63 MiB per int64 copy.
 """
 
 import tracemalloc
 
 import pytest
 
+from treedet.algebra import verify_relations
 from treedet.cli import _alternation_witnesses
 from treedet.diagram import SignedDiagram
-from treedet.flips import _face_sweep, bfs_levels, check_bipartite, standard_anchors
+from treedet.flips import (
+    _face_sweep,
+    bfs_levels,
+    check_bipartite,
+    standard_anchors,
+    verify_flip_soundness,
+)
+from treedet.symmetry import epsilon_formula_check, orbit_decomposition
 
 MiB = 2 ** 20
 
@@ -41,8 +50,15 @@ STAGES = {
         lambda ctx: SignedDiagram(ctx.pset.colors, ctx.pset.codes, ctx.signature.signs, 3),
         4.5 * MiB,
     ),
-    # 6.3 MiB of it are the (N, 20) int32 adjacency and int8 diff_counts
-    "face_sweep": (lambda ctx: _face_sweep(ctx.pset), 9.5 * MiB),
+    # 5.05 MiB of it are the (N, 20) int32 adjacency; diff_counts is one count pair per face
+    "face_sweep": (lambda ctx: _face_sweep(ctx.pset), 7.5 * MiB),
+    # each face's column is read in place from the face-major table
+    "flip_soundness": (lambda ctx: verify_flip_soundness(ctx.graph), 1.5 * MiB),
+    "relations": (lambda ctx: verify_relations(ctx.graph, ctx.signature), 1.5 * MiB),
+    # 19 rounds of 4 320 image codes each
+    "orbit_decomposition": (lambda ctx: orbit_decomposition(ctx.pset), 2 * MiB),
+    # the image codes are sorted and searched in chunks, not all at once
+    "epsilon_formula": (lambda ctx: epsilon_formula_check(ctx.signature), 2.5 * MiB),
 }
 
 

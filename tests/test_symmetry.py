@@ -22,7 +22,12 @@ from treedet.symmetry import (
     stabilizer,
     vertex_perm_edge_map,
     _all_edge_maps,
+    _image_codes,
+    _member_positions,
+    _relabel_tables,
+    _LOOKUP_CHUNK,
 )
+from treedet.model import edge_count
 
 from test_model import FIG_GOOD
 
@@ -132,6 +137,79 @@ def test_edge_map_table_equals_the_per_permutation_maps(n):
     assert np.array_equal(maps, np.stack([vertex_perm_edge_map(p, n) for p in perms]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_relabeling_equals_the_horner_oracle(data):
+    # random color rows: mostly not homogeneous, so mostly not members
+    n = data.draw(st.sampled_from([2, 4, 6]))
+    d = n // 2
+    row = st.lists(st.integers(0, d - 1), min_size=edge_count(n), max_size=edge_count(n))
+    colors = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=np.uint8)
+    got = _image_codes(colors, n, d)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, helpers.horner_image_codes(colors, n, d))
+
+
+def test_product_relabeling_of_the_references_equals_the_horner_oracle():
+    base = np.array([p.colors for p in catalog.reference_partitions()], dtype=np.uint8)
+    assert np.array_equal(_image_codes(base, 6, 3), helpers.horner_image_codes(base, 6, 3))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_product_relabeling_on_k8_in_both_dtypes(d):
+    # 3^28 < 2^53 runs in float64; 4^28 = 2^56 runs in int64
+    colors = np.random.default_rng(d).integers(0, d, size=(2, edge_count(8)))
+    assert _relabel_tables(8, d)[0].dtype == (np.float64 if d == 3 else np.int64)
+    assert np.array_equal(_image_codes(colors, 8, d), helpers.horner_image_codes(colors, 8, d))
+
+
+def test_relabeling_past_64_bits_is_refused():
+    with pytest.raises(ValueError, match="64-bit"):
+        _image_codes(np.zeros((1, edge_count(8)), dtype=np.uint8), 8, 5)  # 5^28 > 2^63
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([1, 2, *(_LOOKUP_CHUNK + k for k in (-1, 0, 1)), 3 * _LOOKUP_CHUNK + 5]),
+    st.floats(0, 1),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_member_lookup_equals_the_plain_binary_search(ctx3, size, member_share, seed):
+    rng = np.random.default_rng(seed)
+    codes = ctx3.pset.codes
+    members = codes[rng.integers(0, len(codes), size)]  # with duplicates
+    others = rng.integers(-1, codes[-1] + 2, size)  # mostly not members, both ends included
+    queries = np.where(rng.random(size) < member_share, members, others)
+    assert np.array_equal(
+        _member_positions(codes, queries), helpers.plain_member_positions(codes, queries)
+    )
+    square = queries[: size - size % 2].reshape(2, -1)
+    assert np.array_equal(
+        _member_positions(codes, square), helpers.plain_member_positions(codes, square)
+    )
+
+
+def _oracle_kernels(monkeypatch):
+    import treedet.symmetry
+
+    monkeypatch.setattr(treedet.symmetry, "_image_codes", helpers.horner_image_codes)
+    monkeypatch.setattr(treedet.symmetry, "_member_positions", helpers.plain_member_positions)
+
+
+@pytest.mark.parametrize("dropped", [4321, 30000, 55555])
+def test_missing_member_image_equals_the_oracle_kernels(dropped, ctx3, monkeypatch):
+    from treedet.enumeration import PartitionSet
+
+    keep = np.arange(len(ctx3.pset)) != dropped
+    pset = PartitionSet(3, 6, ctx3.pset.colors[keep], cycle_free=True)
+    with pytest.raises(OrbitClosureError) as err:
+        orbit_decomposition(pset)
+    _oracle_kernels(monkeypatch)
+    with pytest.raises(OrbitClosureError) as oracle:
+        orbit_decomposition(pset)
+    assert err.value.image == oracle.value.image
+
+
 def test_specific_stabilizer_orders():
     for cid, expected in ((1, 1), (2, 6), (10, 2), (12, 3), (19, 6)):
         assert len(stabilizer(catalog.reference_partition(cid))) == expected
@@ -197,6 +275,22 @@ def test_exhaustive_parity_form_agrees_with_sampled_oracle(ctx3, orbits3, tamper
         taus = list(permutations(range(1, 4)))[:5]
         assert [v[:3] for v in report.violations] == [(identity, t, 7) for t in taus]
         assert {v[2] for v in oracle.violations} == {7}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_parity_form_witnesses_equal_the_plain_search_oracle(d, ctx2, ctx3):
+    ctx = {2: ctx2, 3: ctx3}[d]
+    table = _negated(ctx.signature, slice(None, None, 10))
+    if d == 3:
+        report = epsilon_formula_check(table)
+        refs = catalog.reference_partitions()
+        character = lambda sgn_sigma, sgn_tau: sgn_tau
+    else:
+        report = epsilon_product_check_d2(table)
+        refs = (catalog.BASE_PARTITION_D2,)
+        character = lambda sgn_sigma, sgn_tau: sgn_sigma * sgn_tau
+    assert not report.ok
+    assert report == helpers.searchsorted_parity_form_check(table, refs, character)
 
 
 def test_epsilon_product_formula_d2(ctx2):
