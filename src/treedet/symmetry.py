@@ -159,12 +159,11 @@ def _relabel_tables(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     """(weights, recolor, sigma_signs, tau_signs) for relabeling color
     sequences by S_n x S_d, in group_elements order.  weights[s, e] is
     the digit weight d^(E-1-k) of the slot k that edge e lands in under
-    sigma_s: float64 while d^E < 2^53, int64 above (d = 4: 4^28 = 2^56).
-    recolor[c, t] is tau_t(c), 0-based."""
+    sigma_s, in int64.  recolor[c, t] is tau_t(c), 0-based."""
     E = edge_count(n)
     perms, maps = _all_edge_maps(n)
     taus = _color_perms(d)
-    weights = np.empty(maps.shape, dtype=np.float64 if d ** E < 2 ** 53 else np.int64)
+    weights = np.empty(maps.shape, dtype=np.int64)
     slot_weights = np.broadcast_to(d ** np.arange(E - 1, -1, -1, dtype=np.int64), maps.shape)
     np.put_along_axis(weights, maps, slot_weights, axis=1)  # slot k receives edge maps[s, k]
     recolor = np.array(taus, dtype=np.uint8).T - 1
@@ -179,10 +178,9 @@ def _image_codes(colors: np.ndarray, n: int, d: int) -> np.ndarray:
     the order of group_elements.
 
     The code of (sigma, tau) * P is sum_e tau(P_e) * weights[sigma, e],
-    so one matrix product, (n!, E) by (E, rows * d!), gives every image.
-    In float64 every partial sum is a non-negative integer no larger
-    than the code, below 2^53, so the result is exact.  The array is laid
-    out (sigma, row, tau) in memory.
+    so one int64 matrix product, (n!, E) by (E, rows * d!), gives every
+    image; every partial sum is a non-negative integer no larger than the
+    code, below 2^63.  The array is laid out (sigma, row, tau) in memory.
     """
     E = edge_count(n)
     if d ** E >= 2 ** 63:
@@ -190,8 +188,8 @@ def _image_codes(colors: np.ndarray, n: int, d: int) -> np.ndarray:
     weights, recolor = _relabel_tables(n, d)[:2]
     moved = recolor[np.asarray(colors, dtype=np.uint8)]  # (rows, E, d!): tau_t of each edge's color
     rows, taus = len(moved), recolor.shape[1]
-    codes = weights @ moved.transpose(1, 0, 2).reshape(E, rows * taus).astype(weights.dtype)
-    return codes.astype(np.int64).reshape(len(weights), rows, taus).transpose(1, 0, 2)
+    codes = weights @ moved.transpose(1, 0, 2).reshape(E, rows * taus).astype(np.int64)
+    return codes.reshape(len(weights), rows, taus).transpose(1, 0, 2)
 
 
 _LOOKUP_CHUNK = 1 << 14  # queries sorted and searched at a time
@@ -415,7 +413,10 @@ def _parity_form_check(table: SignatureTable, refs, character) -> EpsilonFormula
     codes = _image_codes(base, pset.n, pset.d).transpose(1, 0, 2)  # (sigma, reference, tau), contiguous
     pos = _member_positions(pset.codes, codes)
     got = np.where(pset.codes[pos] == codes, table.signs[pos], 0)
-    expected = character(sigma_signs[:, None, None], tau_signs[None, None, :])
+    expected = np.broadcast_to(
+        character(sigma_signs[:, None, None], tau_signs[None, None, :]),
+        (len(sigma_signs), 1, len(tau_signs)),
+    )
     bad = np.argwhere((got != expected).transpose(0, 2, 1))[:5]  # in (sigma, tau, reference) order
     violations = [
         (perms[s], taus[t], int(i) + 1, int(got[s, i, t]), int(expected[s, 0, t]))

@@ -24,7 +24,6 @@ from treedet.symmetry import (
     _all_edge_maps,
     _image_codes,
     _member_positions,
-    _relabel_tables,
     _LOOKUP_CHUNK,
 )
 from treedet.model import edge_count
@@ -156,10 +155,9 @@ def test_product_relabeling_of_the_references_equals_the_horner_oracle():
 
 
 @pytest.mark.parametrize("d", [3, 4])
-def test_product_relabeling_on_k8_in_both_dtypes(d):
-    # 3^28 < 2^53 runs in float64; 4^28 = 2^56 runs in int64
+def test_product_relabeling_on_k8_equals_the_horner_oracle(d):
+    # 4^28 = 2^56: codes past 2^53 stay exact in the int64 product
     colors = np.random.default_rng(d).integers(0, d, size=(2, edge_count(8)))
-    assert _relabel_tables(8, d)[0].dtype == (np.float64 if d == 3 else np.int64)
     assert np.array_equal(_image_codes(colors, 8, d), helpers.horner_image_codes(colors, 8, d))
 
 
@@ -275,6 +273,24 @@ def test_exhaustive_parity_form_agrees_with_sampled_oracle(ctx3, orbits3, tamper
         taus = list(permutations(range(1, 4)))[:5]
         assert [v[:3] for v in report.violations] == [(identity, t, 7) for t in taus]
         assert {v[2] for v in oracle.violations} == {7}
+
+
+def test_parity_form_violation_first_seen_under_a_non_identity_sigma(ctx3):
+    # flip the sign of one member that no (identity, tau) reaches from any
+    # reference: a transposition image of reference 1
+    refs = catalog.reference_partitions()
+    near = {act(PermPair(tuple(range(1, 7)), t), r) for r in refs for t in permutations(range(1, 4))}
+    swap = PermPair((2, 1, 3, 4, 5, 6), (1, 2, 3))
+    moved = act(swap, refs[0])
+    assert moved not in near
+    table = _negated(ctx3.signature, ctx3.pset.index_of(moved))
+    report = epsilon_formula_check(table)
+    assert not report.ok and report.violations[0][0] != tuple(range(1, 7))
+    for sigma, tau, i, got, expected in report.violations:
+        assert act(PermPair(sigma, tau), catalog.reference_partition(i)) == moved
+        assert got == -expected == -perm_sign(tau)
+    lam = lambda sgn_sigma, sgn_tau: sgn_tau
+    assert report == helpers.searchsorted_parity_form_check(table, refs, lam)
 
 
 @pytest.mark.parametrize("d", [2, 3])
