@@ -35,11 +35,7 @@ for d in (2, 3):
     )
     print(f"  changing 2 face edges: {soundness.diff_two}, changing 3: {soundness.diff_three}")
     print(f"  bipartition classes: {plus} / {minus}")
-    print(f"  components: {conn.n_components}", end="")
-    if conn.transitive:
-        print("  (transitive: quotient dimension is at most 1)")
-    else:
-        print()
+    print(f"  components: {conn.n_components}")
     print(f"  ({time.time() - t0:.1f}s)")
     print()
 

@@ -48,11 +48,12 @@ from .model import (
     is_homogeneous,
 )
 from .symmetry import (
+    CHARACTERS,
+    EpsilonFormulaReport,
     OrbitTable,
     PermPair,
     act,
     epsilon_formula_check,
-    epsilon_product_check_d2,
     match_catalog,
     orbit_decomposition,
     stabilizer,

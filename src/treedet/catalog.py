@@ -104,6 +104,10 @@ EXPECTED_TYPE_TRIPLES: dict[int, tuple[str, str, str]] = {
 
 CATALOG_IDS = tuple(range(1, 20))
 
+# The parity form of the d = 3 signature: the sign of (sigma, tau) * P
+# is sgn tau times the sign of P (a name in symmetry.CHARACTERS).
+EXPECTED_CHARACTER = "sgn_tau"
+
 
 def reference_partition(i: int) -> EdgePartition:
     """The i-th labeled orbit representative for d = 3 (1 <= i <= 19)."""

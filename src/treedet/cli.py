@@ -75,6 +75,10 @@ def _load_anchors(path: Optional[str], pset):
         return standard_anchors(pset)
     with open(path) as fh:
         docs = json.load(fh)
+    if not isinstance(docs, list) or not all(
+        isinstance(doc, dict) and {"partition", "sign"} <= doc.keys() for doc in docs
+    ):
+        raise ValueError(f"{path}: anchors must be a JSON list of {{partition, sign}} objects")
     return [
         (EdgePartition.from_json_dict(doc["partition"]), json_int(doc["sign"], "sign"))
         for doc in docs
@@ -128,14 +132,26 @@ def _catalog_witnesses(match) -> list:
     return [] if match.ok else [{"property": "orbit_catalog_match", "diffs": match.mismatches}]
 
 
-def _epsilon_witnesses(eps) -> list:
+def _epsilon_witnesses(eps, expected=None) -> list:
+    """Without a character, the first violations of each, by orbit id;
+    with another character than the expected one, both names."""
+    witness = {"property": "signature_parity_formula"}
     if eps.ok:
-        return []
-    violations = [
-        {"sigma": list(s), "tau": list(t), "reference": i, "got": g, "expected": e}
-        for (s, t, i, g, e) in eps.violations
-    ]
-    return [{"property": "signature_parity_formula", "violations": violations}]
+        unexpected = expected not in (None, eps.character)
+        return [dict(witness, character=eps.character, expected=expected)] if unexpected else []
+    violations = {
+        name: [
+            {"orbit": o, "sigma": list(s), "tau": list(t), "got": g, "expected": e}
+            for (o, s, t, g, e) in found
+        ]
+        for name, found in eps.violations.items()
+    }
+    return [{**witness, "violations": violations}]
+
+
+def _epsilon_numbers(eps) -> dict:
+    numbers = {"character": eps.character, "epsilon_samples": eps.samples}
+    return {**numbers, "epsilon_violations": min(eps.counts.values())}
 
 
 def _relation_witnesses(report) -> list:
@@ -215,7 +231,6 @@ def cmd_flip_graph(args) -> int:
     if "connected" in checks:
         conn = check_connected(ctx.graph)
         numbers["components"] = conn.n_components
-        numbers["dimension_upper_bound_certified"] = int(conn.transitive)
     parameters = {"d": args.d, "check": checks, "anchors": args.anchors}
     return _emit("flip-graph", parameters, numbers, witnesses, t0)
 
@@ -253,14 +268,13 @@ def cmd_verify_appendix(args) -> int:
     ctx = standard_context(3)
     table = symmetry.orbit_decomposition(ctx.pset)
     match = symmetry.match_catalog(table)
-    eps = symmetry.epsilon_formula_check(ctx.signature)
+    eps = symmetry.epsilon_formula_check(table, ctx.signature)
     numbers = {
         "references_checked": match.checked,
         "catalog_mismatches": len(match.mismatches),
-        "epsilon_samples": eps.samples,
-        "epsilon_violations": len(eps.violations),
+        **_epsilon_numbers(eps),
     }
-    witnesses = _catalog_witnesses(match) + _epsilon_witnesses(eps)
+    witnesses = _catalog_witnesses(match) + _epsilon_witnesses(eps, catalog.EXPECTED_CHARACTER)
     return _emit("verify-appendix", {}, numbers, witnesses, t0)
 
 
@@ -355,12 +369,7 @@ def cmd_certify_all(args) -> int:
 
     plus, minus = ctx.signature.class_sizes()
     conn = check_connected(ctx.graph)
-    numbers = {
-        "class_plus": plus,
-        "class_minus": minus,
-        "components": conn.n_components,
-        "dimension_upper_bound_certified": int(conn.transitive),
-    }
+    numbers = {"class_plus": plus, "class_minus": minus, "components": conn.n_components}
     stage("bipartite-connected", numbers, _alternation_witnesses(ctx.graph, ctx.signature))
 
     table = symmetry.orbit_decomposition(ctx.pset)
@@ -368,14 +377,14 @@ def cmd_certify_all(args) -> int:
     numbers = {"orbits": len(table.entries), "orbit_stabilizer_identity": int(not witnesses)}
     stage("orbits", numbers, witnesses)
 
+    eps = symmetry.epsilon_formula_check(table, ctx.signature)
+    expected = catalog.EXPECTED_CHARACTER if d == 3 else None
+    stage("epsilon-formula", _epsilon_numbers(eps), _epsilon_witnesses(eps, expected))
+
     if d == 3:
         match = symmetry.match_catalog(table)
         numbers = {"references_checked": match.checked, "mismatches": len(match.mismatches)}
         stage("catalog-match", numbers, _catalog_witnesses(match))
-
-        eps = symmetry.epsilon_formula_check(ctx.signature)
-        numbers = {"epsilon_samples": eps.samples, "epsilon_violations": len(eps.violations)}
-        stage("epsilon-formula", numbers, _epsilon_witnesses(eps))
 
     det_value = algebra.det_eval(algebra.unit_tensor(d), ctx.pset, ctx.signature)
     stage(

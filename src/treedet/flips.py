@@ -20,8 +20,9 @@ two certificates this package is built around:
 
 * two-colorability: a global sign that every flip negates (the
   signature map; its existence is the bipartiteness of the flip graph);
-* connectivity: when the involutions act transitively, the quotient of
-  the tensor space by the face relations has dimension at most one.
+* connectivity: when the involutions act transitively, the members are
+  pairwise proportional in the quotient of the tensor space by the face
+  relations.
 
 Both are read off one level-synchronous breadth-first search
 (bfs_levels): a flip must join levels of opposite parity (alternates),
@@ -495,16 +496,11 @@ class ConnectivityReport:
     n_components: int
     representatives: list  # minimal-code EdgePartition per component
 
-    @property
-    def transitive(self) -> bool:
-        return self.n_components == 1
-
 
 def check_connected(graph: FlipGraph) -> ConnectivityReport:
     """Component count of the flip graph plus one representative each.
 
-    A single component means the flip group acts transitively, which
-    bounds the dimension of the associated quotient space by one.  The
+    A single component means the flip group acts transitively.  The
     count is reported as measured, never assumed.
     """
     root = graph.levels[0]

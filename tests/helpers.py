@@ -10,8 +10,9 @@ faster kernels, as reference implementations: the depth-first
 enumeration and the numpy one that grows all admissible edge prefixes,
 the union-find orbit closure and the breadth-first one over the
 generator images, the relabeling of color rows by Horner's rule over the
-moved edge columns and the exhaustive parity-form check that looks its
-images up by one plain binary search, the pair-by-pair stabilizer loop,
+moved edge columns and the exhaustive parity-form check that relabels
+its references a second time and looks the images up by one plain
+binary search, the pair-by-pair stabilizer loop,
 the enumerative determinant (one product per member partition), the
 decision-diagram build that rescans every row at each level, the
 decision-diagram pass one color at a time (per level a gather, a product
@@ -336,31 +337,44 @@ def plain_member_positions(members, queries):
     return np.minimum(np.searchsorted(members, queries), len(members) - 1)
 
 
-def searchsorted_parity_form_check(table, refs, character):
-    """s((sigma, tau) * refs[i]) = character(sgn sigma, sgn tau) over every
-    group element and reference: Horner image codes, one plain binary
-    search, and perm_sign on every sigma and tau; the first five
-    violations in (sigma, tau, reference) order."""
+ORACLE_CHARACTERS = {
+    "trivial": lambda sgn_sigma, sgn_tau: 1,
+    "sgn_sigma": lambda sgn_sigma, sgn_tau: sgn_sigma,
+    "sgn_tau": lambda sgn_sigma, sgn_tau: sgn_tau,
+    "sgn_sigma_sgn_tau": lambda sgn_sigma, sgn_tau: sgn_sigma * sgn_tau,
+}
+
+
+def searchsorted_parity_form_check(table, refs):
+    """s((sigma, tau) * refs[i]) = chi(sigma, tau) * s(refs[i]) for each
+    of the four characters chi, over every group element and member
+    reference: Horner image codes, one plain binary search, and perm_sign
+    on every sigma and tau; an image outside the set reads as sign 0.
+    The count and the first five violations of each character, in
+    (reference, sigma, tau) order, with 0-based reference numbers."""
     from treedet.symmetry import EpsilonFormulaReport, perm_sign
 
     pset = table.pset
     perms = list(permutations(range(1, pset.n + 1)))
     taus = list(permutations(range(1, pset.d + 1)))
     base = np.array([r.colors for r in refs], dtype=np.uint8)
-    codes = horner_image_codes(base, pset.n, pset.d).transpose(1, 2, 0)  # (sigma, tau, reference)
+    codes = horner_image_codes(base, pset.n, pset.d)  # (reference, sigma, tau)
     pos = plain_member_positions(pset.codes, codes)
     got = np.where(pset.codes[pos] == codes, table.signs[pos], 0)
+    ref_signs = np.array([table.signature(r) for r in refs])[:, None, None]
     sigma_signs = np.array([perm_sign(s) for s in perms])
     tau_signs = np.array([perm_sign(t) for t in taus])
-    expected = np.broadcast_to(
-        character(sigma_signs[:, None], tau_signs[None, :])[:, :, None], got.shape
-    )
-    bad = np.argwhere(got != expected)[:5]
-    violations = [
-        (perms[s], taus[t], int(i) + 1, int(got[s, t, i]), int(expected[s, t, i]))
-        for s, t, i in bad
-    ]
-    return EpsilonFormulaReport(samples=got.size, violations=violations)
+    counts, violations = {}, {}
+    for name, character in ORACLE_CHARACTERS.items():
+        chi = character(sigma_signs[:, None], tau_signs)
+        expected = np.broadcast_to(ref_signs * chi, got.shape)
+        bad = np.argwhere(got != expected)
+        counts[name] = len(bad)
+        violations[name] = [
+            (int(i), perms[s], taus[t], int(got[i, s, t]), int(expected[i, s, t]))
+            for i, s, t in bad[:5]
+        ]
+    return EpsilonFormulaReport(samples=got.size, counts=counts, violations=violations)
 
 
 _INT64_SAFE = 2 ** 62
@@ -700,10 +714,11 @@ def strided_flip_soundness(adjacency, diff_table):
 
 def sampled_epsilon_check(table, samples, seed):
     """The d = 3 parity form s((sigma, tau) * P_i) = sgn tau on random
-    (sigma, tau, i), one relabeling at a time; the first five
-    violations, as (sigma, tau, i, got, expected)."""
+    (sigma, tau, i), one relabeling at a time, with P_i the catalog
+    references anchored at +1; the first five violations, as
+    (sigma, tau, i, got, expected)."""
     from treedet import catalog
-    from treedet.symmetry import EpsilonFormulaReport, PermPair, act, perm_sign
+    from treedet.symmetry import PermPair, act, perm_sign
 
     rng = np.random.default_rng(seed)
     refs = catalog.reference_partitions()
@@ -719,7 +734,7 @@ def sampled_epsilon_check(table, samples, seed):
             violations.append((sigma, tau, i, got, expected))
             if len(violations) >= 5:
                 break
-    return EpsilonFormulaReport(samples=samples, violations=violations)
+    return violations
 
 
 def loop_acyclic_mask_table(n):

@@ -33,8 +33,8 @@ from treedet.symmetry import (
     PermPair,
     act,
     epsilon_formula_check,
-    epsilon_product_check_d2,
     match_catalog,
+    orbit_decomposition,
     perm_sign,
     stabilizer,
 )
@@ -96,9 +96,9 @@ def test_criterion_04_connectivity_report(ctx3):
     assert first.n_components == second.n_components
     assert np.array_equal(ctx3.graph.adjacency, rebuilt.adjacency)
     note = (
-        "transitive flip action, so the quotient dimension is at most 1"
-        if first.transitive
-        else "not transitive; no dimension bound certified"
+        "transitive flip action, so the members are pairwise proportional in the quotient"
+        if first.n_components == 1
+        else "not transitive"
     )
     _report(4, f"d=3 flip graph has {first.n_components} component(s), stable across runs; {note}")
 
@@ -121,16 +121,21 @@ def test_criterion_05_orbits(orbits3):
     )
 
 
-def test_criterion_06_epsilon_formula(ctx2, ctx3):
-    report = epsilon_formula_check(ctx3.signature)
+def test_criterion_06_epsilon_formula(ctx2, ctx3, orbits3):
+    report = epsilon_formula_check(orbits3, ctx3.signature)
     assert report.ok, report.violations
-    assert report.samples == 82080
-    d2 = epsilon_product_check_d2(ctx2.signature)
-    assert d2.ok and d2.samples == 48
+    assert report.samples == 82080 and report.character == catalog.EXPECTED_CHARACTER == "sgn_tau"
+    refs = catalog.reference_partitions()  # anchored at +1, relabeled by the whole group
+    assert all(ctx3.signature.signature(r) == 1 for r in refs)
+    oracle = helpers.searchsorted_parity_form_check(ctx3.signature, refs)
+    assert oracle.samples == 82080 and oracle.counts["sgn_tau"] == 0
+    d2 = epsilon_formula_check(orbit_decomposition(ctx2.pset), ctx2.signature)
+    assert d2.character == "sgn_sigma_sgn_tau" and d2.samples == 48
     _report(
         6,
-        "all 82080 relabelings of the 19 references match the parity form of "
-        "the d=3 signature; d=2 product form holds for all 48 group elements",
+        "all 82080 relabelings of the 19 orbit roots follow sgn tau, and so do "
+        "those of the 19 references; d=2 follows sgn sigma * sgn tau on all 48 "
+        "group elements",
     )
 
 

@@ -116,7 +116,7 @@ def test_flip_graph_certificate(capsys):
     nums = cert["numbers"]
     assert nums["class_plus"] == 6 and nums["class_minus"] == 6
     assert nums["components"] == 1 and nums["bipartite"] == 1
-    assert nums["dimension_upper_bound_certified"] == 1
+    assert "dimension_upper_bound_certified" not in nums  # components == 1 alone bounds nothing
 
 
 def test_flip_graph_rejects_unknown_check(capsys):
@@ -234,6 +234,7 @@ def test_verify_appendix(capsys):
     assert cert["numbers"]["references_checked"] == 19
     assert cert["numbers"]["epsilon_samples"] == 82080
     assert cert["numbers"]["epsilon_violations"] == 0
+    assert cert["numbers"]["character"] == "sgn_tau"
 
 
 def test_certify_all_d2(capsys):
@@ -247,6 +248,7 @@ def test_certify_all_d2(capsys):
         "certify-all/flip-graph",
         "certify-all/bipartite-connected",
         "certify-all/orbits",
+        "certify-all/epsilon-formula",
         "certify-all/determinant",
         "certify-all/relations",
     ]
@@ -262,8 +264,8 @@ def test_certify_all_d3(capsys):
         "certify-all/flip-graph",
         "certify-all/bipartite-connected",
         "certify-all/orbits",
-        "certify-all/catalog-match",
         "certify-all/epsilon-formula",
+        "certify-all/catalog-match",
         "certify-all/determinant",
         "certify-all/relations",
     ]
@@ -287,6 +289,20 @@ def test_flip_graph_custom_anchor_flips_orientation(capsys, tmp_path):
     cert = json.loads(out)
     assert cert["outcome"] == "pass"
     assert cert["numbers"]["class_plus"] == 6  # orientation flips, sizes do not
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[1], {"partition": {"d": 2, "n": 4, "colors": [0, 1, 0, 0, 1, 1]}, "sign": 1}],
+    ids=["list_of_int", "bare_object"],
+)
+def test_flip_graph_malformed_anchor_file_is_a_usage_error(capsys, tmp_path, doc):
+    # used to exit 3 on a TypeError from subscripting the JSON
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["flip-graph", "--d", "2", "--anchors", str(anchors)])
+    assert code == 2 and out == ""
+    assert "anchors must be a JSON list of {partition, sign} objects" in err
 
 
 def test_deterministic_output(capsys):
@@ -419,14 +435,21 @@ def test_certify_all_relation_witnesses_equal_verify_relations(capsys, monkeypat
 def test_certify_all_epsilon_witnesses_equal_verify_appendix(capsys, monkeypatch):
     import treedet.cli
     from treedet.context import standard_context
+    from treedet.symmetry import CHARACTERS
 
     ctx3 = standard_context(3)
     tampered = _tampered_context(ctx3, slice(None, None, 10))
     monkeypatch.setattr(treedet.cli, "standard_context", lambda d, pset=None: tampered)
     code, out, _ = run(capsys, ["verify-appendix"])
     assert code == 1
-    standalone = json.loads(out)["witnesses"]
+    cert = json.loads(out)
+    standalone = cert["witnesses"]
     assert [w["property"] for w in standalone] == ["signature_parity_formula"]
+    violations = standalone[0]["violations"]  # no character holds: five of each, by orbit
+    assert sorted(violations) == sorted(CHARACTERS)
+    for found in violations.values():
+        assert len(found) == 5 and all("orbit" in v for v in found)
+    assert cert["numbers"]["character"] is None and cert["numbers"]["epsilon_violations"] > 0
     code, out, _ = run(capsys, ["certify-all", "--d", "3", "--seed", "5"])
     assert code == 1
     by_cmd = {c["command"]: c for c in map(json.loads, out.strip().splitlines())}
@@ -436,8 +459,8 @@ def test_certify_all_epsilon_witnesses_equal_verify_appendix(capsys, monkeypatch
 
 
 def test_parity_form_with_a_missing_orbit_is_a_failed_certificate(capsys, monkeypatch):
-    # the images of reference 19 are not members: each reads sign 0, a
-    # failed certificate (exit 1), not a usage error (exit 2)
+    # the orbit of reference 19 is dropped whole: the other 18 orbits still
+    # follow sgn tau, and catalog-match finds the missing reference (exit 1)
     import treedet.cli
     from treedet import catalog
     from treedet.context import Context, standard_context
@@ -450,16 +473,43 @@ def test_parity_form_with_a_missing_orbit_is_a_failed_certificate(capsys, monkey
     keep = orbits.roots != orbits.roots[ctx3.pset.index_of(catalog.reference_partition(19))]
     pset = PartitionSet(3, 6, ctx3.pset.colors[keep], cycle_free=True)
     short = Context(pset, ctx3.graph, SignatureTable(pset, ctx3.signature.signs[keep]))
+    assert len(orbit_decomposition(pset).entries) == 18
     monkeypatch.setattr(treedet.cli, "standard_context", lambda d, pset=None: short)
     code, out, err = run(capsys, ["verify-appendix"])
     assert code == 1 and err == ""
     cert = json.loads(out)
-    assert cert["numbers"]["epsilon_samples"] == 82080
-    assert cert["numbers"]["epsilon_violations"] == 5
-    parity = [w for w in cert["witnesses"] if w["property"] == "signature_parity_formula"]
-    assert len(parity) == 1
-    assert {(v["reference"], v["got"]) for v in parity[0]["violations"]} == {(19, 0)}
+    assert cert["numbers"]["epsilon_samples"] == 18 * 4320 == 77760
+    assert cert["numbers"]["epsilon_violations"] == 0
+    assert cert["numbers"]["character"] == "sgn_tau"
+    assert [w["property"] for w in cert["witnesses"]] == ["orbit_catalog_match"]
     assert "reference 19 is not a member of the set" in cert["witnesses"][0]["diffs"]
+
+
+def test_verify_appendix_fails_on_another_character_than_the_catalogs(capsys, monkeypatch):
+    # the signs follow sgn tau; a table that stated another character fails,
+    # in verify-appendix and in certify-all's d = 3 epsilon stage alike
+    from treedet import catalog
+
+    monkeypatch.setattr(catalog, "EXPECTED_CHARACTER", "sgn_sigma_sgn_tau")
+    witness = {
+        "property": "signature_parity_formula",
+        "character": "sgn_tau",
+        "expected": "sgn_sigma_sgn_tau",
+    }
+    code, out, _ = run(capsys, ["verify-appendix"])
+    assert code == 1
+    cert = json.loads(out)
+    assert cert["numbers"]["character"] == "sgn_tau"
+    assert cert["numbers"]["epsilon_violations"] == 0
+    assert cert["witnesses"] == [witness]
+    code, out, _ = run(capsys, ["certify-all", "--d", "3", "--seed", "7"])
+    assert code == 1
+    certs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [c["command"] for c in certs if c["outcome"] == "fail"] == ["certify-all/epsilon-formula"]
+    epsilon = next(c for c in certs if c["command"] == "certify-all/epsilon-formula")
+    assert epsilon["numbers"]["character"] == "sgn_tau" and epsilon["witnesses"] == [witness]
+    code, out, _ = run(capsys, ["certify-all", "--d", "2", "--seed", "7"])
+    assert code == 0  # the catalog's character is d = 3's; d = 2 only names its own
 
 
 @pytest.mark.parametrize("extra", [["--force"], ["--count-only"]])
@@ -509,9 +559,13 @@ CERTIFY_ALL_NUMBERS = {
             "class_minus": 6,
             "class_plus": 6,
             "components": 1,
-            "dimension_upper_bound_certified": 1,
         },
         "certify-all/orbits": {"orbit_stabilizer_identity": 1, "orbits": 1},
+        "certify-all/epsilon-formula": {
+            "character": "sgn_sigma_sgn_tau",
+            "epsilon_samples": 48,
+            "epsilon_violations": 0,
+        },
         "certify-all/determinant": {"det_of_generator": "1"},
         "certify-all/relations": {"instances_checked": 128, "violations": 0},
     },
@@ -527,11 +581,14 @@ CERTIFY_ALL_NUMBERS = {
             "class_minus": 33120,
             "class_plus": 33120,
             "components": 1,
-            "dimension_upper_bound_certified": 1,
         },
         "certify-all/orbits": {"orbit_stabilizer_identity": 1, "orbits": 19},
+        "certify-all/epsilon-formula": {
+            "character": "sgn_tau",
+            "epsilon_samples": 82080,
+            "epsilon_violations": 0,
+        },
         "certify-all/catalog-match": {"mismatches": 0, "references_checked": 19},
-        "certify-all/epsilon-formula": {"epsilon_samples": 82080, "epsilon_violations": 0},
         "certify-all/determinant": {"det_of_generator": "1"},
         "certify-all/relations": {"instances_checked": 106288200, "violations": 0},
     },

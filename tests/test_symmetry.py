@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from treedet import catalog
-from treedet.flips import SignatureTable, flip
+from treedet.flips import SignatureTable, alternates, flip
 from treedet.model import NOT_TREE, classify_tree, edge_list
 from treedet.symmetry import (
     OrbitClosureError,
     PermPair,
     act,
     epsilon_formula_check,
-    epsilon_product_check_d2,
     group_elements,
     match_catalog,
     orbit_decomposition,
@@ -24,7 +23,6 @@ from treedet.symmetry import (
     _all_edge_maps,
     _image_codes,
     _member_positions,
-    _LOOKUP_CHUNK,
 )
 from treedet.model import edge_count
 
@@ -168,7 +166,7 @@ def test_relabeling_past_64_bits_is_refused():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([1, 2, *(_LOOKUP_CHUNK + k for k in (-1, 0, 1)), 3 * _LOOKUP_CHUNK + 5]),
+    st.sampled_from([1, 2, 48, 4320, 3 * 2 ** 14 + 5]),  # 48 and 4320: one orbit round at d = 2, 3
     st.floats(0, 1),
     st.integers(0, 2 ** 32 - 1),
 )
@@ -241,16 +239,28 @@ def test_no_class_has_a_high_degree_vertex(ctx3):
             assert int(degs.max()) <= 3
 
 
-def test_epsilon_formula_sampled(ctx3):
-    assert helpers.sampled_epsilon_check(ctx3.signature, samples=500, seed=123).ok
-    report = epsilon_formula_check(ctx3.signature)
-    assert report.ok and report.samples == 6 * 5 * 4 * 3 * 2 * 6 * 19 == 82080
+def test_epsilon_formula_sampled(ctx3, orbits3):
+    assert helpers.sampled_epsilon_check(ctx3.signature, samples=500, seed=123) == []
+    report = epsilon_formula_check(orbits3, ctx3.signature)
+    assert report.ok and report.character == "sgn_tau"
+    assert report.samples == 6 * 5 * 4 * 3 * 2 * 6 * 19 == 82080
+    assert report.counts["sgn_tau"] == 0 and min(report.counts.values()) == 0
 
 
 def _negated(table, rows):
     signs = table.signs.copy()
     signs[rows] *= -1
     return SignatureTable(table.pset, signs)
+
+
+def _assert_violations_are_real(report, orbits, table):
+    for name, found in report.violations.items():
+        assert len(found) == min(5, report.counts[name])
+        for o, sigma, tau, got, expected in found:
+            root = orbits.entries[o].representative
+            assert table.signature(act(PermPair(sigma, tau), root)) == got != expected
+            chi = helpers.ORACLE_CHARACTERS[name](perm_sign(sigma), perm_sign(tau))
+            assert expected == chi * table.signature(root)
 
 
 @pytest.mark.parametrize("tamper", ["every_tenth", "orbit_of_reference_7"])
@@ -261,70 +271,78 @@ def test_exhaustive_parity_form_agrees_with_sampled_oracle(ctx3, orbits3, tamper
         root = orbits3.roots[ctx3.pset.index_of(catalog.reference_partition(7))]
         rows = orbits3.roots == root
     table = _negated(ctx3.signature, rows)
-    report = epsilon_formula_check(table)
+    report = epsilon_formula_check(orbits3, table)
     oracle = helpers.sampled_epsilon_check(table, samples=10000, seed=2024)
-    assert not report.ok and not oracle.ok
-    assert report.samples == 82080 and len(report.violations) == 5
-    for sigma, tau, i, got, expected in report.violations:  # each one is real
-        moved = act(PermPair(sigma, tau), catalog.reference_partition(i))
-        assert table.signature(moved) == got != expected == perm_sign(tau)
-    if tamper != "every_tenth":  # only reference 7 fails, in group order
-        identity = tuple(range(1, 7))
-        taus = list(permutations(range(1, 4)))[:5]
-        assert [v[:3] for v in report.violations] == [(identity, t, 7) for t in taus]
-        assert {v[2] for v in oracle.violations} == {7}
+    assert report.samples == 82080 and len(oracle) == 5
+    _assert_violations_are_real(report, orbits3, table)
+    refs = helpers.searchsorted_parity_form_check(table, catalog.reference_partitions())
+    assert refs.character == report.character
+    if tamper == "every_tenth":
+        assert not report.ok and min(report.counts.values()) > 0
+    else:
+        # every sign of one orbit negated: the signs still follow sgn tau
+        # relative to each root; only the +1 anchor of reference 7 is
+        # broken, and the alternation of the flip graph catches it
+        assert report.character == "sgn_tau"
+        assert {v[2] for v in oracle} == {7} and all(v[3] == -v[4] for v in oracle)
+        assert not alternates(ctx3.graph, table.signs)
 
 
-def test_parity_form_violation_first_seen_under_a_non_identity_sigma(ctx3):
+def test_parity_form_violation_first_seen_under_a_non_identity_sigma(ctx3, orbits3):
     # flip the sign of one member that no (identity, tau) reaches from any
-    # reference: a transposition image of reference 1
-    refs = catalog.reference_partitions()
-    near = {act(PermPair(tuple(range(1, 7)), t), r) for r in refs for t in permutations(range(1, 4))}
+    # orbit root: a transposition image of the first root
+    roots = [e.representative for e in orbits3.entries]
+    identity = tuple(range(1, 7))
+    near = {act(PermPair(identity, t), r) for r in roots for t in permutations(range(1, 4))}
     swap = PermPair((2, 1, 3, 4, 5, 6), (1, 2, 3))
-    moved = act(swap, refs[0])
+    moved = act(swap, roots[0])
     assert moved not in near
     table = _negated(ctx3.signature, ctx3.pset.index_of(moved))
-    report = epsilon_formula_check(table)
-    assert not report.ok and report.violations[0][0] != tuple(range(1, 7))
-    for sigma, tau, i, got, expected in report.violations:
-        assert act(PermPair(sigma, tau), catalog.reference_partition(i)) == moved
-        assert got == -expected == -perm_sign(tau)
-    lam = lambda sgn_sigma, sgn_tau: sgn_tau
-    assert report == helpers.searchsorted_parity_form_check(table, refs, lam)
+    report = epsilon_formula_check(orbits3, table)
+    assert not report.ok and all(count > 0 for count in report.counts.values())
+    assert report.counts["sgn_tau"] == orbits3.entries[0].stabilizer_order
+    assert report.violations["sgn_tau"][0][1] != identity
+    for o, sigma, tau, got, expected in report.violations["sgn_tau"]:
+        assert act(PermPair(sigma, tau), roots[o]) == moved
+        assert got == -expected == -perm_sign(tau) * table.signature(roots[o])
+    _assert_violations_are_real(report, orbits3, table)
+    assert report == helpers.searchsorted_parity_form_check(table, roots)
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_parity_form_witnesses_equal_the_plain_search_oracle(d, ctx2, ctx3):
+def test_parity_form_witnesses_equal_the_plain_search_oracle(d, ctx2, ctx3, orbits3):
     ctx = {2: ctx2, 3: ctx3}[d]
+    orbits = orbits3 if d == 3 else orbit_decomposition(ctx2.pset)
     table = _negated(ctx.signature, slice(None, None, 10))
-    if d == 3:
-        report = epsilon_formula_check(table)
-        refs = catalog.reference_partitions()
-        character = lambda sgn_sigma, sgn_tau: sgn_tau
-    else:
-        report = epsilon_product_check_d2(table)
-        refs = (catalog.BASE_PARTITION_D2,)
-        character = lambda sgn_sigma, sgn_tau: sgn_sigma * sgn_tau
+    report = epsilon_formula_check(orbits, table)
     assert not report.ok
-    assert report == helpers.searchsorted_parity_form_check(table, refs, character)
+    roots = [e.representative for e in orbits.entries]
+    assert report == helpers.searchsorted_parity_form_check(table, roots)
 
 
 def test_epsilon_product_formula_d2(ctx2):
-    report = epsilon_product_check_d2(ctx2.signature)
-    assert report.ok
+    report = epsilon_formula_check(orbit_decomposition(ctx2.pset), ctx2.signature)
+    assert report.character == "sgn_sigma_sgn_tau"
     assert report.samples == 48
+    base = helpers.searchsorted_parity_form_check(ctx2.signature, (catalog.BASE_PARTITION_D2,))
+    assert base.character == "sgn_sigma_sgn_tau"
+    assert ctx2.signature.signature(catalog.BASE_PARTITION_D2) == 1
 
 
 def test_d2_product_form_witnesses_equal_the_group_loop(ctx2):
     table = _negated(ctx2.signature, slice(None, None, 5))
+    orbits = orbit_decomposition(ctx2.pset)
+    root = orbits.entries[0].representative
     loop = []
     for pair in group_elements(4, 2):
-        got = table.signature(act(pair, catalog.BASE_PARTITION_D2))
-        expected = perm_sign(pair.sigma) * perm_sign(pair.tau)
+        got = table.signature(act(pair, root))
+        expected = perm_sign(pair.sigma) * perm_sign(pair.tau) * table.signature(root)
         if got != expected:
-            loop.append((pair.sigma, pair.tau, 1, got, expected))
+            loop.append((0, pair.sigma, pair.tau, got, expected))
     assert len(loop) > 5
-    assert epsilon_product_check_d2(table).violations == loop[:5]
+    report = epsilon_formula_check(orbits, table)
+    assert report.counts["sgn_sigma_sgn_tau"] == len(loop)
+    assert report.violations["sgn_sigma_sgn_tau"] == loop[:5]
 
 
 def test_sigma_alone_preserves_d3_signature(ctx3):
