@@ -37,7 +37,6 @@ from .flips import (
     check_connected,
     flip,
     standard_anchors,
-    two_color,
     verify_flip_soundness,
 )
 from .model import (

@@ -30,10 +30,11 @@ result is exact.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -483,7 +484,49 @@ def relation_sum(inst: RelationInstance, pset: PartitionSet, table: SignatureTab
 
 
 # ---------------------------------------------------------------------------
-# rank of the d = 2 relation space
+# exact row reduction, and the rank of the d = 2 relation space
+
+def row_reduce(rows, p=None):
+    """Gauss-Jordan elimination over Q, or over GF(p) in Python ints mod
+    the prime p.
+
+    Returns (reduced, pivots, det): the reduced row echelon rows, the
+    pivot column of each nonzero row, and the determinant, which is 0
+    unless the matrix is square and invertible.  Each pivot is the first
+    nonzero entry at or below the current row.  Entries over Q go
+    through parse_scalar; over GF(p) they must be integers.
+    """
+    if p is None:
+        m = [[parse_scalar(x) for x in row] for row in rows]
+    else:
+        validate_prime(p)
+        m = [[operator.index(x) % p for x in row] for row in rows]
+    n_cols = len(m[0]) if m else 0
+    if any(len(row) != n_cols for row in m):
+        raise ValueError("rows of unequal length")
+    reduce = (lambda x: x) if p is None else (lambda x: x % p)
+    pivots, det = [], 1
+    for col in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            det = -det
+        det = reduce(det * m[r][col])
+        inv = 1 / m[r][col] if p is None else pow(m[r][col], -1, p)
+        m[r] = [reduce(x * inv) for x in m[r]]
+        nonzero = [(c, x) for c, x in enumerate(m[r]) if x]  # relation rows are sparse
+        for i, row in enumerate(m):
+            f = row[col]
+            if f and i != r:
+                for c, x in nonzero:
+                    row[c] = reduce(row[c] - f * x)
+        pivots.append(col)
+    square = len(pivots) == len(m) == n_cols
+    return m, pivots, (det if square else 0)
+
 
 def rank_certify_d2(p: int) -> int:
     """Dimension of the d = 2 quotient over GF(p) by direct elimination.
@@ -491,7 +534,6 @@ def rank_certify_d2(p: int) -> int:
     The 64 basis generators of the K_4 tensor space are spanned against
     all 128 relation vectors; the quotient dimension is 64 - rank.
     """
-    validate_prime(p)
     E = edge_count(4)
     n_gens = 2 ** E
     rows = []
@@ -503,32 +545,7 @@ def rank_certify_d2(p: int) -> int:
                 code = code * 2 + c
             vec[code] += 1
         rows.append(vec)
-    return n_gens - gf_rank(np.array(rows, dtype=np.int64), p)
-
-
-def gf_rank(matrix: np.ndarray, p: int) -> int:
-    """Row-echelon rank over GF(p)."""
-    m = matrix.astype(np.int64 if (p - 1) ** 2 < 2 ** 63 else object) % p  # products fit
-    rank = 0
-    n_rows, n_cols = m.shape
-    for col in range(n_cols):
-        pivot = None
-        for r in range(rank, n_rows):
-            if m[r, col] % p:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = m[rank] * inv % p
-        for r in range(n_rows):
-            if r != rank and m[r, col]:
-                m[r] = (m[r] - m[r, col] * m[rank]) % p
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    return n_gens - len(row_reduce(rows, p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +554,11 @@ def gf_rank(matrix: np.ndarray, p: int) -> int:
 def permute_tensor(sigma, vectors, n: int) -> Tensor:
     """Relabel the edge slots: slot (i, j) receives the vector formerly
     at (sigma^-1 i, sigma^-1 j)."""
-    from .symmetry import perm_inverse
+    from .symmetry import vertex_perm_edge_map
 
     d = len(vectors[0])
     vectors = as_tensor(vectors, d, n)
-    inv = perm_inverse(tuple(sigma))
-    out = [None] * len(vectors)
-    for k, (i, j) in enumerate(edge_list(n)):
-        a, b = inv[i - 1], inv[j - 1]
-        if a > b:
-            a, b = b, a
-        out[k] = vectors[edge_index(a, b, n)]
-    return tuple(out)
+    return tuple(vectors[k] for k in vertex_perm_edge_map(sigma, n))
 
 
 def transform_tensor(matrix, vectors, n: int) -> Tensor:
@@ -565,25 +575,10 @@ def transform_tensor(matrix, vectors, n: int) -> Tensor:
 
 
 def matrix_determinant(matrix) -> Fraction:
-    """Exact determinant of a small rational matrix (fraction-free it is
-    not; plain elimination is fine at these sizes)."""
-    rows = [[parse_scalar(x) for x in row] for row in matrix]
-    m = len(rows)
-    det = Fraction(1)
-    for col in range(m):
-        pivot = next((r for r in range(col, m) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, m):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return det
+    """Exact determinant of a small square rational matrix."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("expected a square matrix")
+    return Fraction(row_reduce(matrix)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -604,35 +599,6 @@ def zero_by_multiplicity(vectors, d: int) -> bool:
             raise ValueError("tensor is not basis-valued")
         counts[hot[0]] += 1
     return max(counts) >= 2 * d
-
-
-def rational_kernel_vector(rows: Sequence[Sequence[Fraction]], n_cols: int):
-    """A nontrivial kernel vector of a small rational matrix, or None."""
-    m = [list(r) for r in rows]
-    pivots = {}
-    rank = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = [c for c in range(n_cols) if c not in pivots]
-    if not free:
-        return None
-    c0 = free[0]
-    vec = [Fraction(0)] * n_cols
-    vec[c0] = Fraction(1)
-    for col, r in pivots.items():
-        vec[col] = -m[r][c0]
-    return tuple(vec)
 
 
 @dataclass
@@ -666,7 +632,15 @@ def geometric_check_d2(vectors) -> GeometricReport:
             row[eyz] += vectors[eyz][coord]
             row[exz] -= vectors[exz][coord]  # v_zx = -v_xz
             rows.append(row)
-    witness = rational_kernel_vector(rows, 6)
+    reduced, pivots, _ = row_reduce(rows)
+    free = [c for c in range(6) if c not in pivots]
+    witness = None
+    if free:  # the first free column set to 1, each pivot column read off its row
+        vec = [Fraction(0)] * 6
+        vec[free[0]] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free[0]]
+        witness = tuple(vec)
     from .context import standard_context
 
     ctx = standard_context(2)

@@ -194,10 +194,6 @@ def cmd_flip(args) -> int:
 
 def cmd_flip_graph(args) -> int:
     t0 = time.perf_counter()
-    checks = [c.strip() for c in args.check.split(",") if c.strip()]
-    unknown = set(checks) - {"bipartite", "connected"}
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
     ctx = standard_context(args.d)
     soundness = verify_flip_soundness(ctx.graph)
     numbers = {
@@ -208,30 +204,20 @@ def cmd_flip_graph(args) -> int:
         "flips_changing_three_edges": soundness.diff_three,
     }
     witnesses = _soundness_witnesses(soundness)
-    if "bipartite" in checks:
-        anchors = _load_anchors(args.anchors, ctx.pset)
-        result = check_bipartite(ctx.graph, anchors)
-        if isinstance(result, OddCycleWitness):
-            numbers["bipartite"] = 0
-            witnesses.append(
-                {
-                    "property": "signature_existence",
-                    "odd_cycle_codes": [
-                        int(ctx.pset.codes[i]) for i in result.nodes
-                    ],
-                }
-            )
-        else:
-            plus, minus = result.class_sizes()
-            numbers["bipartite"] = 1
-            numbers["class_plus"] = plus
-            numbers["class_minus"] = minus
-            numbers["alternating_edges"] = int(ctx.graph.adjacency.size)
-            witnesses += _alternation_witnesses(ctx.graph, result)
-    if "connected" in checks:
-        conn = check_connected(ctx.graph)
-        numbers["components"] = conn.n_components
-    parameters = {"d": args.d, "check": checks, "anchors": args.anchors}
+    result = check_bipartite(ctx.graph, _load_anchors(args.anchors, ctx.pset))
+    if isinstance(result, OddCycleWitness):
+        numbers["bipartite"] = 0
+        codes = [int(ctx.pset.codes[i]) for i in result.nodes]
+        witnesses.append({"property": "signature_existence", "odd_cycle_codes": codes})
+    else:
+        plus, minus = result.class_sizes()
+        numbers["bipartite"] = 1
+        numbers["class_plus"] = plus
+        numbers["class_minus"] = minus
+        numbers["alternating_edges"] = int(ctx.graph.adjacency.size)
+        witnesses += _alternation_witnesses(ctx.graph, result)
+    numbers["components"] = check_connected(ctx.graph).n_components
+    parameters = {"d": args.d, "anchors": args.anchors}
     return _emit("flip-graph", parameters, numbers, witnesses, t0)
 
 
@@ -401,6 +387,7 @@ def cmd_certify_all(args) -> int:
         {"instances_checked": report.instances_checked, "violations": report.violations},
         _relation_witnesses(report),
         sample=args.sample_relations,
+        seed=args.seed,
     )
     return max(codes)
 
@@ -445,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flip-graph", help="build the flip graph and emit certificates")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--check", default="bipartite,connected")
     p.add_argument("--anchors", help="JSON list of {partition, sign} anchor objects")
     p.set_defaults(func=cmd_flip_graph)
 

@@ -52,13 +52,6 @@ def edge_index(i: int, j: int, n: int) -> int:
     return (i - 1) * n - i * (i + 1) // 2 + j - 1
 
 
-def edge_endpoints(k: int, n: int) -> tuple[int, int]:
-    """Inverse of edge_index."""
-    if not (0 <= k < edge_count(n)):
-        raise ValueError(f"edge rank {k} out of range for K_{n}")
-    return edge_list(n)[k]
-
-
 @lru_cache(maxsize=None)
 def edge_list(n: int) -> tuple[tuple[int, int], ...]:
     """All edges of K_n in lexicographic order."""

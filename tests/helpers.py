@@ -24,14 +24,18 @@ face sweep over all candidate recolorings (with its (N, C(2d,3)) table
 of changed face edges), the flip-soundness check that reads the strided
 columns of the flip table, the min-label hooking components kernel and
 the two-coloring read off it on the parity double cover of the flip
-graph, the sampled check of the d = 3 parity form, the acyclic-subset
-table filled one mask at a time, and Miller-Rabin with all 13 prime
-bases up to 41 for every number.
+graph, the node-by-node breadth-first two-coloring that extracts its
+witnesses, the sampled check of the d = 3 parity form, the acyclic-subset
+table filled one mask at a time, Miller-Rabin with all 13 prime bases up
+to 41 for every number, and the determinant and rank of a matrix by
+Leibniz expansion and by its largest nonzero minor, without elimination.
 """
 
 import math
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -806,18 +810,67 @@ def hooking_components(neighbors):
             labels, jumped = jumped, jumped[jumped]
 
 
+@dataclass
+class TwoColoring:
+    component: np.ndarray  # (N,) int32 component ids
+    sign: np.ndarray  # (N,) int8 in {+1, -1}, BFS-relative
+    parent: np.ndarray  # (N,) int32 BFS tree, -1 at seeds
+    n_components: int
+    seeds: list  # one node per component, ascending
+
+
+def python_two_color(neighbors):
+    """BFS 2-coloring of an undirected graph given as a neighbor table.
+
+    `neighbors` may be an (N, k) integer array or a list of neighbor
+    lists.  Returns the coloring, or an explicit odd cycle if any edge
+    joins two nodes of the same BFS parity.
+    """
+    from treedet.flips import OddCycleWitness, _odd_cycle
+
+    if isinstance(neighbors, np.ndarray):
+        rows = neighbors.tolist()
+    else:
+        rows = [list(r) for r in neighbors]
+    N = len(rows)
+    component = np.full(N, -1, dtype=np.int32)
+    sign = np.zeros(N, dtype=np.int8)
+    parent = np.full(N, -1, dtype=np.int32)
+    seeds = []
+    for seed in range(N):
+        if component[seed] >= 0:
+            continue
+        cid = len(seeds)
+        seeds.append(seed)
+        component[seed] = cid
+        sign[seed] = 1
+        queue = deque([seed])
+        while queue:
+            u = queue.popleft()
+            su = int(sign[u])
+            for v in rows[u]:
+                if component[v] < 0:
+                    component[v] = cid
+                    sign[v] = -su
+                    parent[v] = u
+                    queue.append(v)
+                elif sign[v] == su:
+                    return OddCycleWitness(_odd_cycle(parent, u, v))
+    return TwoColoring(component, sign, parent, len(seeds), seeds)
+
+
 def cover_check_bipartite(graph, anchors=None):
     """check_bipartite read off the components of the parity double
     cover: node i has its even copy at i and its odd copy at i + N, and
     each flip joins one parity to the other.  Returns the signature
-    table, or the odd cycle that two_color extracts."""
-    from treedet.flips import AnchorConflictError, SignatureTable, _tree_path, two_color
+    table, or the odd cycle that python_two_color extracts."""
+    from treedet.flips import AnchorConflictError, SignatureTable, _tree_path
 
     N = len(graph.adjacency)
     cover = np.concatenate([graph.adjacency + N, graph.adjacency])
     even, odd = hooking_components(cover).reshape(2, N)
     if np.any(even == odd):  # a node reaches its own odd copy: an odd cycle
-        return two_color(graph.adjacency)
+        return python_two_color(graph.adjacency)
     root = np.minimum(even, odd)
     sign = np.where(even == root, 1, -1).astype(np.int8)
     flip_factor = np.zeros(N, dtype=np.int8)
@@ -831,7 +884,7 @@ def cover_check_bipartite(graph, anchors=None):
             anchor_node[r] = i
         elif flip_factor[r] != factor:
             first = int(anchor_node[r])
-            parent = two_color(graph.adjacency).parent
+            parent = python_two_color(graph.adjacency).parent
             raise AnchorConflictError(first, i, _tree_path(parent, first, i))
     flip_factor[flip_factor == 0] = 1
     return SignatureTable(graph.pset, (sign * flip_factor[root]).astype(np.int8))
@@ -936,3 +989,26 @@ def per_term_sampled_relation_sweep(pset, table, sample, seed):
                 ctx = tuple(int(col[r]) for col in ctx_digit_cols)
                 witnesses.append(RelationInstance(d, n, faces[int(face_idx[r])], ms, ctx))
     return RelationReport(checked, violations, witnesses, mode=f"sample({sample}, seed={seed})")
+
+
+def leibniz_determinant(rows, p=None):
+    """Determinant as the signed sum over all permutations of the
+    products of one entry per row and column; mod p when p is given."""
+    m = len(rows)
+    total = 0
+    for perm in permutations(range(m)):
+        inversions = sum(perm[a] > perm[b] for a in range(m) for b in range(a + 1, m))
+        total += (-1) ** inversions * math.prod(rows[r][perm[r]] for r in range(m))
+    return total if p is None else total % p
+
+
+def minor_rank(rows, p=None):
+    """Rank as the size of the largest square minor whose Leibniz
+    determinant is nonzero (mod p when p is given)."""
+    n_rows, n_cols = len(rows), len(rows[0]) if rows else 0
+    for k in range(min(n_rows, n_cols), 0, -1):
+        for rs in combinations(range(n_rows), k):
+            for cs in combinations(range(n_cols), k):
+                if leibniz_determinant([[rows[r][c] for c in cs] for r in rs], p):
+                    return k
+    return 0

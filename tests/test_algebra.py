@@ -14,11 +14,11 @@ from treedet.algebra import (
     det2_explicit,
     det_eval,
     geometric_check_d2,
-    gf_rank,
     matrix_determinant,
     parse_scalar,
     permute_tensor,
     rank_certify_d2,
+    row_reduce,
     relation_instances,
     relation_sum,
     tensor_from_json,
@@ -533,9 +533,10 @@ def test_rank_against_rational_elimination():
 
 
 def test_gf_rank_small():
-    assert gf_rank(np.array([[1, 2], [2, 4]]), 5) == 1
-    assert gf_rank(np.array([[1, 0], [0, 1]]), 5) == 2
-    assert gf_rank(np.array([[5, 10], [1, 3]]), 5) == 1
+    assert len(row_reduce([[1, 2], [2, 4]], 5)[1]) == 1
+    assert len(row_reduce([[1, 0], [0, 1]], 5)[1]) == 2
+    assert len(row_reduce([[5, 10], [1, 3]], 5)[1]) == 1
+    assert len(row_reduce(np.array([[5, 10], [1, 3]]), 5)[1]) == 1
 
 
 def test_permute_tensor_moves_slots():
@@ -579,6 +580,9 @@ def test_matrix_determinant():
     assert matrix_determinant([[2, 0], [0, 3]]) == 6
     assert matrix_determinant([[1, 2], [2, 4]]) == 0
     assert matrix_determinant([[0, 1], [1, 0]]) == -1
+    assert matrix_determinant([["1/2", 1], [3, "4"]]) == Fraction(-1)
+    with pytest.raises(ValueError):
+        matrix_determinant([[1, 2]])
 
 
 def test_zero_by_multiplicity():
@@ -624,6 +628,13 @@ def test_geometric_check_quadrilateral():
         exy, exz, eyz = face_edge_indices(face, 4)
         for c in range(2):
             assert vectors[exy][c] + vectors[eyz][c] - vectors[exz][c] == 0
+    # the reported witness is a nonzero solution as well
+    lam = report.lambda_witness
+    assert any(lam)
+    for face in faces_of(4):
+        exy, exz, eyz = face_edge_indices(face, 4)
+        for c in range(2):
+            assert lam[exy] * vectors[exy][c] + lam[eyz] * vectors[eyz][c] - lam[exz] * vectors[exz][c] == 0
 
 
 def test_validate_prime():

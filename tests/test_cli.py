@@ -109,7 +109,7 @@ def test_signature_command(capsys, tmp_path):
 
 
 def test_flip_graph_certificate(capsys):
-    code, out, _ = run(capsys, ["flip-graph", "--d", "2", "--check", "bipartite,connected"])
+    code, out, _ = run(capsys, ["flip-graph", "--d", "2"])
     assert code == 0
     cert = json.loads(out)
     assert cert["outcome"] == "pass"
@@ -117,11 +117,6 @@ def test_flip_graph_certificate(capsys):
     assert nums["class_plus"] == 6 and nums["class_minus"] == 6
     assert nums["components"] == 1 and nums["bipartite"] == 1
     assert "dimension_upper_bound_certified" not in nums  # components == 1 alone bounds nothing
-
-
-def test_flip_graph_rejects_unknown_check(capsys):
-    code, _, err = run(capsys, ["flip-graph", "--d", "2", "--check", "planarity"])
-    assert code == 2 and "unknown checks" in err
 
 
 def test_emat_det_pipeline(capsys, tmp_path):
@@ -283,12 +278,33 @@ def test_flip_graph_custom_anchor_flips_orientation(capsys, tmp_path):
     )
     code, out, _ = run(
         capsys,
-        ["flip-graph", "--d", "2", "--check", "bipartite", "--anchors", str(anchors)],
+        ["flip-graph", "--d", "2", "--anchors", str(anchors)],
     )
     assert code == 0
     cert = json.loads(out)
     assert cert["outcome"] == "pass"
     assert cert["numbers"]["class_plus"] == 6  # orientation flips, sizes do not
+    assert cert["parameters"] == {"d": 2, "anchors": str(anchors)}
+
+
+def test_flip_graph_conflicting_anchors_fail_the_certificate(capsys, tmp_path):
+    # a member and its flip partner across face (1, 2, 3), both pinned at +1
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(
+        json.dumps(
+            [
+                {"partition": {"d": 2, "n": 4, "colors": colors}, "sign": 1}
+                for colors in ([0, 1, 0, 0, 1, 1], [1, 0, 0, 0, 1, 1])
+            ]
+        )
+    )
+    code, out, err = run(capsys, ["flip-graph", "--d", "2", "--anchors", str(anchors)])
+    assert code == 1 and err == ""
+    cert = json.loads(out)
+    assert cert["command"] == "flip-graph" and cert["outcome"] == "fail"
+    (witness,) = cert["witnesses"]
+    assert witness["property"] == "anchor_consistency"
+    assert "connecting path has 2 nodes" in witness["detail"]
 
 
 @pytest.mark.parametrize(
@@ -603,3 +619,15 @@ def test_certify_all_numbers_and_outcomes_are_pinned(capsys, d):
     assert {c["command"]: c["numbers"] for c in certs} == CERTIFY_ALL_NUMBERS[d]
     assert [c["command"] for c in certs] == list(CERTIFY_ALL_NUMBERS[d])
     assert all(c["outcome"] == "pass" and c["witnesses"] == [] for c in certs)
+    assert certs[-1]["parameters"] == {"d": d, "sample": None, "seed": 7}
+
+
+def test_certify_all_sampled_relations_record_their_seed(capsys):
+    for seed in (7, 8):
+        code, out, _ = run(
+            capsys, ["certify-all", "--d", "2", "--seed", str(seed), "--sample-relations", "5"]
+        )
+        assert code == 0
+        relations = json.loads(out.strip().splitlines()[-1])
+        assert relations["command"] == "certify-all/relations"
+        assert relations["parameters"] == {"d": 2, "sample": 5, "seed": seed}

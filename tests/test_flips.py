@@ -18,7 +18,6 @@ from treedet.flips import (
     check_connected,
     flip,
     standard_anchors,
-    two_color,
     verify_flip_soundness,
 )
 from treedet.model import EdgePartition, component_count, face_edge_indices, faces_of
@@ -212,7 +211,7 @@ def test_two_coloring_against_independent_bfs_d2(ctx2):
 
 def test_triangle_graph_is_rejected(ctx2):
     triangle = [[1, 2], [0, 2], [0, 1]]
-    result = two_color(triangle)
+    result = helpers.python_two_color(triangle)
     assert isinstance(result, OddCycleWitness)
     assert sorted(result.nodes) == [0, 1, 2]
     # the kernel detects the odd cycle, the BFS then extracts it
@@ -230,7 +229,7 @@ def test_odd_cycle_witness_is_a_closed_odd_walk():
     for a, b in edges:
         rows[a].append(b)
         rows[b].append(a)
-    result = two_color(rows)
+    result = helpers.python_two_color(rows)
     assert isinstance(result, OddCycleWitness)
     cycle = result.nodes
     assert len(cycle) == 5 and len(set(cycle)) == 5
@@ -247,10 +246,47 @@ def test_anchor_conflict_raises(ctx2):
     assert all(b in adjacency[a] for a, b in zip(path, path[1:]))
 
 
+def _is_flip_walk(adjacency, nodes, closed):
+    steps = zip(nodes, nodes[1:] + nodes[:1] if closed else nodes[1:])
+    return all(b in adjacency[a] for a, b in steps)
+
+
+def test_same_level_flip_gives_an_odd_cycle_d3(ctx3):
+    # swap two face-0 pairs (a, b), (c, e) with a and c on one level into (a, c), (b, e)
+    adjacency = ctx3.graph.adjacency.copy(order="F")
+    level = ctx3.graph.levels[1]
+    a, c = np.flatnonzero(level == 3)[:2]
+    column = adjacency[:, 0]
+    b, e = column[a], column[c]
+    column[[a, c, b, e]] = c, a, e, b
+    graph = FlipGraph(ctx3.pset, adjacency, ctx3.graph.diff_counts)
+    witness = check_bipartite(graph, standard_anchors(ctx3.pset))
+    assert isinstance(witness, OddCycleWitness)
+    assert len(witness) % 2 == 1 and len(set(witness.nodes)) == len(witness)
+    assert _is_flip_walk(adjacency, witness.nodes, closed=True)
+    assert isinstance(helpers.python_two_color(adjacency), OddCycleWitness)
+
+
+def test_anchor_conflict_path_follows_flips_d3(ctx3):
+    # a member and its flip partner, both pinned at +1; across face 3 the
+    # partner is no tree neighbour and the path runs through the root
+    pset, adjacency = ctx3.pset, ctx3.graph.adjacency
+    member = 1000
+    for face, length in ((0, 2), (3, 10)):
+        partner = int(adjacency[member, face])
+        with pytest.raises(AnchorConflictError) as err:
+            check_bipartite(ctx3.graph, [(pset.partition(i), +1) for i in (member, partner)])
+        path = err.value.path
+        assert (path[0], path[-1]) == (err.value.first, err.value.second) == (member, partner)
+        assert len(path) == length and len(set(path)) == length
+        assert _is_flip_walk(adjacency, path, closed=False)
+    assert not isinstance(helpers.python_two_color(adjacency), OddCycleWitness)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_kernel_signs_equal_bfs_signs(d, ctx2, ctx3):
     graph = {2: ctx2, 3: ctx3}[d].graph
-    bfs = two_color(graph.adjacency)
+    bfs = helpers.python_two_color(graph.adjacency)
     table = check_bipartite(graph)  # no anchors: +1 at each component's minimal node
     assert table.signs.tobytes() == bfs.sign.tobytes()
     assert check_connected(graph).n_components == bfs.n_components == 1

@@ -17,6 +17,7 @@ from treedet.algebra import verify_relations
 from treedet.cli import _alternation_witnesses
 from treedet.diagram import SignedDiagram
 from treedet.flips import (
+    AnchorConflictError,
     _face_sweep,
     bfs_levels,
     check_bipartite,
@@ -26,6 +27,13 @@ from treedet.flips import (
 from treedet.symmetry import epsilon_formula_check, orbit_decomposition
 
 MiB = 2 ** 20
+
+
+def anchor_conflict(ctx):
+    """check_bipartite on a member and its face-0 partner, both pinned at +1."""
+    anchors = [(ctx.pset.partition(i), +1) for i in (1000, int(ctx.graph.adjacency[1000, 0]))]
+    with pytest.raises(AnchorConflictError):
+        check_bipartite(ctx.graph, anchors)
 
 
 def traced_peak(call) -> int:
@@ -40,11 +48,14 @@ def traced_peak(call) -> int:
 STAGES = {
     # each breadth-first round reads the rows of its frontier in blocks
     "bfs_levels": (lambda ctx, orbits: bfs_levels(ctx.graph.adjacency), 3 * MiB),
-    # the alternation check reads the flip table in blocks of rows
+    # the alternation check reads the flip table one face column at a time
     "check_bipartite": (
         lambda ctx, orbits: check_bipartite(ctx.graph, standard_anchors(ctx.pset)),
         2 * MiB,
     ),
+    # the witness path follows a breadth-first tree read off the levels one
+    # face column at a time
+    "anchor_conflict": (lambda ctx, orbits: anchor_conflict(ctx), 4 * MiB),
     "alternation_witnesses": (
         lambda ctx, orbits: _alternation_witnesses(ctx.graph, ctx.signature),
         1 * MiB,

@@ -9,7 +9,6 @@ from treedet.model import (
     classify_tree,
     component_count,
     edge_count,
-    edge_endpoints,
     edge_index,
     edge_list,
     is_cycle_free,
@@ -47,7 +46,7 @@ def test_edge_index_roundtrip(n, data):
     j = data.draw(st.integers(min_value=i + 1, max_value=n))
     k = edge_index(i, j, n)
     assert 0 <= k < edge_count(n)
-    assert edge_endpoints(k, n) == (i, j)
+    assert edge_list(n)[k] == (i, j)
 
 
 def test_edge_index_is_bijective():

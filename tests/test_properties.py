@@ -4,7 +4,9 @@ prefix-rescan oracle, the diagram determinant against the enumerative oracle
 limits), each level's dtype run against the whole-diagram oracles over
 Q and GF(p), GF(p) against the rational residue (small entries, and
 full-size residues that force the mod-p pass), validate_prime against
-Miller-Rabin with all 13 bases, and `det --input` on arbitrary JSON."""
+Miller-Rabin with all 13 bases, `det --input` on arbitrary JSON, and
+row_reduce over Q and GF(p) against the Leibniz determinant and the
+largest nonzero minor."""
 
 import contextlib
 import io
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import helpers
-from treedet.algebra import det_eval, validate_prime
+from treedet.algebra import det_eval, row_reduce, validate_prime
 from treedet.cli import main
 from treedet.context import standard_context
 from treedet.diagram import SignedDiagram
@@ -232,3 +234,33 @@ def test_det_input_never_exits_one_or_three(doc):
         os.unlink(path)
     assert code in (0, 2), err.getvalue()
     assert (code == 0) == (out.getvalue() != "")
+
+
+def _entries(p):
+    if p is None:
+        return st.one_of(st.integers(-2, 2), fractions)
+    return st.one_of(st.integers(-2, 2), st.integers(-2 * p, 2 * p), st.just(p))
+
+
+@pytest.mark.parametrize("p", [None, 5, 101, 2 ** 31 - 1, 4294967311])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_row_reduce_equals_the_elimination_free_oracles(p, data):
+    n_rows, n_cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    rows = data.draw(
+        st.lists(st.lists(_entries(p), min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows)
+    )
+    reduced, pivots, det = row_reduce(rows, p)
+    assert len(pivots) == helpers.minor_rank(rows, p)
+    assert det == (helpers.leibniz_determinant(rows, p) if n_rows == n_cols else 0)
+    for k, col in enumerate(pivots):  # reduced row echelon form
+        assert [row[col] for row in reduced] == [int(i == k) for i in range(n_rows)]
+    assert not any(any(row) for row in reduced[len(pivots):])
+    free = [c for c in range(n_cols) if c not in pivots]
+    if free:  # the kernel vector that geometric_check_d2 reads off the reduced rows
+        v = [0] * n_cols
+        v[free[0]] = 1
+        for row, col in zip(reduced, pivots):
+            v[col] = -row[free[0]]
+        products = [sum(a * x for a, x in zip(row, v)) for row in rows]
+        assert all((y if p is None else y % p) == 0 for y in products)
