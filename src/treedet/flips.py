@@ -25,21 +25,24 @@ two certificates this package is built around:
   relations.
 
 Both are read off one level-synchronous breadth-first search
-(bfs_levels): a flip must join levels of opposite parity (alternates),
-and each component is named by its smallest node.  The witness of a
-failed check, an odd cycle or an anchor-to-anchor path, follows the
-parents that _bfs_parents reads off the same levels.
+(bfs_levels): a flip must join levels of opposite parity, and each
+component is named by its smallest node.  The witness of a failed
+check, an odd cycle or an anchor-to-anchor path, follows the parents
+that _bfs_parents reads off the same levels.  The node-by-node search
+two_color is not on this path; it is the reference the vectorised one
+is tested against.
 
 Besides its (N, C(2d,3)) flip table, every step of the stage works in
 O(N) scratch memory for N members.  The table is stored face-major, so
 the face sweep writes each face's column in place, and the soundness
-check, alternates and _bfs_parents read it one column at a time; the
+check, check_bipartite and _bfs_parents read it one column at a time; the
 sweep keeps two counts per face of the face edges its flips change; each
 breadth-first round reads the rows of its frontier in blocks.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -353,6 +356,55 @@ class OddCycleWitness:
         return len(self.nodes)
 
 
+@dataclass
+class TwoColoring:
+    component: np.ndarray  # (N,) int32 component ids
+    sign: np.ndarray  # (N,) int8 in {+1, -1}, BFS-relative
+    parent: np.ndarray  # (N,) int32 BFS tree, -1 at seeds
+    n_components: int
+    seeds: list  # one node per component, ascending
+
+
+def two_color(neighbors) -> Union[TwoColoring, OddCycleWitness]:
+    """BFS 2-coloring of an undirected graph given as a neighbor table.
+
+    `neighbors` may be an (N, k) integer array or a list of neighbor
+    lists.  Returns the coloring, or an explicit odd cycle if any edge
+    joins two nodes of the same BFS parity.  The flip-graph checks do
+    not call it: it is the node-by-node reference for bfs_levels and
+    for the witnesses that check_bipartite reads off it.
+    """
+    if isinstance(neighbors, np.ndarray):
+        rows = neighbors.tolist()
+    else:
+        rows = [list(r) for r in neighbors]
+    N = len(rows)
+    component = np.full(N, -1, dtype=np.int32)
+    sign = np.zeros(N, dtype=np.int8)
+    parent = np.full(N, -1, dtype=np.int32)
+    seeds = []
+    for seed in range(N):
+        if component[seed] >= 0:
+            continue
+        cid = len(seeds)
+        seeds.append(seed)
+        component[seed] = cid
+        sign[seed] = 1
+        queue = deque([seed])
+        while queue:
+            u = queue.popleft()
+            su = int(sign[u])
+            for v in rows[u]:
+                if component[v] < 0:
+                    component[v] = cid
+                    sign[v] = -su
+                    parent[v] = u
+                    queue.append(v)
+                elif sign[v] == su:
+                    return OddCycleWitness(_odd_cycle(parent, u, v))
+    return TwoColoring(component, sign, parent, len(seeds), seeds)
+
+
 def _bfs_parents(graph: FlipGraph) -> np.ndarray:
     """A breadth-first tree of graph.levels: each node's partner one
     level up across the first face that has one, -1 at the level-0
@@ -433,14 +485,13 @@ def check_bipartite(
     """
     root, level = graph.levels
     sign = (1 - 2 * (level & 1)).astype(np.int8)  # +1 at the root, the BFS seed
-    if not alternates(graph, sign):
-        # levels are distances from the root, so the first flip joining
-        # equal parities joins one level, and the tree paths close an odd cycle
-        for partner in graph.adjacency.T:
-            same = np.flatnonzero(sign.take(partner) == sign)
-            if same.size:
-                u = int(same[0])
-                return OddCycleWitness(_odd_cycle(_bfs_parents(graph), u, int(partner[u])))
+    for partner in graph.adjacency.T:  # every flip must join opposite parities
+        same = sign.take(partner) == sign
+        if same.any():
+            # levels are distances from the root, so this flip joins one
+            # level, and the two tree paths close an odd cycle
+            u = int(same.argmax())
+            return OddCycleWitness(_odd_cycle(_bfs_parents(graph), u, int(partner[u])))
     flip_factor = np.zeros(len(root), dtype=np.int8)  # indexed by component root
     anchor_node = np.full(len(root), -1, dtype=np.int64)
     for partition, wanted in anchors or ():

@@ -24,16 +24,13 @@ face sweep over all candidate recolorings (with its (N, C(2d,3)) table
 of changed face edges), the flip-soundness check that reads the strided
 columns of the flip table, the min-label hooking components kernel and
 the two-coloring read off it on the parity double cover of the flip
-graph, the node-by-node breadth-first two-coloring that extracts its
-witnesses, the sampled check of the d = 3 parity form, the acyclic-subset
+graph, the sampled check of the d = 3 parity form, the acyclic-subset
 table filled one mask at a time, Miller-Rabin with all 13 prime bases up
 to 41 for every number, and the determinant and rank of a matrix by
 Leibniz expansion and by its largest nonzero minor, without elimination.
 """
 
 import math
-from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
@@ -810,67 +807,18 @@ def hooking_components(neighbors):
             labels, jumped = jumped, jumped[jumped]
 
 
-@dataclass
-class TwoColoring:
-    component: np.ndarray  # (N,) int32 component ids
-    sign: np.ndarray  # (N,) int8 in {+1, -1}, BFS-relative
-    parent: np.ndarray  # (N,) int32 BFS tree, -1 at seeds
-    n_components: int
-    seeds: list  # one node per component, ascending
-
-
-def python_two_color(neighbors):
-    """BFS 2-coloring of an undirected graph given as a neighbor table.
-
-    `neighbors` may be an (N, k) integer array or a list of neighbor
-    lists.  Returns the coloring, or an explicit odd cycle if any edge
-    joins two nodes of the same BFS parity.
-    """
-    from treedet.flips import OddCycleWitness, _odd_cycle
-
-    if isinstance(neighbors, np.ndarray):
-        rows = neighbors.tolist()
-    else:
-        rows = [list(r) for r in neighbors]
-    N = len(rows)
-    component = np.full(N, -1, dtype=np.int32)
-    sign = np.zeros(N, dtype=np.int8)
-    parent = np.full(N, -1, dtype=np.int32)
-    seeds = []
-    for seed in range(N):
-        if component[seed] >= 0:
-            continue
-        cid = len(seeds)
-        seeds.append(seed)
-        component[seed] = cid
-        sign[seed] = 1
-        queue = deque([seed])
-        while queue:
-            u = queue.popleft()
-            su = int(sign[u])
-            for v in rows[u]:
-                if component[v] < 0:
-                    component[v] = cid
-                    sign[v] = -su
-                    parent[v] = u
-                    queue.append(v)
-                elif sign[v] == su:
-                    return OddCycleWitness(_odd_cycle(parent, u, v))
-    return TwoColoring(component, sign, parent, len(seeds), seeds)
-
-
 def cover_check_bipartite(graph, anchors=None):
     """check_bipartite read off the components of the parity double
     cover: node i has its even copy at i and its odd copy at i + N, and
     each flip joins one parity to the other.  Returns the signature
-    table, or the odd cycle that python_two_color extracts."""
-    from treedet.flips import AnchorConflictError, SignatureTable, _tree_path
+    table, or the odd cycle that two_color extracts."""
+    from treedet.flips import AnchorConflictError, SignatureTable, _tree_path, two_color
 
     N = len(graph.adjacency)
     cover = np.concatenate([graph.adjacency + N, graph.adjacency])
     even, odd = hooking_components(cover).reshape(2, N)
     if np.any(even == odd):  # a node reaches its own odd copy: an odd cycle
-        return python_two_color(graph.adjacency)
+        return two_color(graph.adjacency)
     root = np.minimum(even, odd)
     sign = np.where(even == root, 1, -1).astype(np.int8)
     flip_factor = np.zeros(N, dtype=np.int8)
@@ -884,7 +832,7 @@ def cover_check_bipartite(graph, anchors=None):
             anchor_node[r] = i
         elif flip_factor[r] != factor:
             first = int(anchor_node[r])
-            parent = python_two_color(graph.adjacency).parent
+            parent = two_color(graph.adjacency).parent
             raise AnchorConflictError(first, i, _tree_path(parent, first, i))
     flip_factor[flip_factor == 0] = 1
     return SignatureTable(graph.pset, (sign * flip_factor[root]).astype(np.int8))

@@ -18,6 +18,7 @@ from treedet.flips import (
     check_connected,
     flip,
     standard_anchors,
+    two_color,
     verify_flip_soundness,
 )
 from treedet.model import EdgePartition, component_count, face_edge_indices, faces_of
@@ -211,7 +212,7 @@ def test_two_coloring_against_independent_bfs_d2(ctx2):
 
 def test_triangle_graph_is_rejected(ctx2):
     triangle = [[1, 2], [0, 2], [0, 1]]
-    result = helpers.python_two_color(triangle)
+    result = two_color(triangle)
     assert isinstance(result, OddCycleWitness)
     assert sorted(result.nodes) == [0, 1, 2]
     # the kernel detects the odd cycle, the BFS then extracts it
@@ -229,7 +230,7 @@ def test_odd_cycle_witness_is_a_closed_odd_walk():
     for a, b in edges:
         rows[a].append(b)
         rows[b].append(a)
-    result = helpers.python_two_color(rows)
+    result = two_color(rows)
     assert isinstance(result, OddCycleWitness)
     cycle = result.nodes
     assert len(cycle) == 5 and len(set(cycle)) == 5
@@ -264,7 +265,7 @@ def test_same_level_flip_gives_an_odd_cycle_d3(ctx3):
     assert isinstance(witness, OddCycleWitness)
     assert len(witness) % 2 == 1 and len(set(witness.nodes)) == len(witness)
     assert _is_flip_walk(adjacency, witness.nodes, closed=True)
-    assert isinstance(helpers.python_two_color(adjacency), OddCycleWitness)
+    assert isinstance(two_color(adjacency), OddCycleWitness)
 
 
 def test_anchor_conflict_path_follows_flips_d3(ctx3):
@@ -280,13 +281,13 @@ def test_anchor_conflict_path_follows_flips_d3(ctx3):
         assert (path[0], path[-1]) == (err.value.first, err.value.second) == (member, partner)
         assert len(path) == length and len(set(path)) == length
         assert _is_flip_walk(adjacency, path, closed=False)
-    assert not isinstance(helpers.python_two_color(adjacency), OddCycleWitness)
+    assert not isinstance(two_color(adjacency), OddCycleWitness)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_kernel_signs_equal_bfs_signs(d, ctx2, ctx3):
     graph = {2: ctx2, 3: ctx3}[d].graph
-    bfs = helpers.python_two_color(graph.adjacency)
+    bfs = two_color(graph.adjacency)
     table = check_bipartite(graph)  # no anchors: +1 at each component's minimal node
     assert table.signs.tobytes() == bfs.sign.tobytes()
     assert check_connected(graph).n_components == bfs.n_components == 1
