@@ -11,7 +11,8 @@ relations swept by verify_relations.  The nonzero terms of one relation
 instance are the members of one face group, and the flip graph has
 certified that every such group is one flip pair, so the full sweep is
 one sum s_i + s_partner per pair and never visits the instances that no
-member reaches.
+member reaches.  The sampled sweep takes nothing from the graph: it
+sums each drawn instance's own terms, found by code among the members.
 
 det_eval walks the signature table's reduced decision diagram (see
 diagram.py) bottom-up in one flat pass.  Each edge vector is scaled to
@@ -38,8 +39,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .enumeration import PartitionSet
-from .flips import FlipGraph, SignatureTable, group_keys, sorted_face_keys
+from .enumeration import PartitionSet, _digits, member_positions
+from .flips import FlipGraph, SignatureTable
 from .model import (
     EdgePartition,
     edge_count,
@@ -346,13 +347,19 @@ def count_relation_instances(d: int) -> int:
     return n_faces * n_multisets * d ** (edge_count(n) - 3)
 
 
-def _sample_rng(sample: int, seed: Optional[int]) -> np.random.Generator:
-    """The seeded generator of a sampled mode, which draws at least once."""
+def _sample_draws(d: int, sample: int, seed: Optional[int]) -> tuple[np.ndarray, ...]:
+    """(face_idx, ms_idx, ctx_int): the seeded draws of a sampled mode, one
+    entry per instance, with its face number, multiset number and context
+    as a base-d integer whose digit j colors the j-th non-face edge."""
     if sample < 1:
         raise ValueError(f"sampled mode needs a sample of at least 1, got {sample}")
     if seed is None:
         raise ValueError("sampled mode needs an explicit seed")
-    return np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    face_idx = rng.integers(0, math.comb(2 * d, 3), size=sample)
+    ms_idx = rng.integers(0, math.comb(d + 2, 3), size=sample)
+    ctx_int = rng.integers(0, d ** (edge_count(2 * d) - 3), size=sample, dtype=np.int64)
+    return face_idx, ms_idx, ctx_int
 
 
 def relation_instances(
@@ -363,23 +370,24 @@ def relation_instances(
     Full mode yields faces x multisets x contexts in lexicographic
     order; at d = 3 that is 106 288 200 instances, so prefer
     verify_relations for bulk checking and this stream for inspection.
+    Sampled mode yields, in draw order, the instances that
+    verify_relations checks with the same sample and seed.
     """
     n = 2 * d
     E = edge_count(n)
+    faces = faces_of(n)
     multisets = list(combinations_with_replacement(range(d), 3))
     if sample is None:
-        for face in faces_of(n):
+        for face in faces:
             for ms in multisets:
                 for ctx in product(range(d), repeat=E - 3):
                     yield RelationInstance(d, n, face, ms, ctx)
         return
-    rng = _sample_rng(sample, seed)
-    faces = faces_of(n)
-    for _ in range(sample):
-        face = faces[int(rng.integers(len(faces)))]
-        ms = multisets[int(rng.integers(len(multisets)))]
-        ctx = tuple(int(c) for c in rng.integers(0, d, size=E - 3))
-        yield RelationInstance(d, n, face, ms, ctx)
+    face_idx, ms_idx, ctx_int = _sample_draws(d, sample, seed)
+    contexts = _digits(ctx_int, d, E - 3)[:, ::-1]  # digit j colors the j-th non-face edge
+    for r in range(sample):
+        face, ms = faces[face_idx[r]], multisets[ms_idx[r]]
+        yield RelationInstance(d, n, face, ms, tuple(contexts[r].tolist()))
 
 
 @dataclass
@@ -405,13 +413,16 @@ def verify_relations(
 
     Each term of an instance is a single basis generator, so members of
     the set contribute their sign and everything else contributes 0.
-    The members among an instance's terms are one flip pair of the
-    graph (its face sweep aborts on any other group), so the instance
-    sums to s_i + s_partner, or to 0 when no member is a term (it still
-    counts as checked).  Full mode sums every pair; witnesses come in
-    stream order: face, multiset, then context with the first non-face
-    edge least significant.  Sampled mode draws seeded instances and
-    looks each up once in the face's sorted pair keys (flips.sorted_face_keys).
+    Full mode relies on the graph: the members among an instance's terms
+    are one flip pair (its face sweep aborts on any other group), so the
+    instance sums to s_i + s_partner, or to 0 when no member is a term
+    (it still counts as checked), and the sweep sums every pair;
+    witnesses come in stream order: face, multiset, then context with
+    the first non-face edge least significant.  Sampled mode reads
+    neither the graph nor any grouping: it draws the instances that
+    relation_instances(d, sample=, seed=) yields, finds the code of each
+    of their terms among the member codes and sums the signs of those it
+    finds; witnesses come by multiset, then in draw order.
     """
     pset = graph.pset
     d, n = pset.d, pset.n
@@ -441,33 +452,26 @@ def verify_relations(
                     witnesses.append(RelationInstance(d, n, face, ms_r, ctx_r))
         return RelationReport(count_relation_instances(d), violations, witnesses, mode="full")
 
-    rng = _sample_rng(sample, seed)
-    face_idx = rng.integers(0, len(faces), size=sample)
-    ms_idx = rng.integers(0, len(multisets), size=sample)
-    ctx_int = rng.integers(0, d ** (E - 3), size=sample, dtype=np.int64)
-    # context codes come from two tables, one for each half of the context digits
-    split = (E - 3) // 2
-    high, low = np.divmod(ctx_int, d ** split)
-    digits = [np.arange(d ** m)[:, None] // d ** np.arange(m) % d for m in (split, E - 3 - split)]
-    ms_colors = np.array(multisets, dtype=np.int64)
+    face_idx, ms_idx, ctx_int = _sample_draws(d, sample, seed)
+    contexts = _digits(ctx_int, d, E - 3)[:, ::-1]  # digit j colors the j-th non-face edge
+    face_pos = [list(face_edge_indices(face, n)) for face in faces]
+    face_w = pset.weights[face_pos]  # (faces, 3)
+    ctx_w = np.array([np.delete(pset.weights, pos) for pos in face_pos])  # (faces, E - 3)
+    ctx_codes = np.zeros(sample, dtype=np.int64)
+    for j, col in enumerate(ctx_w.T):
+        ctx_codes += contexts[:, j] * col[face_idx]
     sums = np.zeros(sample, dtype=np.int16)
-    for fi, face in enumerate(faces):
-        pos = face_edge_indices(face, n)
-        w = pset.weights[[k for k in range(E) if k not in pos]]  # digit j colors w[j]'s edge
-        rows = np.flatnonzero(face_idx == fi)
-        context = (digits[0] @ w[:split])[low[rows]] + (digits[1] @ w[split:])[high[rows]]
-        keys = group_keys(d, context, *ms_colors[ms_idx[rows]].T)
-        member_keys, order = sorted_face_keys(pset, face)
-        member_keys, first = member_keys[0::2], order[0::2]  # one member of each pair, by key
-        at = np.searchsorted(member_keys, keys)  # len(first) reads the appended sentinel
-        hit = np.append(member_keys, -1)[at] == keys
-        pair = first[at[hit]]
-        sums[rows[hit]] = signs[pair] + signs[adjacency[pair, fi]]
+    for mi, ms in enumerate(multisets):
+        rows = np.flatnonzero(ms_idx == mi)
+        context, w = ctx_codes[rows], face_w[face_idx[rows]]
+        for arr in sorted(set(permutations(ms))):  # each term's code, found among the members
+            codes = context + w @ arr
+            at = member_positions(pset.codes, codes)
+            sums[rows] += np.where(pset.codes[at] == codes, signs[at], 0)
     bad = np.flatnonzero(sums)
     for r in bad[np.lexsort((bad, ms_idx[bad]))][:5]:
-        ctx = tuple(int(ctx_int[r]) // d ** j % d for j in range(E - 3))
-        face, ms = faces[int(face_idx[r])], multisets[int(ms_idx[r])]
-        witnesses.append(RelationInstance(d, n, face, ms, ctx))
+        face, ms = faces[face_idx[r]], multisets[ms_idx[r]]
+        witnesses.append(RelationInstance(d, n, face, ms, tuple(contexts[r].tolist())))
     return RelationReport(sample, len(bad), witnesses, mode=f"sample({sample}, seed={seed})")
 
 

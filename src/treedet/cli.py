@@ -185,8 +185,6 @@ def cmd_enumerate(args) -> int:
 
 def cmd_flip(args) -> int:
     partition = _load_partition(args.partition)
-    if partition.d != args.d:
-        raise ValueError(f"partition has d={partition.d}, command asked for d={args.d}")
     flipped = flip(partition, tuple(args.face))
     print(_partition_line(flipped))
     return EXIT_OK
@@ -266,8 +264,6 @@ def cmd_verify_appendix(args) -> int:
 
 def cmd_signature(args) -> int:
     partition = _load_partition(args.partition)
-    if partition.d != args.d:
-        raise ValueError(f"partition has d={partition.d}, command asked for d={args.d}")
     ctx = standard_context(partition.d)
     table = ctx.signature
     if args.anchors:
@@ -305,8 +301,6 @@ def cmd_verify_relations(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    if args.d != 2:
-        raise ValueError("the rank certificate is implemented for d = 2 only")
     print(algebra.rank_certify_d2(args.p))
     return EXIT_OK
 
@@ -425,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("flip", help="flip a partition across a face")
-    p.add_argument("--d", type=int, required=True)
     p.add_argument("--partition", required=True, help="partition JSON file")
     p.add_argument("--face", type=int, nargs=3, required=True, metavar=("X", "Y", "Z"))
     p.set_defaults(func=cmd_flip)
@@ -447,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_appendix)
 
     p = sub.add_parser("signature", help="sign of one partition")
-    p.add_argument("--d", type=int, required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--anchors")
     p.set_defaults(func=cmd_signature)
@@ -463,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_relations)
 
     p = sub.add_parser("rank", help="quotient dimension at d = 2 by elimination over GF(p)")
-    p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.set_defaults(func=cmd_rank)
 

@@ -195,3 +195,18 @@ def _digits(codes: np.ndarray, d: int, E: int) -> np.ndarray:
         codes, low = np.divmod(codes, d ** width)
         colors[:, hi - width:hi] = np.take(table, low, axis=0)[:, g - width:]
     return colors
+
+
+def member_positions(members: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """np.minimum(np.searchsorted(members, queries), len(members) - 1):
+    for each query the position of its code among the ascending member
+    codes, if it is one, and a position whose code differs otherwise.
+    The queries are searched in ascending order, since numpy starts the
+    binary search of an ascending query where the previous one ended,
+    and the positions are scattered back to the queries' order."""
+    flat = queries.reshape(-1)
+    order = np.argsort(flat)
+    out = np.empty(flat.shape, dtype=np.intp)
+    out[order] = np.searchsorted(members, flat[order])
+    np.minimum(out, len(members) - 1, out=out)
+    return out.reshape(queries.shape)

@@ -8,12 +8,13 @@ that uniqueness on faith.  flip() tries all d^3 - 1 alternative face
 colorings of one partition and demands exactly one survivor.  The graph
 builder groups the members, face by face, by their coloring off the
 face and the multiset of their three face colors, one int64 key each
-(sorted_face_keys) sorted once per face: a partner keeps both, because
+sorted once per face (_face_sweep): a partner keeps both, because
 homogeneity only sees the multiset, and two members of one group always
 differ on at least two face edges.  So a member's partners are the
 other members of its group, and a group of any size but two aborts the
 run loudly instead of being glossed over.  The certified pairs are the
-nonzero terms of the face relations, which algebra.verify_relations sums.
+nonzero terms of the face relations, which the full sweep of
+algebra.verify_relations sums pair by pair.
 
 The graph with one node per partition and one edge per flip carries the
 two certificates this package is built around:
@@ -169,58 +170,17 @@ class FlipSoundnessReport:
         return self.involution_ok and self.pairs_checked == self.diff_two + self.diff_three
 
 
-def group_keys(d: int, context, a, b, c) -> np.ndarray:
-    """One int64 per face group, ordered like (context, multiset): the
-    context code (a canonical code with the face colors taken out) shifted
-    by 2d bits, or'ed with the multiset of the face colors a, b, c (one
-    base-4 count digit per color)."""
-    return context << 2 * d | (1 << 2 * a) + (1 << 2 * b) + (1 << 2 * c)
-
-
-def _packed_face_keys(pset: PartitionSet, faces):
-    """For each face in turn, (packed, t, bits): the group_keys of the
-    members shifted by bits, or'ed with the member index and sorted, and
-    t, each member's face coloring index (a d + b) d + c.  A context code
-    is the member's code less its face part, so a key is the code shifted
-    by 2d bits plus the entry of a d^3-entry table for the face coloring.
-    The code and index part of the packing is built once, and every face
-    overwrites the same two arrays."""
-    d = pset.d
-    if d ** len(pset.weights) << 2 * d + len(pset).bit_length() >= 2 ** 63:
-        raise ValueError(f"face keys for d={d} and their member index exceed the 64-bit range")
-    bits = len(pset).bit_length()
-    members = pset.codes << 2 * d + bits
-    members |= np.arange(len(pset))
-    a, b, c = np.indices((d, d, d)).reshape(3, -1)
-    packed = np.empty(len(pset), dtype=np.int64)
-    t = np.empty(len(pset), dtype=np.int32)
-    for face in faces:
-        pos = list(face_edge_indices(face, pset.n))
-        w = pset.weights[pos]
-        table = group_keys(d, -(a * w[0] + b * w[1] + c * w[2]), a, b, c) << bits
-        t[:] = pset.colors[:, pos[0]]
-        for k in pos[1:]:
-            t *= d
-            t += pset.colors[:, k]
-        np.take(table, t, out=packed, mode="clip")  # "clip" writes straight into out
-        packed += members
-        packed.sort()
-        yield packed, t, bits
-
-
-def sorted_face_keys(pset: PartitionSet, face) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, order): the group_keys of the members at `face` in ascending
-    order and the members in that order.  The members of a group recolor
-    one another on the face and are the nonzero terms of one relation
-    instance.  One np.sort of key << index bits | index breaks ties by
-    index, so a group's members stay in index order, as a stable argsort
-    leaves them."""
-    packed, _, bits = next(_packed_face_keys(pset, [face]))
-    return packed >> bits, packed & (1 << bits) - 1
-
-
 def _face_sweep(pset: PartitionSet):
     """Flip partners of every (partition, face) pair, from the face keys.
+
+    A member's key at a face is its coloring off the face (its code less
+    the face part) shifted by 2d bits, or'ed with the multiset of its
+    three face colors (one base-4 count digit per color), so the members
+    of one key recolor one another on the face.  Keys are shifted past
+    the index bits and or'ed with the member index, so one np.sort per
+    face brings each group together in index order.  The code and index
+    part is built once; per face, a d^3-entry table indexed by the face
+    coloring t = (a d + b) d + c adds the rest, into the same two arrays.
 
     Returns (adjacency, diff_counts) where diff_counts[f] is the number
     of nodes whose flip across face f changes 2 and 3 face edges.
@@ -230,12 +190,31 @@ def _face_sweep(pset: PartitionSet):
     d = pset.d
     faces = faces_of(pset.n)
     N = len(pset)
+    bits = N.bit_length()
+    if d ** len(pset.weights) << 2 * d + bits >= 2 ** 63:
+        raise ValueError(f"face keys for d={d} and their member index exceed the 64-bit range")
+    members = pset.codes << 2 * d + bits
+    members |= np.arange(N)
+    digits = np.indices((d, d, d)).reshape(3, -1)
+    a, b, c = digits
+    multiset = (1 << 2 * a) + (1 << 2 * b) + (1 << 2 * c)
+    packed = np.empty(N, dtype=np.int64)
+    t = np.empty(N, dtype=np.int32)
     adjacency = np.empty((len(faces), N), dtype=np.int32).T  # face-major
     diff_counts = np.empty((len(faces), 2), dtype=np.int64)
     # face edges on which two face colorings differ, indexed t_a * d^3 + t_b
-    digits = np.indices((d, d, d)).reshape(3, -1)
     ndiff_of = (digits[:, :, None] != digits[:, None, :]).sum(axis=0, dtype=np.int8).ravel()
-    for fi, (packed, t, bits) in enumerate(_packed_face_keys(pset, faces)):
+    for fi, face in enumerate(faces):
+        pos = list(face_edge_indices(face, pset.n))
+        w = pset.weights[pos]
+        table = (-(a * w[0] + b * w[1] + c * w[2]) << 2 * d | multiset) << bits
+        t[:] = pset.colors[:, pos[0]]
+        for k in pos[1:]:
+            t *= d
+            t += pset.colors[:, k]
+        np.take(table, t, out=packed, mode="clip")  # "clip" writes straight into out
+        packed += members
+        packed.sort()
         # every group is a pair: sorted keys agree within pairs, differ across them
         even, odd = packed[0::2] >> bits, packed[1::2] >> bits
         if N % 2 or np.any(even != odd) or np.any(odd[:-1] == even[1:]):
@@ -245,14 +224,14 @@ def _face_sweep(pset: PartitionSet):
             g = int(np.flatnonzero(sizes != 2)[0])
             first, *others = order[starts[g] : starts[g] + sizes[g]]
             raise FlipUniquenessError(
-                pset.partition(first), faces[fi], [pset.partition(j) for j in others]
+                pset.partition(first), face, [pset.partition(j) for j in others]
             )
         del even, odd  # freed before the column writes
         packed &= (1 << bits) - 1  # the members in key order
-        a, b = packed[0::2], packed[1::2]
+        i, j = packed[0::2], packed[1::2]
         partner = adjacency[:, fi]  # a contiguous column
-        partner[a], partner[b] = b, a
-        pair_ndiff = ndiff_of[t[a] * d ** 3 + t[b]]
+        partner[i], partner[j] = j, i
+        pair_ndiff = ndiff_of[t[i] * d ** 3 + t[j]]
         diff_counts[fi] = [2 * np.count_nonzero(pair_ndiff == k) for k in (2, 3)]  # 2 nodes a pair
     return adjacency, diff_counts
 

@@ -5,8 +5,9 @@ through tau: the edge (i, j) of color c goes to the edge
 (sigma i, sigma j) of color tau(c).  One kernel, _image_codes, relabels
 color sequences by every group element at once ((2d)! * d! images, 4320
 at d = 3) and returns the images' canonical codes, by one matrix product
-with a digit-weight table built once per (n, d).  One lookup,
-_member_positions, finds image codes in the code-sorted set.  Orbits
+with a digit-weight table built once per (n, d).  The member lookup,
+enumeration.member_positions, finds image codes in the code-sorted set
+(the sampled relation sweep finds its terms with it too).  Orbits
 come from the least member not yet covered: its images are looked up,
 every image gets it as orbit root, and the images equal to it are its
 stabilizer; an image outside the set raises OrbitClosureError, since the
@@ -28,7 +29,7 @@ from itertools import islice, permutations
 import numpy as np
 
 from . import catalog
-from .enumeration import PartitionSet
+from .enumeration import PartitionSet, member_positions
 from .flips import SignatureTable
 from .model import EdgePartition, classify_tree, edge_count, edge_index, edge_list
 
@@ -52,13 +53,6 @@ def identity_perm(n: int) -> Perm:
 def perm_compose(a: Perm, b: Perm) -> Perm:
     """(a o b)(x) = a(b(x))."""
     return tuple(a[b[x] - 1] for x in range(len(a)))
-
-
-def perm_inverse(a: Perm) -> Perm:
-    inv = [0] * len(a)
-    for x, y in enumerate(a, start=1):
-        inv[y - 1] = x
-    return tuple(inv)
 
 
 def perm_sign(a: Perm) -> int:
@@ -93,9 +87,6 @@ class PermPair:
 
     def compose(self, other: "PermPair") -> "PermPair":
         return PermPair(perm_compose(self.sigma, other.sigma), perm_compose(self.tau, other.tau))
-
-    def inverse(self) -> "PermPair":
-        return PermPair(perm_inverse(self.sigma), perm_inverse(self.tau))
 
     @classmethod
     def identity(cls, n: int, d: int) -> "PermPair":
@@ -192,21 +183,6 @@ def _image_codes(colors: np.ndarray, n: int, d: int) -> np.ndarray:
     return codes.reshape(len(weights), rows, taus).transpose(1, 0, 2)
 
 
-def _member_positions(members: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """np.minimum(np.searchsorted(members, queries), len(members) - 1):
-    for each query the position of its code among the ascending member
-    codes, if it is one, and a position whose code differs otherwise.
-    The queries are searched in ascending order, since numpy starts the
-    binary search of an ascending query where the previous one ended,
-    and the positions are scattered back to the queries' order."""
-    flat = queries.reshape(-1)
-    order = np.argsort(flat)
-    out = np.empty(flat.shape, dtype=np.intp)
-    out[order] = np.searchsorted(members, flat[order])
-    np.minimum(out, len(members) - 1, out=out)
-    return out.reshape(queries.shape)
-
-
 def _pairs(sigma_idx, tau_idx, n: int, d: int) -> list:
     perms, taus = _all_edge_maps(n)[0], _color_perms(d)
     return [PermPair(perms[s], taus[t]) for s, t in zip(sigma_idx, tau_idx)]
@@ -268,7 +244,7 @@ def _orbit_kernel(pset: PartitionSet) -> tuple[np.ndarray, np.ndarray]:
     seed = 0
     while seed < N:
         codes = _image_codes(pset.colors[seed:seed + 1], n, d)[0]  # (n!, d!)
-        idx = _member_positions(pset.codes, codes)
+        idx = member_positions(pset.codes, codes)
         missing = np.argwhere(pset.codes[idx] != codes)
         if missing.size:
             (pair,) = _pairs(*missing[:1].T, n, d)

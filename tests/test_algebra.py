@@ -32,7 +32,7 @@ from treedet.algebra import (
     zero_by_multiplicity,
 )
 from treedet.diagram import SignedDiagram
-from treedet.flips import SignatureTable
+from treedet.flips import FlipGraph, SignatureTable
 from treedet.model import EdgePartition, is_cycle_free, is_homogeneous
 
 
@@ -425,13 +425,43 @@ def test_pair_sweep_equals_face_group_oracle(ctx2, ctx3, d, flipped):
 )
 @pytest.mark.parametrize("sample, seed", [(1, 0), (2000, 3), (30000, 17)])
 def test_sampled_sweep_equals_per_term_oracle(ctx2, ctx3, d, flipped, sample, seed):
-    # one lookup per instance in the sorted pair keys, against one binary search per term
+    # the member lookup of each term's code, against one plain binary search per term
     ctx = {2: ctx2, 3: ctx3}[d]
     signs = ctx.signature.signs.copy()
     signs[flipped] *= -1
     table = SignatureTable(ctx.pset, signs)
     report = verify_relations(ctx.graph, table, sample=sample, seed=seed)
     assert report == helpers.per_term_sampled_relation_sweep(ctx.pset, table, sample, seed)
+
+
+def test_sampled_sweep_reads_only_the_instance_terms(ctx3):
+    # face 0's column re-paired: still an involution without fixed points,
+    # but no longer the flips, so a sweep that read partners off the table
+    # would sum wrong pairs; the dense oracle never reads the table
+    adjacency = ctx3.graph.adjacency.copy()
+    column = adjacency[:, 0]
+    first = np.flatnonzero(np.arange(len(column)) < column)
+    second = np.roll(column[first], 1)
+    column[first], column[second] = second, first
+    assert np.array_equal(column[column], np.arange(len(column)))
+    assert not np.any(column == ctx3.graph.adjacency[:, 0])
+    graph = FlipGraph(ctx3.pset, adjacency, ctx3.graph.diff_counts)
+    report = verify_relations(graph, ctx3.signature, sample=50000, seed=5)
+    assert report == helpers.dense_sampled_relation_sweep(ctx3.pset, ctx3.signature, 50000, 5)
+    assert report.ok
+
+
+def test_relation_stream_yields_the_sampled_sweep_instances(ctx3):
+    signs = ctx3.signature.signs.copy()
+    signs[::10] *= -1
+    table = SignatureTable(ctx3.pset, signs)
+    report = verify_relations(ctx3.graph, table, sample=2000, seed=5)
+    instances = list(relation_instances(3, sample=2000, seed=5))
+    assert len(instances) == 2000
+    broken = [inst for inst in instances if relation_sum(inst, ctx3.pset, table)]
+    assert report.violations == len(broken) > 0
+    # witnesses by multiset, then in draw order, which sorted() keeps within a multiset
+    assert report.witnesses == sorted(broken, key=lambda inst: inst.color_multiset)[:5]
 
 
 def test_relation_instance_counts():

@@ -84,7 +84,7 @@ def test_flip_roundtrip(capsys, tmp_path):
     p0 = tmp_path / "p0.json"
     p0.write_text(json.dumps({"d": 2, "n": 4, "colors": [0, 1, 0, 0, 1, 1]}))
     code, out, _ = run(
-        capsys, ["flip", "--d", "2", "--partition", str(p0), "--face", "1", "2", "3"]
+        capsys, ["flip", "--partition", str(p0), "--face", "1", "2", "3"]
     )
     assert code == 0
     flipped = json.loads(out)
@@ -92,7 +92,7 @@ def test_flip_roundtrip(capsys, tmp_path):
     back = tmp_path / "back.json"
     back.write_text(out)
     code, out, _ = run(
-        capsys, ["flip", "--d", "2", "--partition", str(back), "--face", "3", "1", "2"]
+        capsys, ["flip", "--partition", str(back), "--face", "3", "1", "2"]
     )
     assert code == 0 and json.loads(out)["colors"] == [0, 1, 0, 0, 1, 1]
 
@@ -100,11 +100,11 @@ def test_flip_roundtrip(capsys, tmp_path):
 def test_signature_command(capsys, tmp_path):
     p0 = tmp_path / "p0.json"
     p0.write_text(json.dumps({"d": 2, "n": 4, "colors": [0, 1, 0, 0, 1, 1]}))
-    code, out, _ = run(capsys, ["signature", "--d", "2", "--partition", str(p0)])
+    code, out, _ = run(capsys, ["signature", "--partition", str(p0)])
     assert code == 0 and out.strip() == "+1"
     flipped = tmp_path / "f.json"
     flipped.write_text(json.dumps({"d": 2, "n": 4, "colors": [1, 0, 0, 0, 1, 1]}))
-    code, out, _ = run(capsys, ["signature", "--d", "2", "--partition", str(flipped)])
+    code, out, _ = run(capsys, ["signature", "--partition", str(flipped)])
     assert code == 0 and out.strip() == "-1"
 
 
@@ -156,12 +156,10 @@ def test_det_rational_strings(capsys, tmp_path):
 
 
 def test_rank_command(capsys):
-    code, out, _ = run(capsys, ["rank", "--d", "2", "--p", "101"])
+    code, out, _ = run(capsys, ["rank", "--p", "101"])
     assert code == 0 and out.strip() == "1"
-    code, out, _ = run(capsys, ["rank", "--d", "2", "--p", "4294967311"])
+    code, out, _ = run(capsys, ["rank", "--p", "4294967311"])
     assert code == 0 and out.strip() == "1"
-    code, _, err = run(capsys, ["rank", "--d", "3", "--p", "101"])
-    assert code == 2
 
 
 def test_orbits_csv(capsys, tmp_path, monkeypatch):
@@ -383,7 +381,7 @@ def test_flip_rejects_boolean_colors(capsys, tmp_path):
     p0 = tmp_path / "p0.json"
     p0.write_text(json.dumps({"d": 2, "n": 4, "colors": [False, True, False, False, True, True]}))
     code, out, err = run(
-        capsys, ["flip", "--d", "2", "--partition", str(p0), "--face", "1", "2", "3"]
+        capsys, ["flip", "--partition", str(p0), "--face", "1", "2", "3"]
     )
     assert code == 2 and out == "" and "color must be an integer" in err
 

@@ -22,8 +22,8 @@ from treedet.symmetry import (
     vertex_perm_edge_map,
     _all_edge_maps,
     _image_codes,
-    _member_positions,
 )
+from treedet.enumeration import member_positions
 from treedet.model import edge_count
 
 from test_model import FIG_GOOD
@@ -177,11 +177,11 @@ def test_member_lookup_equals_the_plain_binary_search(ctx3, size, member_share, 
     others = rng.integers(-1, codes[-1] + 2, size)  # mostly not members, both ends included
     queries = np.where(rng.random(size) < member_share, members, others)
     assert np.array_equal(
-        _member_positions(codes, queries), helpers.plain_member_positions(codes, queries)
+        member_positions(codes, queries), helpers.plain_member_positions(codes, queries)
     )
     square = queries[: size - size % 2].reshape(2, -1)
     assert np.array_equal(
-        _member_positions(codes, square), helpers.plain_member_positions(codes, square)
+        member_positions(codes, square), helpers.plain_member_positions(codes, square)
     )
 
 
@@ -189,7 +189,7 @@ def _oracle_kernels(monkeypatch):
     import treedet.symmetry
 
     monkeypatch.setattr(treedet.symmetry, "_image_codes", helpers.horner_image_codes)
-    monkeypatch.setattr(treedet.symmetry, "_member_positions", helpers.plain_member_positions)
+    monkeypatch.setattr(treedet.symmetry, "member_positions", helpers.plain_member_positions)
 
 
 @pytest.mark.parametrize("dropped", [4321, 30000, 55555])
