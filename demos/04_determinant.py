@@ -49,7 +49,7 @@ print(f"same tensor over GF(101): {det_eval(vectors, ctx3.pset, ctx3.signature, 
 p = 2 ** 31 - 1
 full = tuple(tuple(Fraction(int(x)) for x in rng.integers(0, p, size=3)) for _ in range(15))
 modular = det_eval(full, ctx3.pset, ctx3.signature, p=p)
-print(f"full-size residues over GF(2^31 - 1): {modular}  (the mod-p pass; matches the"
+print(f"full-size residues over GF(2^31 - 1): {modular}  (the exact integer value, reduced mod p once; matches the"
       f" rational value mod p: {det_eval(full, ctx3.pset, ctx3.signature) % p == modular})")
 print()
 

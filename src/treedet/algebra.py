@@ -21,11 +21,11 @@ p > 3, taken to balanced residues in (-p/2, p/2].  The product over the
 edges from level k down of each vector's absolute coordinate sum (at
 least 1, so a zero vector cannot hide a huge neighbour) bounds every
 value of that level, and each level runs in the cheapest exact dtype
-its own bound allows: float64 below 2^53, int64 below 2^63, and above
-that Python ints over Q, or over GF(p) the mod-p pass (in int64 for p
-below about 9 * 10^11 at d = 3).  The form has integer coefficients, so
-a root reached without the mod-p pass is reduced mod p once.  Every
-result is exact.
+its own bound allows: float64 below 2^53, int64 below 2^63, and Python
+ints above.  The pass gives the form's exact integer value in every
+field: the form has integer coefficients, so over GF(p) that value,
+taken on the balanced residues, is reduced mod p once at the root.
+Every result is exact.
 """
 
 from __future__ import annotations
@@ -225,9 +225,10 @@ def det_eval(
     over all edges, of the edge vector's coordinate selected by the
     edge's color.  Exact over the rationals (Fraction result) or over
     GF(p) (int result) for a prime p > 3.  The sum is one bottom-up pass
-    over the table's decision diagram, each level in float64, int64,
-    Python ints or residues mod p as its suffix bound allows (see the
-    module docstring and SignedDiagram.evaluate).
+    over the table's decision diagram, each level in float64, int64 or
+    Python ints as its suffix bound allows (see the module docstring and
+    SignedDiagram.evaluate).  The pass gives the exact integer value, over
+    GF(p) on the balanced residues, reduced mod p once.
     """
     d, n = pset.d, pset.n
     _check_table(pset, table)
@@ -244,8 +245,8 @@ def det_eval(
         raise ValueError(f"a denominator of the tensor vanishes mod {p}")
     h = p // 2
     nums = [(x + h) % p - h for x in nums]
-    # the form has integer coefficients, so any value congruent mod p will do
-    return int(table.diagram.evaluate(nums, p)) * pow(den, -1, p) % p
+    # the form has integer coefficients, so its value on the residues is congruent mod p
+    return int(table.diagram.evaluate(nums)) * pow(den, -1, p) % p
 
 
 # The twelve monomials of the d = 2 determinant in expanded form, written
@@ -417,12 +418,12 @@ def verify_relations(
     are one flip pair (its face sweep aborts on any other group), so the
     instance sums to s_i + s_partner, or to 0 when no member is a term
     (it still counts as checked), and the sweep sums every pair;
-    witnesses come in stream order: face, multiset, then context with
-    the first non-face edge least significant.  Sampled mode reads
-    neither the graph nor any grouping: it draws the instances that
-    relation_instances(d, sample=, seed=) yields, finds the code of each
-    of their terms among the member codes and sums the signs of those it
-    finds; witnesses come by multiset, then in draw order.
+    witnesses come in the order of relation_instances(d): face, multiset,
+    then context with the last non-face edge varying fastest.  Sampled
+    mode reads neither the graph nor any grouping: it draws the instances
+    that relation_instances(d, sample=, seed=) yields, finds the code of
+    each of their terms among the member codes and sums the signs of
+    those it finds; witnesses come by multiset, then in draw order.
     """
     pset = graph.pset
     d, n = pset.d, pset.n
@@ -446,7 +447,7 @@ def verify_relations(
                 others = [k for k in range(E) if k not in pos]
                 ms = np.sort(pset.colors[bad][:, pos], axis=1)
                 ctx = pset.colors[bad][:, others]
-                flat = ctx.astype(np.int64) @ d ** np.arange(E - 3, dtype=np.int64)
+                flat = ctx.astype(np.int64) @ d ** np.arange(E - 4, -1, -1, dtype=np.int64)
                 for r in np.lexsort((flat, *ms.T[::-1]))[: 5 - len(witnesses)]:
                     ms_r, ctx_r = (tuple(int(c) for c in row) for row in (ms[r], ctx[r]))
                     witnesses.append(RelationInstance(d, n, face, ms_r, ctx_r))

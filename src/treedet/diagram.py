@@ -31,7 +31,9 @@ matrix-vector product: matmul(val.take(children), coeffs[k], out=val[span]).
 Each level runs in the cheapest dtype that its own suffix bound keeps
 exact (see SignedDiagram.evaluate): the wide middle levels have small
 bounds and stay in float64, and only the narrow top levels (1, 3, 9, 27
-and 78 nodes at d = 3) ever need int64, Python ints or residues mod p.
+and 78 nodes at d = 3) ever need int64 or Python ints.  The pass computes
+integers only: a value over GF(p) is the exact integer value, which the
+caller reduces mod p once.
 """
 
 from __future__ import annotations
@@ -110,11 +112,9 @@ class SignedDiagram:
     def arcs(self) -> int:
         return sum(int((level >= 0).sum()) for level in self.levels)
 
-    def evaluate(self, coeffs, p=None):
-        """Root value for the flat integer coefficients coeffs[k * d + c],
-        the factor of color c on edge k: the form's value without p, and a
-        value congruent to it mod p with p, where the coefficients must be
-        balanced residues, |c| <= h = (p - 1) / 2.
+    def evaluate(self, coeffs):
+        """The form's exact integer value at the flat integer coefficients
+        coeffs[k * d + c], the factor of color c on edge k.
 
         Every node value and partial sum of level k is an integer of
         magnitude at most its suffix bound, B_k = prod_{e >= k} max(1,
@@ -122,9 +122,8 @@ class SignedDiagram:
         the levels run in float64 while B_k < 2^53 (IEEE 754 rounds only
         what it cannot represent, so no BLAS summation order or fused
         multiply-add changes a value), then in int64 while B_k < 2^63, and
-        the rest in Python ints, or with p in the mod-p pass (see _run) on
-        the level below reduced to balanced residues.  Below a total bound
-        of 2^53 the whole diagram is one float64 run with no per-level work.
+        the rest in Python ints.  Below a total bound of 2^53 the whole
+        diagram is one float64 run with no per-level work.
         """
         d = self.levels[0].shape[1]
         sums = [s or 1 for s in map(sum, zip(*[map(abs, coeffs)] * d))]
@@ -135,58 +134,32 @@ class SignedDiagram:
         bounds = list(accumulate(reversed(sums), mul))  # B_k of each pass, bottom-up
         f, i = bisect_left(bounds, 2 ** 53), bisect_left(bounds, 2 ** 63)
         runs = (
-            (np.float64, None, self.passes[:f]),
-            (np.int64, None, self.passes[f:i]),
-            (object if p is None else modp_dtype(d, p), p, self.passes[i:]),
+            (np.float64, self.passes[:f]),
+            (np.int64, self.passes[f:i]),
+            (object, self.passes[i:]),
         )
         # each run starts on the level below it, the first one on the terminals
         val, below = np.array([0, 1, -1]), slice(1, 1 + TERMINALS)
-        for dtype, q, passes in runs:
+        for dtype, passes in runs:
             if not passes:
                 continue
             x = val[below].astype(np.int64).astype(dtype)  # exact: every |x| < 2^63
-            if q is not None:
-                x = (x % q + q // 2) % q - q // 2
             val = np.empty(self.slots, dtype=dtype)
             val[: 1 + TERMINALS] = 0, 1, -1
             val[below] = x
-            self._run(val, passes, coeffs, q)
+            self._run(val, passes, coeffs)
             below = passes[-1][1]
         return val[-1]
 
-    def _run(self, val, passes, coeffs, p=None):
+    def _run(self, val, passes, coeffs):
         """Write the levels of passes, a bottom-up run, into val in its
-        dtype, the level below being in place, and return val.
-
-        Without p a level is one gather and one product in place.  With p,
-        coefficients c and node values g are balanced residues, |c|, |g| <= h,
-        and val's dtype is modp_dtype(d, p).  A level is g @ c reduced while
-        d h^2 + h < 2^63; above, with hi = c >> 16 and lo = c & 0xFFFF, it
-        is ((g @ hi) % p << 16) + g @ lo reduced, within d h ((h >> 16) + 1)
-        and (p << 16) + d h 2^16 + h.
-        """
+        dtype, the level below being in place, and return val: each level
+        is one gather and one product in place."""
         d = self.levels[0].shape[1]
         lo, hi = passes[-1][0], passes[0][0] + 1  # the run's edges
         rows = np.array(coeffs[lo * d : hi * d], dtype=val.dtype).reshape(-1, d)
-        if p is None:  # ndarray.dot reaches BLAS soonest; matmul's loop is faster for int64
-            product = np.ndarray.dot if val.dtype == np.float64 else np.matmul
-            for k, span, children in passes:
-                product(val.take(children), rows[k - lo], out=val[span])
-            return val
-        h = p // 2
-        split = val.dtype != object and d * h * h + h >= 2 ** 63
-        if split:  # one product gives both g @ hi and g @ lo
-            rows = np.stack([rows >> 16, rows & 0xFFFF], axis=2)
+        # ndarray.dot reaches BLAS soonest; matmul's loop is faster for int64
+        product = np.ndarray.dot if val.dtype == np.float64 else np.matmul
         for k, span, children in passes:
-            x = val.take(children) @ rows[k - lo]
-            if split:
-                x = (x[:, 0] % p << 16) + x[:, 1]
-            val[span] = (x + h) % p - h
+            product(val.take(children), rows[k - lo], out=val[span])
         return val
-
-
-def modp_dtype(d: int, p: int):
-    """int64 while the mod-p pass (see SignedDiagram._run) cannot overflow it, else object."""
-    h = p // 2
-    top = max(d * h * ((h >> 16) + 1), (p << 16) + d * h * 2 ** 16 + h)
-    return np.int64 if top < 2 ** 63 else object

@@ -432,6 +432,20 @@ def residue(x, p):
     return x.numerator * pow(x.denominator, -1, p) % p
 
 
+# primes across the range that validate_prime accepts: small, 2^31 - 1, the
+# first above 2^32, one near 2^40, the last below 2^63, the first above 2^64
+# (2^64 + 13), and the largest below psi_13 = 3317044064679887385961981
+PRIMES = (
+    101,
+    2147483647,
+    4294967311,
+    897747452029,
+    9223372036854775783,
+    18446744073709551629,
+    3317044064679887385961813,
+)
+
+
 def enumerative_det_eval(vectors, pset, table, p=None):
     """The determinant form as one monomial per member partition."""
     from treedet.algebra import as_tensor, validate_prime
@@ -520,7 +534,8 @@ def digit_column_relation_sweep(pset, table):
     checked = violations = 0
     witnesses = []
     n_ctx = d ** (E - 3)
-    ctx_digits = [((np.arange(n_ctx, dtype=np.int64) // d ** j) % d) for j in range(E - 3)]
+    # digit j colors the j-th non-face edge, the last one least significant
+    ctx_digits = [((np.arange(n_ctx, dtype=np.int64) // d ** (E - 4 - j)) % d) for j in range(E - 3)]
     for face in faces_of(n):
         pos = face_edge_indices(face, n)
         others = [k for k in range(E) if k not in pos]
@@ -881,7 +896,7 @@ def face_group_relation_sweep(pset, table):
             others = [k for k in range(E) if k not in pos]
             ms = np.sort(pset.colors[bad][:, pos], axis=1)
             ctx = pset.colors[bad][:, others]
-            flat = ctx.astype(np.int64) @ d ** np.arange(E - 3, dtype=np.int64)
+            flat = ctx.astype(np.int64) @ d ** np.arange(E - 4, -1, -1, dtype=np.int64)
             for r in np.lexsort((flat, *ms.T[::-1]))[: 5 - len(witnesses)]:
                 ms_r, ctx_r = (tuple(int(c) for c in row) for row in (ms[r], ctx[r]))
                 witnesses.append(RelationInstance(d, n, face, ms_r, ctx_r))

@@ -1,6 +1,7 @@
 import math
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -208,37 +209,29 @@ def test_diagram_levels_equal_the_prefix_rescan_oracle(d, ctx2, ctx3):
         assert np.array_equal(level, oracle)
 
 
-# the last prime whose d = 3 mod-p pass runs in int64 (split), and the next one
-LAST_INT64_PRIME, FIRST_OBJECT_PRIME = 897747452029, 897747452117
-PRIMES = (101, 2147483647, 3037000493, 4294967311, LAST_INT64_PRIME, FIRST_OBJECT_PRIME)
-
-
 @pytest.fixture
 def runs(monkeypatch):
-    """The (dtype, levels, p) of every run of diagram levels, in call order."""
+    """The (dtype, levels) of every run of diagram levels, in call order."""
     from treedet.diagram import SignedDiagram
 
     seen, run = [], SignedDiagram._run
 
-    def spy(self, val, passes, coeffs, p=None):
-        seen.append((val.dtype, len(passes), p))
-        return run(self, val, passes, coeffs, p)
+    def spy(self, val, passes, coeffs):
+        seen.append((val.dtype, len(passes)))
+        return run(self, val, passes, coeffs)
 
     monkeypatch.setattr(SignedDiagram, "_run", spy)
     return seen
 
 
-def level_runs(counts, p=None, top=object):
-    """The runs of (float64, int64, top) levels that counts gives, the top
-    run being the mod-p pass when p is given."""
-    kinds = (np.float64, None), (np.int64, None), (top, p)
-    return [(dtype, n, q) for (dtype, q), n in zip(kinds, counts) if n]
+def level_runs(counts):
+    """The runs of (float64, int64, object) levels that counts gives."""
+    return [(dtype, n) for dtype, n in zip((np.float64, np.int64, object), counts) if n]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_flat_pass_equals_level_pass_oracle(d, runs):
     from treedet.context import standard_context
-    from treedet.diagram import modp_dtype
 
     diagram = standard_context(d).signature.diagram
     E = len(diagram.levels)
@@ -261,26 +254,20 @@ def test_flat_pass_equals_level_pass_oracle(d, runs):
             rows = np.reshape(coeffs, (E, d))
             expected = helpers.level_pass_evaluate(diagram, rows, oracle_dtype)
             assert diagram.evaluate(coeffs) == expected
-            reached.update((dtype, q) for dtype, _, q in runs)
-            assert sum(n for _, n, _ in runs) == E
-        for p in PRIMES:
-            residues = [int(x) for x in rng.integers(0, p, size=E * d)]
+            reached.update(dtype for dtype, _ in runs)
+            assert sum(n for _, n in runs) == E
+        for p in helpers.PRIMES:
+            residues = [int.from_bytes(rng.bytes(11), "little") % p for _ in range(E * d)]
             h = p // 2
             balanced = [(x + h) % p - h for x in residues]
             oracle_dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
-            rows = np.reshape(residues, (E, d))
+            rows = np.reshape(np.array(residues, dtype=object), (E, d))
             expected = helpers.level_pass_evaluate(diagram, rows, oracle_dtype, p)
             runs.clear()
-            value = int(diagram.evaluate(balanced, p))
-            assert value % p == expected
-            # at d = 3 full residues pass 2^63 for every prime, at d = 2 above 101
-            if d == 3 or (d == 2 and p > 101):
-                assert runs[-1][::2] == (modp_dtype(d, p), p) and -h <= value <= h
-            reached.update((dtype, q) for dtype, _, q in runs)
-    kinds = {(np.dtype(dtype), None) for dtype in (np.float64, np.int64, object)}
-    if d == 3:  # the mod-p pass unsplit, split into 16-bit halves, and in Python ints
-        kinds.update((np.dtype(modp_dtype(d, p)), p) for p in PRIMES)
-    assert reached >= kinds
+            assert int(diagram.evaluate(balanced)) % p == expected
+            reached.update(dtype for dtype, _ in runs)
+            assert sum(n for _, n in runs) == E
+    assert reached == {np.dtype(dtype) for dtype in (np.float64, np.int64, object)}
 
 
 @pytest.mark.parametrize("p", [101, 2147483647, 4294967311])
@@ -299,27 +286,23 @@ def test_gfp_balanced_residue_edges(ctx2, ctx3, p):
 
 
 def test_gfp_pass_is_picked_by_the_bound(ctx3, runs):
-    from treedet.diagram import modp_dtype
-
+    # over GF(p) the diagram runs the passes that Q runs on the balanced residues
     rng = np.random.default_rng(9)
     small = helpers.rand_int_tensor(rng, 3, lo=-2, hi=2)
     det_eval(small, ctx3.pset, ctx3.signature, p=2147483647)
-    assert runs.pop() == (np.float64, 15, None)  # the integer pass, reduced once at the root
-    for p, dtype in (
-        (101, np.int64),
-        (2147483647, np.int64),
-        (4294967311, np.int64),  # split into 16-bit halves
-        (LAST_INT64_PRIME, np.int64),
-        (FIRST_OBJECT_PRIME, object),
-    ):
-        assert modp_dtype(3, p) == dtype
-        full = [[int(x) for x in rng.integers(p // 4 + 1, p - p // 4, size=3)] for _ in range(15)]
+    assert runs.pop() == (np.float64, 15)  # the integer pass, reduced once at the root
+    for p in helpers.PRIMES:
+        h = p // 2
+        full = [[int.from_bytes(rng.bytes(11), "little") % p for _ in range(3)] for _ in range(15)]
+        balanced = [[(x + h) % p - h for x in vec] for vec in full]
         rational = det_eval(full, ctx3.pset, ctx3.signature)
         runs.clear()
+        assert det_eval(balanced, ctx3.pset, ctx3.signature) % p == helpers.residue(rational, p)
+        over_q = runs[:]
+        runs.clear()
         assert det_eval(full, ctx3.pset, ctx3.signature, p=p) == helpers.residue(rational, p)
-        # the integer levels below the mod-p pass, then the mod-p pass up to the root
-        assert [q for _, _, q in runs] == [None] * (len(runs) - 1) + [p]
-        assert runs[-1][0] == dtype and sum(n for _, n, _ in runs) == 15
+        assert runs == over_q and sum(n for _, n in runs) == 15
+        assert runs[-1][0] == object  # full residues pass 2^63 for every prime
 
 
 def scaled_generator(d, scales):
@@ -356,9 +339,9 @@ def test_scaled_generator_takes_the_cheapest_exact_pass(ctx3, runs, scales, over
     assert det_eval(scaled_generator(3, scales), ctx3.pset, ctx3.signature) == value
     assert runs == level_runs(over_q)
     runs.clear()
-    p = 4294967311  # the mod-p pass is split into 16-bit halves
+    p = 4294967311  # the runs of the balanced residues, whose bounds differ
     assert det_eval(scaled_generator(3, scales), ctx3.pset, ctx3.signature, p=p) == value % p
-    assert runs == level_runs(over_gfp, p, np.int64)
+    assert runs == level_runs(over_gfp)
 
 
 def test_det2_explicit_examples(ctx2):
@@ -462,6 +445,22 @@ def test_relation_stream_yields_the_sampled_sweep_instances(ctx3):
     assert report.violations == len(broken) > 0
     # witnesses by multiset, then in draw order, which sorted() keeps within a multiset
     assert report.witnesses == sorted(broken, key=lambda inst: inst.color_multiset)[:5]
+
+
+def test_full_sweep_witnesses_are_the_first_broken_stream_instances(ctx2):
+    # every set of one or two flipped d = 2 signs: the witnesses are the
+    # first five instances of the full stream whose own terms do not cancel
+    stream = list(relation_instances(2))
+    sets = [(i,) for i in range(12)] + list(combinations(range(12), 2))
+    assert len(sets) == 78
+    for flipped in sets:
+        signs = ctx2.signature.signs.copy()
+        signs[list(flipped)] *= -1
+        table = SignatureTable(ctx2.pset, signs)
+        report = verify_relations(ctx2.graph, table)
+        broken = [inst for inst in stream if relation_sum(inst, ctx2.pset, table)]
+        assert report.violations == len(broken) > 0
+        assert report.witnesses == broken[:5], flipped
 
 
 def test_relation_instance_counts():

@@ -3,10 +3,11 @@ prefix-rescan oracle, the diagram determinant against the enumerative oracle
 (also with product bounds on both sides of the float64 and int64
 limits), each level's dtype run against the whole-diagram oracles over
 Q and GF(p), GF(p) against the rational residue (small entries, and
-full-size residues that force the mod-p pass), validate_prime against
-Miller-Rabin with all 13 bases, `det --input` on arbitrary JSON, and
-row_reduce over Q and GF(p) against the Leibniz determinant and the
-largest nonzero minor."""
+full-size residues whose exact integer value, reduced mod p once, needs
+Python ints at the top levels) for primes up to the largest accepted
+one, validate_prime against Miller-Rabin with all 13 bases over its whole
+exact range, `det --input` on arbitrary JSON, and row_reduce over Q and
+GF(p) against the Leibniz determinant and the largest nonzero minor."""
 
 import contextlib
 import io
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 import helpers
-from treedet.algebra import det_eval, row_reduce, validate_prime
+from treedet.algebra import _MR_EXACT_BELOW, det_eval, row_reduce, validate_prime
 from treedet.cli import main
 from treedet.context import standard_context
 from treedet.diagram import SignedDiagram
@@ -110,12 +111,6 @@ def test_diagram_levels_of_signed_subsets_equal_the_prefix_rescan_oracle(seed, s
         assert np.array_equal(level, oracle)
 
 
-# the primes of test_flat_pass_equals_level_pass_oracle: the mod-p pass
-# unsplit, split into 16-bit halves (the last two int64 primes at d = 3),
-# and in Python ints
-PRIMES = (101, 2147483647, 3037000493, 4294967311, 897747452029, 897747452117)
-
-
 @settings(max_examples=30, deadline=None, phases=NO_SHRINK)
 @given(data=st.data())
 def test_level_runs_equal_the_whole_diagram_oracles(data):
@@ -131,7 +126,7 @@ def test_level_runs_equal_the_whole_diagram_oracles(data):
     value = det_eval(vectors, ctx.pset, ctx.signature)
     assert value == helpers.enumerative_det_eval(vectors, ctx.pset, ctx.signature)
     assert value == helpers.level_pass_evaluate(diagram, vectors, object)
-    for p in PRIMES:
+    for p in helpers.PRIMES:
         residues = [[x % p for x in row] for row in vectors]
         oracle_dtype = np.int64 if (p - 1) ** 2 < 2 ** 63 else object
         expected = helpers.level_pass_evaluate(diagram, residues, oracle_dtype, p)
@@ -140,7 +135,9 @@ def test_level_runs_equal_the_whole_diagram_oracles(data):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    n=st.one_of(st.integers(2, 10 ** 7), st.integers(2, 2 ** 63 - 1)).map(lambda k: 2 * k + 1)
+    n=st.one_of(st.integers(2, 10 ** 7), st.integers(2, (_MR_EXACT_BELOW - 3) // 2)).map(
+        lambda k: 2 * k + 1
+    )
 )
 def test_validate_prime_equals_the_13_base_test(n):
     try:
@@ -162,11 +159,10 @@ def next_prime(n):
 @settings(max_examples=15, deadline=None)
 @given(
     vectors=tensors(3, st.builds(Fraction, st.integers(-50, 50), st.integers(1, 4))),
-    start=st.integers(3, 2 ** 63 - 2000).map(lambda k: 2 * k + 1),
+    start=st.integers(3, helpers.PRIMES[-1] // 2).map(lambda k: 2 * k + 1),
 )
 def test_gfp_value_is_the_rational_residue(vectors, start):
-    p = next_prime(start)
-    assert p < 2 ** 64
+    p = next_prime(start)  # at most the largest accepted prime
     ctx = standard_context(3)
     rational = det_eval(vectors, ctx.pset, ctx.signature)
     assert det_eval(vectors, ctx.pset, ctx.signature, p=p) == helpers.residue(rational, p)
@@ -177,7 +173,7 @@ def test_gfp_value_is_the_rational_residue(vectors, start):
 @given(data=st.data())
 def test_mod_p_pass_on_full_size_residues(p, data):
     # every first coordinate has a balanced residue of at least p/4, so the
-    # product bound passes 2^63 and det_eval takes the mod-p pass
+    # product bound passes 2^63 and the top levels run in Python ints
     big, full = st.integers(p // 4 + 1, p - p // 4 - 1), st.integers(0, p - 1)
     vectors = data.draw(st.lists(st.tuples(big, full, full), min_size=15, max_size=15))
     ctx = standard_context(3)
