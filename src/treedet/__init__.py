@@ -30,7 +30,7 @@ from .flips import (
     AnchorConflictError,
     FlipGraph,
     FlipUniquenessError,
-    OddCycleWitness,
+    OddCycleError,
     SignatureTable,
     build_flip_graph,
     check_bipartite,

@@ -178,10 +178,7 @@ def unit_partition(d: int) -> EdgePartition:
 def unit_tensor(d: int) -> Tensor:
     """Basis-vector tensor matching unit_partition: the edge of color c
     carries the c-th basis vector."""
-    part = unit_partition(d)
-    return tuple(
-        tuple(Fraction(1 if i == c else 0) for i in range(d)) for c in part.colors
-    )
+    return basis_tensor(unit_partition(d))
 
 
 def basis_tensor(partition: EdgePartition) -> Tensor:

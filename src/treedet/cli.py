@@ -5,11 +5,12 @@ order.  A certificate's outcome is "fail" exactly when its witness list
 is non-empty.  Its wall_time_s times its own stage: from the start of
 the command, or in certify-all from the print of the previous stage's
 certificate.  Exit codes: 0 all checks passed, 1 a mathematical
-certificate failed (including a flip-uniqueness violation and a set that
-is not closed under relabeling), 2 bad input or usage (among them a
---sample or --sample-relations below 1, a sample without --seed, and
-enumerate --count-only with --out), 3 an internal error (any other
-exception, reported on one stderr line).
+certificate failed (including a flip-uniqueness violation, conflicting
+anchors, a set that is not closed under relabeling, or a flip graph with
+an odd cycle), 2 bad input or usage (among them a --sample or
+--sample-relations below 1, a sample without --seed, and enumerate
+--count-only with --out), 3 an internal error (any other exception,
+reported on one stderr line).
 
 Only sampled modes draw random numbers: verify-relations --sample and
 certify-all --sample-relations read the --seed, which certify-all always
@@ -35,7 +36,7 @@ from .enumeration import count_homogeneous, enumerate_partitions
 from .flips import (
     AnchorConflictError,
     FlipUniquenessError,
-    OddCycleWitness,
+    OddCycleError,
     alternates,
     check_bipartite,
     check_connected,
@@ -194,27 +195,21 @@ def cmd_flip_graph(args) -> int:
     t0 = time.perf_counter()
     ctx = standard_context(args.d)
     soundness = verify_flip_soundness(ctx.graph)
+    table = check_bipartite(ctx.graph, _load_anchors(args.anchors, ctx.pset))
+    plus, minus = table.class_sizes()
     numbers = {
         "nodes": len(ctx.pset),
         "faces": ctx.graph.adjacency.shape[1],
         "flip_pairs_checked": soundness.pairs_checked,
         "flips_changing_two_edges": soundness.diff_two,
         "flips_changing_three_edges": soundness.diff_three,
+        "bipartite": 1,  # check_bipartite raises OddCycleError otherwise
+        "class_plus": plus,
+        "class_minus": minus,
+        "alternating_edges": int(ctx.graph.adjacency.size),
+        "components": check_connected(ctx.graph).n_components,
     }
-    witnesses = _soundness_witnesses(soundness)
-    result = check_bipartite(ctx.graph, _load_anchors(args.anchors, ctx.pset))
-    if isinstance(result, OddCycleWitness):
-        numbers["bipartite"] = 0
-        codes = [int(ctx.pset.codes[i]) for i in result.nodes]
-        witnesses.append({"property": "signature_existence", "odd_cycle_codes": codes})
-    else:
-        plus, minus = result.class_sizes()
-        numbers["bipartite"] = 1
-        numbers["class_plus"] = plus
-        numbers["class_minus"] = minus
-        numbers["alternating_edges"] = int(ctx.graph.adjacency.size)
-        witnesses += _alternation_witnesses(ctx.graph, result)
-    numbers["components"] = check_connected(ctx.graph).n_components
+    witnesses = _soundness_witnesses(soundness) + _alternation_witnesses(ctx.graph, table)
     parameters = {"d": args.d, "anchors": args.anchors}
     return _emit("flip-graph", parameters, numbers, witnesses, t0)
 
@@ -267,10 +262,7 @@ def cmd_signature(args) -> int:
     ctx = standard_context(partition.d)
     table = ctx.signature
     if args.anchors:
-        anchors = _load_anchors(args.anchors, ctx.pset)
-        table = check_bipartite(ctx.graph, anchors)
-        if isinstance(table, OddCycleWitness):  # pragma: no cover
-            raise RuntimeError("flip graph unexpectedly not two-colorable")
+        table = check_bipartite(ctx.graph, _load_anchors(args.anchors, ctx.pset))
     value = table.signature(partition)
     print(f"{value:+d}")
     return EXIT_OK
@@ -485,7 +477,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FlipUniquenessError, AnchorConflictError, symmetry.OrbitClosureError) as exc:
+    except (
+        FlipUniquenessError, OddCycleError, AnchorConflictError, symmetry.OrbitClosureError
+    ) as exc:
         witness = {"property": exc.witness_property, "detail": str(exc)}
         return _emit(args.command, {}, {}, [witness], time.perf_counter())
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

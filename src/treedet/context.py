@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from .enumeration import PartitionSet, enumerate_partitions
 from .flips import (
     FlipGraph,
-    OddCycleWitness,
     SignatureTable,
     build_flip_graph,
     check_bipartite,
@@ -36,7 +35,8 @@ def standard_context(d: int, pset: PartitionSet | None = None) -> Context:
     """Cycle-free set, flip graph, and signature with standard anchors.
 
     `pset`, if given, must be the cycle-free set for d; it replaces the
-    enumeration when the context is not cached yet.
+    enumeration when the context is not cached yet.  A flip graph that
+    is not two-colorable raises OddCycleError, and nothing is cached.
     """
     d = int(d)
     if d not in _contexts:
@@ -46,10 +46,6 @@ def standard_context(d: int, pset: PartitionSet | None = None) -> Context:
             raise ValueError(f"standard_context({d}) needs the cycle-free set for d={d}")
         graph = build_flip_graph(pset)
         table = check_bipartite(graph, standard_anchors(pset))
-        if isinstance(table, OddCycleWitness):
-            raise RuntimeError(
-                f"flip graph for d={d} is not two-colorable; odd cycle of length {len(table)}"
-            )
         table.diagram  # built here, so the first det_eval call does not pay for it
         _contexts[d] = Context(pset, graph, table)
     return _contexts[d]

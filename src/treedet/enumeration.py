@@ -14,12 +14,12 @@ the colors read back from them.
 The counts grow fast: d = 3 has multinomial(15; 5,5,5) = 756756
 homogeneous partitions, while d = 4 already has about 4.7 * 10^14, so
 enumeration refuses d > 3.  count_homogeneous gives the homogeneous
-count without building a row: a dynamic program over the per-color
-edge counts (budget vectors), coloring one edge at a time.
+count, that multinomial, without building a row.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterator
 
 import numpy as np
@@ -96,27 +96,12 @@ class PartitionSet:
 
 
 def count_homogeneous(d: int) -> int:
-    """Number of homogeneous d-partitions of K_{2d}, without enumerating.
-
-    After k edges each state is a vector of per-color edge counts, each
-    at most the budget 2d - 1, mapped to the number of colorings of the
-    first k edges that reach it (exact Python ints; at most (2d)^d
-    states, 216 at d = 3).  Every full coloring ends in the all-budget
-    state, so its count is multinomial(d(2d-1); 2d-1, ..., 2d-1).
-    """
+    """Number of homogeneous d-partitions of K_{2d}, without enumerating:
+    the multinomial(d(2d-1); 2d-1, ..., 2d-1) ways to split the edges
+    into d color classes of 2d - 1 edges each."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    budget = 2 * d - 1
-    states = {(0,) * d: 1}
-    for _ in range(edge_count(2 * d)):
-        grown: dict[tuple, int] = {}
-        for used, ways in states.items():
-            for c in range(d):
-                if used[c] < budget:
-                    key = used[:c] + (used[c] + 1,) + used[c + 1:]
-                    grown[key] = grown.get(key, 0) + ways
-        states = grown
-    return states[(budget,) * d]
+    return factorial(edge_count(2 * d)) // factorial(2 * d - 1) ** d
 
 
 def _class_masks(n: int, budget: int, cycle_free: bool) -> np.ndarray:

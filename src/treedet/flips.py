@@ -28,10 +28,11 @@ two certificates this package is built around:
 Both are read off one level-synchronous breadth-first search
 (bfs_levels): a flip must join levels of opposite parity, and each
 component is named by its smallest node.  The witness of a failed
-check, an odd cycle or an anchor-to-anchor path, follows the parents
-that _bfs_parents reads off the same levels.  The node-by-node search
-two_color is not on this path; it is the reference the vectorised one
-is tested against.
+check follows the parents that _bfs_parents reads off the same levels,
+and is raised like every other violated claim: an odd cycle as
+OddCycleError, an anchor-to-anchor path as AnchorConflictError.  The
+node-by-node search two_color is not on this path; it is the reference
+the vectorised one is tested against.
 
 Besides its (N, C(2d,3)) flip table, every step of the stage works in
 O(N) scratch memory for N members.  The table is stored face-major, so
@@ -47,7 +48,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +78,21 @@ class FlipUniquenessError(RuntimeError):
         super().__init__(
             f"face {self.face} of partition code {partition.canonical_code()} "
             f"has {len(survivors)} admissible recolorings instead of 1"
+        )
+
+
+class OddCycleError(RuntimeError):
+    """A closed walk of odd length in a graph that should be two-colorable.
+
+    In the flip graph it means no signature exists: no sign map can
+    negate under every flip around the cycle."""
+
+    witness_property = "signature_existence"
+
+    def __init__(self, nodes: list):
+        self.nodes = nodes
+        super().__init__(
+            f"graph is not two-colorable; odd cycle of length {len(nodes)} through nodes {nodes}"
         )
 
 
@@ -326,16 +342,6 @@ def alternates(graph: FlipGraph, sign: np.ndarray) -> bool:
 
 
 @dataclass
-class OddCycleWitness:
-    """An odd closed walk certifying that a graph is not two-colorable."""
-
-    nodes: list
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-@dataclass
 class TwoColoring:
     component: np.ndarray  # (N,) int32 component ids
     sign: np.ndarray  # (N,) int8 in {+1, -1}, BFS-relative
@@ -344,14 +350,15 @@ class TwoColoring:
     seeds: list  # one node per component, ascending
 
 
-def two_color(neighbors) -> Union[TwoColoring, OddCycleWitness]:
+def two_color(neighbors) -> TwoColoring:
     """BFS 2-coloring of an undirected graph given as a neighbor table.
 
     `neighbors` may be an (N, k) integer array or a list of neighbor
-    lists.  Returns the coloring, or an explicit odd cycle if any edge
-    joins two nodes of the same BFS parity.  The flip-graph checks do
-    not call it: it is the node-by-node reference for bfs_levels and
-    for the witnesses that check_bipartite reads off it.
+    lists.  Returns the coloring, or raises OddCycleError with an
+    explicit odd cycle if any edge joins two nodes of the same BFS
+    parity.  The flip-graph checks do not call it: it is the node-by-node
+    reference for bfs_levels and for the witnesses that check_bipartite
+    reads off it.
     """
     if isinstance(neighbors, np.ndarray):
         rows = neighbors.tolist()
@@ -380,7 +387,7 @@ def two_color(neighbors) -> Union[TwoColoring, OddCycleWitness]:
                     parent[v] = u
                     queue.append(v)
                 elif sign[v] == su:
-                    return OddCycleWitness(_odd_cycle(parent, u, v))
+                    raise OddCycleError(_odd_cycle(parent, u, v))
     return TwoColoring(component, sign, parent, len(seeds), seeds)
 
 
@@ -454,13 +461,14 @@ class SignatureTable:
 def check_bipartite(
     graph: FlipGraph,
     anchors: Optional[Sequence[tuple[EdgePartition, int]]] = None,
-) -> Union[SignatureTable, OddCycleWitness]:
+) -> SignatureTable:
     """Two-color the flip graph and orient it by the given anchors.
 
     Each anchor pins the sign of one partition.  Components holding no
-    anchor default to +1 at their minimal-code node.  Two anchors in one
-    component that disagree raise AnchorConflictError with the
-    connecting path as a witness.
+    anchor default to +1 at their minimal-code node.  A flip joining two
+    nodes of one parity raises OddCycleError with the odd cycle, and two
+    anchors in one component that disagree raise AnchorConflictError
+    with the connecting path, as witnesses.
     """
     root, level = graph.levels
     sign = (1 - 2 * (level & 1)).astype(np.int8)  # +1 at the root, the BFS seed
@@ -470,7 +478,7 @@ def check_bipartite(
             # levels are distances from the root, so this flip joins one
             # level, and the two tree paths close an odd cycle
             u = int(same.argmax())
-            return OddCycleWitness(_odd_cycle(_bfs_parents(graph), u, int(partner[u])))
+            raise OddCycleError(_odd_cycle(_bfs_parents(graph), u, int(partner[u])))
     flip_factor = np.zeros(len(root), dtype=np.int8)  # indexed by component root
     anchor_node = np.full(len(root), -1, dtype=np.int64)
     for partition, wanted in anchors or ():
@@ -493,18 +501,16 @@ def check_bipartite(
 @dataclass
 class ConnectivityReport:
     n_components: int
-    representatives: list  # minimal-code EdgePartition per component
 
 
 def check_connected(graph: FlipGraph) -> ConnectivityReport:
-    """Component count of the flip graph plus one representative each.
+    """Component count of the flip graph.
 
     A single component means the flip group acts transitively.  The
     count is reported as measured, never assumed.
     """
     root = graph.levels[0]
-    seeds = np.flatnonzero(root == np.arange(len(root)))
-    return ConnectivityReport(len(seeds), [graph.pset.partition(int(i)) for i in seeds])
+    return ConnectivityReport(int(np.count_nonzero(root == np.arange(len(root)))))
 
 
 def standard_anchors(pset: PartitionSet) -> list[tuple[EdgePartition, int]]:

@@ -822,18 +822,33 @@ def hooking_components(neighbors):
             labels, jumped = jumped, jumped[jumped]
 
 
+def same_level_flip(graph, level):
+    """The flip graph with the face-0 pairs (a, b), (c, e) of its first two
+    nodes a, c at `level` re-paired as (a, c), (b, e): a flip that joins
+    one level, so the graph has an odd cycle."""
+    from treedet.flips import FlipGraph
+
+    adjacency = graph.adjacency.copy(order="F")
+    a, c = np.flatnonzero(graph.levels[1] == level)[:2]
+    column = adjacency[:, 0]
+    b, e = column[a], column[c]
+    column[[a, c, b, e]] = c, a, e, b
+    return FlipGraph(graph.pset, adjacency, graph.diff_counts)
+
+
 def cover_check_bipartite(graph, anchors=None):
     """check_bipartite read off the components of the parity double
     cover: node i has its even copy at i and its odd copy at i + N, and
     each flip joins one parity to the other.  Returns the signature
-    table, or the odd cycle that two_color extracts."""
+    table; on an odd cycle, two_color raises OddCycleError with it."""
     from treedet.flips import AnchorConflictError, SignatureTable, _tree_path, two_color
 
     N = len(graph.adjacency)
     cover = np.concatenate([graph.adjacency + N, graph.adjacency])
     even, odd = hooking_components(cover).reshape(2, N)
     if np.any(even == odd):  # a node reaches its own odd copy: an odd cycle
-        return two_color(graph.adjacency)
+        two_color(graph.adjacency)  # raises OddCycleError with the cycle
+        raise AssertionError("the parity cover has an odd cycle that two_color does not find")
     root = np.minimum(even, odd)
     sign = np.where(even == root, 1, -1).astype(np.int8)
     flip_factor = np.zeros(N, dtype=np.int8)

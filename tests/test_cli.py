@@ -426,6 +426,33 @@ def test_flip_graph_missing_member_is_a_failed_certificate(capsys, monkeypatch):
     assert [w["property"] for w in cert["witnesses"]] == ["flip_uniqueness"]
 
 
+def test_odd_cycle_in_the_flip_graph_is_a_failed_certificate(capsys, monkeypatch):
+    # a flip graph with no signature fails its certificate; it is no internal error
+    import helpers
+    import treedet.context
+
+    # the face-0 partners of the first two level-1 nodes (1 and 5 at d = 2)
+    # re-paired: the two become partners and close a triangle with the root
+    build = treedet.context.build_flip_graph
+    monkeypatch.setattr(treedet.context, "_contexts", {})
+    monkeypatch.setattr(
+        treedet.context, "build_flip_graph", lambda pset: helpers.same_level_flip(build(pset), 1)
+    )
+    for argv, commands in (
+        (["certify-all", "--d", "2", "--seed", "7"], ["certify-all/enumerate", "certify-all"]),
+        (["certify-all", "--d", "3", "--seed", "7"], ["certify-all/enumerate", "certify-all"]),
+        (["flip-graph", "--d", "3"], ["flip-graph"]),
+        (["verify-appendix"], ["verify-appendix"]),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and err == "", (argv, code, err)
+        certs = [json.loads(line) for line in out.splitlines()]
+        assert [c["command"] for c in certs] == commands
+        (witness,) = certs[-1]["witnesses"]
+        assert witness["property"] == "signature_existence"
+        assert "odd cycle of length 3" in witness["detail"]
+
+
 def test_certify_all_relation_witnesses_equal_verify_relations(capsys, monkeypatch):
     import treedet.cli
     from treedet.context import standard_context

@@ -10,7 +10,7 @@ from treedet.flips import (
     AnchorConflictError,
     FlipGraph,
     FlipUniquenessError,
-    OddCycleWitness,
+    OddCycleError,
     alternates,
     bfs_levels,
     build_flip_graph,
@@ -212,15 +212,17 @@ def test_two_coloring_against_independent_bfs_d2(ctx2):
 
 def test_triangle_graph_is_rejected(ctx2):
     triangle = [[1, 2], [0, 2], [0, 1]]
-    result = two_color(triangle)
-    assert isinstance(result, OddCycleWitness)
-    assert sorted(result.nodes) == [0, 1, 2]
+    with pytest.raises(OddCycleError) as err:
+        two_color(triangle)
+    assert sorted(err.value.nodes) == [0, 1, 2]
     # the kernel detects the odd cycle, the BFS then extracts it
     pset = PartitionSet(2, 4, ctx2.pset.colors[:3], cycle_free=True)
     graph = FlipGraph(pset, np.array(triangle, dtype=np.int32), np.full((3, 2), 2, dtype=np.int8))
-    result = check_bipartite(graph)
-    assert isinstance(result, OddCycleWitness)
-    assert sorted(result.nodes) == [0, 1, 2]
+    with pytest.raises(OddCycleError) as err:
+        check_bipartite(graph)
+    assert sorted(err.value.nodes) == [0, 1, 2]
+    assert err.value.witness_property == "signature_existence"
+    assert "odd cycle of length 3" in str(err.value)
 
 
 def test_odd_cycle_witness_is_a_closed_odd_walk():
@@ -230,9 +232,9 @@ def test_odd_cycle_witness_is_a_closed_odd_walk():
     for a, b in edges:
         rows[a].append(b)
         rows[b].append(a)
-    result = two_color(rows)
-    assert isinstance(result, OddCycleWitness)
-    cycle = result.nodes
+    with pytest.raises(OddCycleError) as err:
+        two_color(rows)
+    cycle = err.value.nodes
     assert len(cycle) == 5 and len(set(cycle)) == 5
     assert all(b in rows[a] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
@@ -253,19 +255,15 @@ def _is_flip_walk(adjacency, nodes, closed):
 
 
 def test_same_level_flip_gives_an_odd_cycle_d3(ctx3):
-    # swap two face-0 pairs (a, b), (c, e) with a and c on one level into (a, c), (b, e)
-    adjacency = ctx3.graph.adjacency.copy(order="F")
-    level = ctx3.graph.levels[1]
-    a, c = np.flatnonzero(level == 3)[:2]
-    column = adjacency[:, 0]
-    b, e = column[a], column[c]
-    column[[a, c, b, e]] = c, a, e, b
-    graph = FlipGraph(ctx3.pset, adjacency, ctx3.graph.diff_counts)
-    witness = check_bipartite(graph, standard_anchors(ctx3.pset))
-    assert isinstance(witness, OddCycleWitness)
-    assert len(witness) % 2 == 1 and len(set(witness.nodes)) == len(witness)
-    assert _is_flip_walk(adjacency, witness.nodes, closed=True)
-    assert isinstance(two_color(adjacency), OddCycleWitness)
+    graph = helpers.same_level_flip(ctx3.graph, 3)
+    adjacency = graph.adjacency
+    with pytest.raises(OddCycleError) as err:
+        check_bipartite(graph, standard_anchors(ctx3.pset))
+    cycle = err.value.nodes
+    assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
+    assert _is_flip_walk(adjacency, cycle, closed=True)
+    with pytest.raises(OddCycleError):
+        two_color(adjacency)
 
 
 def test_anchor_conflict_path_follows_flips_d3(ctx3):
@@ -281,7 +279,7 @@ def test_anchor_conflict_path_follows_flips_d3(ctx3):
         assert (path[0], path[-1]) == (err.value.first, err.value.second) == (member, partner)
         assert len(path) == length and len(set(path)) == length
         assert _is_flip_walk(adjacency, path, closed=False)
-    assert not isinstance(two_color(adjacency), OddCycleWitness)
+    assert two_color(adjacency).n_components == 1  # raises OddCycleError if not bipartite
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -443,7 +441,12 @@ def test_failed_two_colorings_equal_the_cover_oracle(ctx2):
     triangle = np.array([[1, 2], [0, 2], [0, 1]], dtype=np.int32)
     pset = PartitionSet(2, 4, ctx2.pset.colors[:3], cycle_free=True)
     graph = FlipGraph(pset, triangle, np.full((3, 2), 2, dtype=np.int8))
-    assert check_bipartite(graph).nodes == helpers.cover_check_bipartite(graph).nodes
+    cycles = []
+    for check in (check_bipartite, helpers.cover_check_bipartite):
+        with pytest.raises(OddCycleError) as err:
+            check(graph)
+        cycles.append(err.value.nodes)
+    assert cycles[0] == cycles[1]
     anchors = [(BASE_PARTITION_D2, +1), (flip(BASE_PARTITION_D2, (1, 2, 3)), +1)]
     errors = []
     for check in (check_bipartite, helpers.cover_check_bipartite):

@@ -171,7 +171,7 @@ def test_gfp_value_is_the_rational_residue(vectors, start):
 @pytest.mark.parametrize("p", [101, 2147483647, 3037000493, 4294967311])
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_mod_p_pass_on_full_size_residues(p, data):
+def test_gfp_full_size_residues(p, data):
     # every first coordinate has a balanced residue of at least p/4, so the
     # product bound passes 2^63 and the top levels run in Python ints
     big, full = st.integers(p // 4 + 1, p - p // 4 - 1), st.integers(0, p - 1)
