@@ -346,9 +346,11 @@ def count_relation_instances(d: int) -> int:
 
 
 def _sample_draws(d: int, sample: int, seed: Optional[int]) -> tuple[np.ndarray, ...]:
-    """(face_idx, ms_idx, ctx_int): the seeded draws of a sampled mode, one
-    entry per instance, with its face number, multiset number and context
-    as a base-d integer whose digit j colors the j-th non-face edge."""
+    """(face_idx, ms_idx, contexts): the seeded instances of a sampled
+    mode, one entry each, with its face number, its multiset number and
+    its context, whose column j colors the j-th non-face edge.  Each
+    context is drawn as one base-d integer, whose digit of weight d^j
+    fills column j."""
     if sample < 1:
         raise ValueError(f"sampled mode needs a sample of at least 1, got {sample}")
     if seed is None:
@@ -356,8 +358,9 @@ def _sample_draws(d: int, sample: int, seed: Optional[int]) -> tuple[np.ndarray,
     rng = np.random.default_rng(seed)
     face_idx = rng.integers(0, math.comb(2 * d, 3), size=sample)
     ms_idx = rng.integers(0, math.comb(d + 2, 3), size=sample)
-    ctx_int = rng.integers(0, d ** (edge_count(2 * d) - 3), size=sample, dtype=np.int64)
-    return face_idx, ms_idx, ctx_int
+    width = edge_count(2 * d) - 3
+    ctx_int = rng.integers(0, d ** width, size=sample, dtype=np.int64)
+    return face_idx, ms_idx, _digits(ctx_int, d, width)[:, ::-1]
 
 
 def relation_instances(
@@ -381,8 +384,7 @@ def relation_instances(
                 for ctx in product(range(d), repeat=E - 3):
                     yield RelationInstance(d, n, face, ms, ctx)
         return
-    face_idx, ms_idx, ctx_int = _sample_draws(d, sample, seed)
-    contexts = _digits(ctx_int, d, E - 3)[:, ::-1]  # digit j colors the j-th non-face edge
+    face_idx, ms_idx, contexts = _sample_draws(d, sample, seed)
     for r in range(sample):
         face, ms = faces[face_idx[r]], multisets[ms_idx[r]]
         yield RelationInstance(d, n, face, ms, tuple(contexts[r].tolist()))
@@ -450,8 +452,7 @@ def verify_relations(
                     witnesses.append(RelationInstance(d, n, face, ms_r, ctx_r))
         return RelationReport(count_relation_instances(d), violations, witnesses, mode="full")
 
-    face_idx, ms_idx, ctx_int = _sample_draws(d, sample, seed)
-    contexts = _digits(ctx_int, d, E - 3)[:, ::-1]  # digit j colors the j-th non-face edge
+    face_idx, ms_idx, contexts = _sample_draws(d, sample, seed)
     face_pos = [list(face_edge_indices(face, n)) for face in faces]
     face_w = pset.weights[face_pos]  # (faces, 3)
     ctx_w = np.array([np.delete(pset.weights, pos) for pos in face_pos])  # (faces, E - 3)

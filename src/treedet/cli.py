@@ -1,16 +1,24 @@
 """Command-line interface: every operation, machine-readable certificates.
 
-Each verifying subcommand prints a JSON certificate with stable key
-order.  A certificate's outcome is "fail" exactly when its witness list
-is non-empty.  Its wall_time_s times its own stage: from the start of
-the command, or in certify-all from the print of the previous stage's
-certificate.  Exit codes: 0 all checks passed, 1 a mathematical
-certificate failed (including a flip-uniqueness violation, conflicting
-anchors, a set that is not closed under relabeling, or a flip graph with
-an odd cycle), 2 bad input or usage (among them a --sample or
---sample-relations below 1, a sample without --seed, and enumerate
---count-only with --out), 3 an internal error (any other exception,
-reported on one stderr line).
+Each verifying subcommand runs its stages through one runner, which
+prints one JSON certificate per stage with stable key order.  A stage is
+a name, its parameters and a check that returns the stage's numbers and
+witnesses; each claim has one function that builds them, shared by the
+standalone commands and certify-all.  A certificate's outcome is "fail"
+exactly when it has witnesses.  Its wall_time_s times its own stage:
+from the start of the command, or from the previous certificate's print.
+
+A check may raise its witness instead (a flip that is not unique,
+conflicting anchors, a set not closed under relabeling, an odd cycle in
+the flip graph): the stage that raised it prints a failed certificate
+with its own parameters and wall_time_s and one {"property", "detail"}
+witness, and the run stops.  flip, signature and det print their
+answer, and a certificate named after the command only when they raise.
+
+Exit codes: 0 all checks passed, 1 a certificate failed, 2 bad input or
+usage (among them a --sample or --sample-relations below 1, a sample
+without --seed, and enumerate --count-only with --out), 3 an internal
+error (any other exception, reported on one stderr line).
 
 Only sampled modes draw random numbers: verify-relations --sample and
 certify-all --sample-relations read the --seed, which certify-all always
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -41,13 +50,15 @@ from .flips import (
     check_bipartite,
     check_connected,
     flip,
-    standard_anchors,
     verify_flip_soundness,
 )
 from .model import EdgePartition, json_int
+from .symmetry import OrbitClosureError
 
 PASS, FAIL = "pass", "fail"
 EXIT_OK, EXIT_CERT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
+# violations a check raises, each naming its claim in `witness_property`
+RAISED_WITNESSES = (FlipUniquenessError, OddCycleError, AnchorConflictError, OrbitClosureError)
 
 
 def _emit(command, parameters, numbers, witnesses, t0) -> int:
@@ -66,24 +77,46 @@ def _emit(command, parameters, numbers, witnesses, t0) -> int:
     return EXIT_CERT_FAIL if witnesses else EXIT_OK
 
 
+def _run(stages) -> int:
+    """Run (command, parameters, check) stages in order and print each
+    one's certificate, timed from the previous print.  check() returns
+    the stage's (numbers, witnesses), or None for a command that printed
+    its answer instead.  A raised witness fails the stage that raised it
+    and ends the run; the exit code is the worst one printed."""
+    code, t0 = EXIT_OK, time.perf_counter()
+    for command, parameters, check in stages:
+        try:
+            result = check()
+        except RAISED_WITNESSES as exc:
+            witness = {"property": exc.witness_property, "detail": str(exc)}
+            return _emit(command, parameters, {}, [witness], t0)
+        if result is not None:
+            code = max(code, _emit(command, parameters, *result, t0))
+            t0 = time.perf_counter()
+    return code
+
+
 def _load_partition(path: str) -> EdgePartition:
     with open(path) as fh:
         return EdgePartition.from_json_dict(json.load(fh))
 
 
-def _load_anchors(path: Optional[str], pset):
+def _anchored(ctx, path: Optional[str]):
+    """The signature table anchored at the {partition, sign} objects in
+    the JSON file at path, or else the context's standard-anchored one."""
     if path is None:
-        return standard_anchors(pset)
+        return ctx.signature
     with open(path) as fh:
         docs = json.load(fh)
     if not isinstance(docs, list) or not all(
         isinstance(doc, dict) and {"partition", "sign"} <= doc.keys() for doc in docs
     ):
         raise ValueError(f"{path}: anchors must be a JSON list of {{partition, sign}} objects")
-    return [
+    anchors = [
         (EdgePartition.from_json_dict(doc["partition"]), json_int(doc["sign"], "sign"))
         for doc in docs
     ]
+    return check_bipartite(ctx.graph, anchors)
 
 
 def _partition_line(p: EdgePartition) -> str:
@@ -112,114 +145,150 @@ def _partition_lines(pset):
 
 
 # --------------------------------------------------------------------------
-# witness lists, shared by the standalone commands and certify-all; each is
-# empty exactly when its check passed
+# one function per claim, shared by the standalone commands and certify-all:
+# each returns its (numbers, witnesses), and the witnesses are empty exactly
+# when the claim holds
 
-def _soundness_witnesses(soundness) -> list:
-    return [] if soundness.ok else [{"property": "flip_uniqueness_and_involution"}]
+def _counts(d: int, pset):
+    homogeneous = count_homogeneous(d)
+    expected = {2: (20, 12), 3: (756756, 66240)}.get(d)
+    ok = expected is None or (homogeneous, len(pset)) == expected
+    numbers = {"homogeneous": homogeneous, "cycle_free": len(pset)}
+    return numbers, [] if ok else [{"property": "enumeration_counts", "expected": list(expected)}]
 
 
-def _alternation_witnesses(graph, table) -> list:
-    return [] if alternates(graph, table.signs) else [{"property": "signature_alternation"}]
+def _flip_soundness(graph):
+    soundness = verify_flip_soundness(graph)
+    numbers = {
+        "flip_pairs_checked": soundness.pairs_checked,
+        "flips_changing_two_edges": soundness.diff_two,
+        "flips_changing_three_edges": soundness.diff_three,
+        "involution": int(soundness.involution_ok),
+    }
+    return numbers, [] if soundness.ok else [{"property": "flip_uniqueness_and_involution"}]
 
 
-def _orbit_witnesses(table, d: int) -> list:
+def _bipartite_connected(graph, table):
+    """Bipartite: every flip joins opposite signs of the table."""
+    plus, minus = table.class_sizes()
+    components = check_connected(graph).n_components
+    numbers = {"class_plus": plus, "class_minus": minus, "components": components}
+    alternating = alternates(graph, table.signs)
+    return numbers, [] if alternating else [{"property": "signature_alternation"}]
+
+
+def _orbit_identity(table, d: int):
     group_order = math.factorial(2 * d) * math.factorial(d)
     bad = [e.orbit_id for e in table.entries if e.size * e.stabilizer_order != group_order]
-    return [{"property": "orbit_stabilizer_identity", "orbits": bad}] if bad else []
+    numbers = {"orbits": len(table.entries), "orbit_stabilizer_identity": int(not bad)}
+    return numbers, [{"property": "orbit_stabilizer_identity", "orbits": bad}] if bad else []
 
 
-def _catalog_witnesses(match) -> list:
-    return [] if match.ok else [{"property": "orbit_catalog_match", "diffs": match.mismatches}]
-
-
-def _epsilon_witnesses(eps, expected=None) -> list:
+def _parity_form(orbits, table, expected: Optional[str]):
     """Without a character, the first violations of each, by orbit id;
     with another character than the expected one, both names."""
-    witness = {"property": "signature_parity_formula"}
-    if eps.ok:
-        unexpected = expected not in (None, eps.character)
-        return [dict(witness, character=eps.character, expected=expected)] if unexpected else []
-    violations = {
-        name: [
-            {"orbit": o, "sigma": list(s), "tau": list(t), "got": g, "expected": e}
-            for (o, s, t, g, e) in found
-        ]
-        for name, found in eps.violations.items()
+    eps = symmetry.epsilon_formula_check(orbits, table)
+    numbers = {
+        "character": eps.character,
+        "epsilon_samples": eps.samples,
+        "epsilon_violations": min(eps.counts.values()),
     }
-    return [{**witness, "violations": violations}]
+    witness = {"property": "signature_parity_formula"}
+    if not eps.ok:
+        violations = {
+            name: [
+                {"orbit": o, "sigma": list(s), "tau": list(t), "got": g, "expected": e}
+                for (o, s, t, g, e) in found
+            ]
+            for name, found in eps.violations.items()
+        }
+        return numbers, [{**witness, "violations": violations}]
+    if expected in (None, eps.character):
+        return numbers, []
+    return numbers, [{**witness, "character": eps.character, "expected": expected}]
 
 
-def _epsilon_numbers(eps) -> dict:
-    numbers = {"character": eps.character, "epsilon_samples": eps.samples}
-    return {**numbers, "epsilon_violations": min(eps.counts.values())}
+def _catalog(orbits):
+    match = symmetry.match_catalog(orbits)
+    numbers = {"references_checked": match.checked, "mismatches": len(match.mismatches)}
+    witness = {"property": "orbit_catalog_match", "diffs": match.mismatches}
+    return numbers, [] if match.ok else [witness]
 
 
-def _relation_witnesses(report) -> list:
+def _normalisation(d: int, ctx):
+    value = algebra.det_eval(algebra.unit_tensor(d), ctx.pset, ctx.signature)
+    numbers = {"det_of_generator": algebra.format_scalar(value)}
+    return numbers, [] if value == 1 else [{"property": "determinant_normalization"}]
+
+
+def _relations(ctx, sample: Optional[int], seed: Optional[int]):
+    report = algebra.verify_relations(ctx.graph, ctx.signature, sample=sample, seed=seed)
+    numbers = {"instances_checked": report.instances_checked, "violations": report.violations}
     if report.ok:
-        return []
+        return numbers, []
     instances = [
         {"face": list(w.face), "color_multiset": list(w.color_multiset), "context": list(w.context)}
         for w in report.witnesses
     ]
-    return [{"property": "relation_vanishing", "instances": instances}]
+    return numbers, [{"property": "relation_vanishing", "instances": instances}]
 
 
 # --------------------------------------------------------------------------
 # subcommand handlers
 
-def cmd_enumerate(args) -> int:
-    t0 = time.perf_counter()
+def _one_stage(command: str, *parameters: str):
+    """Make a handler of a check on the parsed arguments: it runs the
+    check as the one stage `command`, whose parameters are the arguments
+    named, and returns the exit code."""
+    def handler(check):
+        @functools.wraps(check)
+        def run(args) -> int:
+            stage = {name: getattr(args, name) for name in parameters}
+            return _run([(command, stage, lambda: check(args))])
+        return run
+    return handler
+
+
+@_one_stage("enumerate", "d", "cycle_free", "out")
+def cmd_enumerate(args):
     pset = enumerate_partitions(args.d, cycle_free=args.cycle_free)
     if args.count_only:
         print(len(pset))
-        return EXIT_OK
-    lines = _partition_lines(pset)
-    if args.out:
+    elif not args.out:
+        sys.stdout.writelines(_partition_lines(pset))
+    else:
         with open(args.out, "w") as fh:
-            fh.writelines(lines)
-        parameters = {"d": args.d, "cycle_free": args.cycle_free, "out": args.out}
-        return _emit("enumerate", parameters, {"count": len(pset)}, [], t0)
-    sys.stdout.writelines(lines)
-    return EXIT_OK
+            fh.writelines(_partition_lines(pset))
+        return {"count": len(pset)}, []
 
 
-def cmd_flip(args) -> int:
+@_one_stage("flip", "partition", "face")
+def cmd_flip(args):
     partition = _load_partition(args.partition)
     flipped = flip(partition, tuple(args.face))
     print(_partition_line(flipped))
-    return EXIT_OK
 
 
-def cmd_flip_graph(args) -> int:
-    t0 = time.perf_counter()
+@_one_stage("flip-graph", "d", "anchors")
+def cmd_flip_graph(args):
     ctx = standard_context(args.d)
-    soundness = verify_flip_soundness(ctx.graph)
-    table = check_bipartite(ctx.graph, _load_anchors(args.anchors, ctx.pset))
-    plus, minus = table.class_sizes()
+    sound, unsound = _flip_soundness(ctx.graph)
+    colored, miscolored = _bipartite_connected(ctx.graph, _anchored(ctx, args.anchors))
     numbers = {
+        **sound,
+        **colored,
         "nodes": len(ctx.pset),
         "faces": ctx.graph.adjacency.shape[1],
-        "flip_pairs_checked": soundness.pairs_checked,
-        "flips_changing_two_edges": soundness.diff_two,
-        "flips_changing_three_edges": soundness.diff_three,
         "bipartite": 1,  # check_bipartite raises OddCycleError otherwise
-        "class_plus": plus,
-        "class_minus": minus,
         "alternating_edges": int(ctx.graph.adjacency.size),
-        "components": check_connected(ctx.graph).n_components,
     }
-    witnesses = _soundness_witnesses(soundness) + _alternation_witnesses(ctx.graph, table)
-    parameters = {"d": args.d, "anchors": args.anchors}
-    return _emit("flip-graph", parameters, numbers, witnesses, t0)
+    return numbers, unsound + miscolored
 
 
-def cmd_orbits(args) -> int:
-    t0 = time.perf_counter()
+@_one_stage("orbits", "d", "out")
+def cmd_orbits(args):
     pset = enumerate_partitions(args.d, cycle_free=True)
     table = symmetry.orbit_decomposition(pset)
-    identity = _orbit_witnesses(table, args.d)
-    sizes_ok = sum(e.size for e in table.entries) == len(pset)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -232,64 +301,43 @@ def cmd_orbits(args) -> int:
                     [e.orbit_id, e.representative.canonical_code(), e.size, e.stabilizer_order]
                     + shapes
                 )
-    numbers = {
-        "orbits": len(table.entries),
-        "members": len(pset),
-        "orbit_stabilizer_identity": int(not identity),
-        "sizes_sum_to_members": int(sizes_ok),
-    }
-    witnesses = identity + ([] if sizes_ok else [{"property": "orbit_sizes_sum_to_members"}])
-    return _emit("orbits", {"d": args.d, "out": args.out}, numbers, witnesses, t0)
+    numbers, witnesses = _orbit_identity(table, args.d)
+    sizes_ok = sum(e.size for e in table.entries) == len(pset)
+    numbers.update(members=len(pset), sizes_sum_to_members=int(sizes_ok))
+    if not sizes_ok:
+        witnesses.append({"property": "orbit_sizes_sum_to_members"})
+    return numbers, witnesses
 
 
-def cmd_verify_appendix(args) -> int:
-    t0 = time.perf_counter()
+@_one_stage("verify-appendix")
+def cmd_verify_appendix(args):
     ctx = standard_context(3)
     table = symmetry.orbit_decomposition(ctx.pset)
-    match = symmetry.match_catalog(table)
-    eps = symmetry.epsilon_formula_check(table, ctx.signature)
-    numbers = {
-        "references_checked": match.checked,
-        "catalog_mismatches": len(match.mismatches),
-        **_epsilon_numbers(eps),
-    }
-    witnesses = _catalog_witnesses(match) + _epsilon_witnesses(eps, catalog.EXPECTED_CHARACTER)
-    return _emit("verify-appendix", {}, numbers, witnesses, t0)
+    matched, mismatched = _catalog(table)
+    parity, violated = _parity_form(table, ctx.signature, catalog.EXPECTED_CHARACTER)
+    return {**matched, **parity}, mismatched + violated
 
 
-def cmd_signature(args) -> int:
+@_one_stage("signature", "partition", "anchors")
+def cmd_signature(args):
     partition = _load_partition(args.partition)
-    ctx = standard_context(partition.d)
-    table = ctx.signature
-    if args.anchors:
-        table = check_bipartite(ctx.graph, _load_anchors(args.anchors, ctx.pset))
+    table = _anchored(standard_context(partition.d), args.anchors)
     value = table.signature(partition)
     print(f"{value:+d}")
-    return EXIT_OK
 
 
-def cmd_det(args) -> int:
+@_one_stage("det", "input")
+def cmd_det(args):
     with open(args.input) as fh:
         vectors, d, p = algebra.tensor_from_json(json.load(fh))
     ctx = standard_context(d)
     result = algebra.det_eval(vectors, ctx.pset, ctx.signature, p=p)
     print(algebra.format_scalar(result))
-    return EXIT_OK
 
 
-def cmd_verify_relations(args) -> int:
-    t0 = time.perf_counter()
-    ctx = standard_context(args.d)
-    report = algebra.verify_relations(
-        ctx.graph, ctx.signature, sample=args.sample, seed=args.seed
-    )
-    return _emit(
-        "verify-relations",
-        {"d": args.d, "sample": args.sample, "seed": args.seed},
-        {"instances_checked": report.instances_checked, "violations": report.violations},
-        _relation_witnesses(report),
-        t0,
-    )
+@_one_stage("verify-relations", "d", "sample", "seed")
+def cmd_verify_relations(args):
+    return _relations(standard_context(args.d), args.sample, args.seed)
 
 
 def cmd_rank(args) -> int:
@@ -309,73 +357,29 @@ def cmd_emat(args) -> int:
 
 
 def cmd_certify_all(args) -> int:
+    # each layer is built once, by the first stage that reads it and fails if it raises
     d = args.d
-    codes = []
-    t0 = time.perf_counter()
-
-    def stage(name, numbers, witnesses, **parameters):
-        # each stage is timed from the previous certificate's print
-        nonlocal t0
-        codes.append(_emit(f"certify-all/{name}", {"d": d, **parameters}, numbers, witnesses, t0))
-        t0 = time.perf_counter()
-
-    homogeneous = count_homogeneous(d)
-    pset = enumerate_partitions(d, cycle_free=True)
-    expected = {2: (20, 12), 3: (756756, 66240)}.get(d)
-    counts_ok = expected is None or (homogeneous, len(pset)) == expected
-    stage(
-        "enumerate",
-        {"homogeneous": homogeneous, "cycle_free": len(pset)},
-        [] if counts_ok else [{"property": "enumeration_counts", "expected": list(expected)}],
-    )
-
-    ctx = standard_context(d, pset)
-    soundness = verify_flip_soundness(ctx.graph)
-    numbers = {
-        "flip_pairs_checked": soundness.pairs_checked,
-        "flips_changing_two_edges": soundness.diff_two,
-        "flips_changing_three_edges": soundness.diff_three,
-        "involution": int(soundness.involution_ok),
-    }
-    stage("flip-graph", numbers, _soundness_witnesses(soundness))
-
-    plus, minus = ctx.signature.class_sizes()
-    conn = check_connected(ctx.graph)
-    numbers = {"class_plus": plus, "class_minus": minus, "components": conn.n_components}
-    stage("bipartite-connected", numbers, _alternation_witnesses(ctx.graph, ctx.signature))
-
-    table = symmetry.orbit_decomposition(ctx.pset)
-    witnesses = _orbit_witnesses(table, d)
-    numbers = {"orbits": len(table.entries), "orbit_stabilizer_identity": int(not witnesses)}
-    stage("orbits", numbers, witnesses)
-
-    eps = symmetry.epsilon_formula_check(table, ctx.signature)
+    pset = functools.cache(lambda: enumerate_partitions(d, cycle_free=True))
+    ctx = functools.cache(lambda: standard_context(d, pset()))
+    orbits = functools.cache(lambda: symmetry.orbit_decomposition(ctx().pset))
     expected = catalog.EXPECTED_CHARACTER if d == 3 else None
-    stage("epsilon-formula", _epsilon_numbers(eps), _epsilon_witnesses(eps, expected))
-
-    if d == 3:
-        match = symmetry.match_catalog(table)
-        numbers = {"references_checked": match.checked, "mismatches": len(match.mismatches)}
-        stage("catalog-match", numbers, _catalog_witnesses(match))
-
-    det_value = algebra.det_eval(algebra.unit_tensor(d), ctx.pset, ctx.signature)
-    stage(
-        "determinant",
-        {"det_of_generator": algebra.format_scalar(det_value)},
-        [] if det_value == 1 else [{"property": "determinant_normalization"}],
+    checks = {
+        "enumerate": lambda: _counts(d, pset()),
+        "flip-graph": lambda: _flip_soundness(ctx().graph),
+        "bipartite-connected": lambda: _bipartite_connected(ctx().graph, ctx().signature),
+        "orbits": lambda: _orbit_identity(orbits(), d),
+        "epsilon-formula": lambda: _parity_form(orbits(), ctx().signature, expected),
+        "catalog-match": lambda: _catalog(orbits()),
+        "determinant": lambda: _normalisation(d, ctx()),
+    }
+    if d != 3:
+        del checks["catalog-match"]  # the catalog lists the d = 3 orbits
+    relations = {"sample": args.sample_relations, "seed": args.seed}
+    stages = [(f"certify-all/{name}", {"d": d}, check) for name, check in checks.items()]
+    stages.append(
+        ("certify-all/relations", {"d": d, **relations}, lambda: _relations(ctx(), **relations))
     )
-
-    report = algebra.verify_relations(
-        ctx.graph, ctx.signature, sample=args.sample_relations, seed=args.seed
-    )
-    stage(
-        "relations",
-        {"instances_checked": report.instances_checked, "violations": report.violations},
-        _relation_witnesses(report),
-        sample=args.sample_relations,
-        seed=args.seed,
-    )
-    return max(codes)
+    return _run(stages)
 
 
 # --------------------------------------------------------------------------
@@ -476,12 +480,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        FlipUniquenessError, OddCycleError, AnchorConflictError, symmetry.OrbitClosureError
-    ) as exc:
-        witness = {"property": exc.witness_property, "detail": str(exc)}
-        return _emit(args.command, {}, {}, [witness], time.perf_counter())
+        return args.func(args)  # a raised witness (AnchorConflictError too) fails in _run
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -216,7 +216,7 @@ def test_criterion_11_action_laws(ctx2, ctx3):
         rhs = matrix_determinant(T) ** 5 * det_eval(vectors, ctx3.pset, ctx3.signature)
         assert lhs == rhs
 
-    for _ in range(25):  # fractional T exercises the segmented exact path
+    for _ in range(25):  # T in halves: the front end clears each edge's denominators
         vectors = helpers.rand_int_tensor(rng, 3, lo=-2, hi=2)
         T = [[Fraction(int(rng.integers(-2, 3)), 2) for _ in range(3)] for _ in range(3)]
         lhs = det_eval(transform_tensor(T, vectors, 6), ctx3.pset, ctx3.signature)

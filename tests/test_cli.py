@@ -285,8 +285,8 @@ def test_flip_graph_custom_anchor_flips_orientation(capsys, tmp_path):
     assert cert["parameters"] == {"d": 2, "anchors": str(anchors)}
 
 
-def test_flip_graph_conflicting_anchors_fail_the_certificate(capsys, tmp_path):
-    # a member and its flip partner across face (1, 2, 3), both pinned at +1
+def _conflicting_anchors(tmp_path):
+    """A member and its flip partner across face (1, 2, 3), both pinned at +1."""
     anchors = tmp_path / "anchors.json"
     anchors.write_text(
         json.dumps(
@@ -296,13 +296,35 @@ def test_flip_graph_conflicting_anchors_fail_the_certificate(capsys, tmp_path):
             ]
         )
     )
-    code, out, err = run(capsys, ["flip-graph", "--d", "2", "--anchors", str(anchors)])
+    return str(anchors)
+
+
+def test_flip_graph_conflicting_anchors_fail_the_certificate(capsys, tmp_path):
+    anchors = _conflicting_anchors(tmp_path)
+    code, out, err = run(capsys, ["flip-graph", "--d", "2", "--anchors", anchors])
     assert code == 1 and err == ""
     cert = json.loads(out)
     assert cert["command"] == "flip-graph" and cert["outcome"] == "fail"
+    assert cert["parameters"] == {"d": 2, "anchors": anchors}
     (witness,) = cert["witnesses"]
     assert witness["property"] == "anchor_consistency"
     assert "connecting path has 2 nodes" in witness["detail"]
+
+
+def test_signature_conflicting_anchors_fail_the_certificate(capsys, tmp_path):
+    # AnchorConflictError is a ValueError, yet it fails a certificate (exit 1),
+    # not the input (exit 2); signature prints a certificate only then
+    anchors = _conflicting_anchors(tmp_path)
+    p0 = tmp_path / "p0.json"
+    p0.write_text(json.dumps({"d": 2, "n": 4, "colors": [0, 1, 0, 0, 1, 1]}))
+    code, out, err = run(capsys, ["signature", "--partition", str(p0), "--anchors", anchors])
+    assert code == 1 and err == ""
+    (line,) = out.splitlines()
+    cert = json.loads(line)
+    assert cert["command"] == "signature" and cert["outcome"] == "fail"
+    assert cert["parameters"] == {"partition": str(p0), "anchors": anchors}
+    assert cert["numbers"] == {}
+    assert [w["property"] for w in cert["witnesses"]] == ["anchor_consistency"]
 
 
 @pytest.mark.parametrize(
@@ -438,16 +460,29 @@ def test_odd_cycle_in_the_flip_graph_is_a_failed_certificate(capsys, monkeypatch
     monkeypatch.setattr(
         treedet.context, "build_flip_graph", lambda pset: helpers.same_level_flip(build(pset), 1)
     )
-    for argv, commands in (
-        (["certify-all", "--d", "2", "--seed", "7"], ["certify-all/enumerate", "certify-all"]),
-        (["certify-all", "--d", "3", "--seed", "7"], ["certify-all/enumerate", "certify-all"]),
-        (["flip-graph", "--d", "3"], ["flip-graph"]),
-        (["verify-appendix"], ["verify-appendix"]),
+    # the odd cycle is raised while the context is built: in certify-all's
+    # flip-graph stage, which is the first to read it
+    for argv, commands, parameters in (
+        (
+            ["certify-all", "--d", "2", "--seed", "7"],
+            ["certify-all/enumerate", "certify-all/flip-graph"],
+            {"d": 2},
+        ),
+        (
+            ["certify-all", "--d", "3", "--seed", "7"],
+            ["certify-all/enumerate", "certify-all/flip-graph"],
+            {"d": 3},
+        ),
+        (["flip-graph", "--d", "3"], ["flip-graph"], {"d": 3, "anchors": None}),
+        (["verify-appendix"], ["verify-appendix"], {}),
     ):
         code, out, err = run(capsys, argv)
         assert code == 1 and err == "", (argv, code, err)
         certs = [json.loads(line) for line in out.splitlines()]
         assert [c["command"] for c in certs] == commands
+        assert certs[-1]["parameters"] == parameters and certs[-1]["numbers"] == {}
+        if parameters.get("d") != 2:  # timed over the d = 3 flip graph's build
+            assert certs[-1]["wall_time_s"] > 0, certs[-1]
         (witness,) = certs[-1]["witnesses"]
         assert witness["property"] == "signature_existence"
         assert "odd cycle of length 3" in witness["detail"]
@@ -572,7 +607,8 @@ def test_orbits_of_a_set_missing_a_member_is_a_failed_certificate(capsys, monkey
     import numpy as np
 
     import treedet.cli
-    from treedet.context import standard_context
+    import treedet.enumeration
+    from treedet.context import Context, standard_context
     from treedet.enumeration import PartitionSet
 
     full = standard_context(2).pset
@@ -582,9 +618,29 @@ def test_orbits_of_a_set_missing_a_member_is_a_failed_certificate(capsys, monkey
     assert code == 1 and err == ""
     cert = json.loads(out)
     assert cert["command"] == "orbits" and cert["outcome"] == "fail"
+    assert cert["parameters"] == {"d": 2, "out": None}
     (witness,) = cert["witnesses"]
     assert witness["property"] == "orbit_closure"
     assert f"image code {full.partition(dropped).canonical_code()} " in witness["detail"]
+    # under certify-all the flip graph and the signature are whole, the set is
+    # not: the stages before the orbits pass, and the orbit stage fails
+    ctx = standard_context(2)
+    short = Context(pset, ctx.graph, ctx.signature)
+    monkeypatch.setattr(treedet.cli, "enumerate_partitions", treedet.enumeration.enumerate_partitions)
+    monkeypatch.setattr(treedet.cli, "standard_context", lambda d, pset=None: short)
+    code, out, err = run(capsys, ["certify-all", "--d", "2", "--seed", "7"])
+    assert code == 1 and err == ""
+    certs = [json.loads(line) for line in out.splitlines()]
+    assert [c["command"] for c in certs] == [
+        "certify-all/enumerate",
+        "certify-all/flip-graph",
+        "certify-all/bipartite-connected",
+        "certify-all/orbits",
+    ]
+    assert [c["outcome"] for c in certs] == ["pass"] * 3 + ["fail"]
+    assert certs[-1]["parameters"] == {"d": 2} and certs[-1]["numbers"] == {}
+    (witness,) = certs[-1]["witnesses"]
+    assert witness["property"] == "orbit_closure"
 
 
 CERTIFY_ALL_NUMBERS = {

@@ -14,11 +14,11 @@ import tracemalloc
 import pytest
 
 from treedet.algebra import verify_relations
-from treedet.cli import _alternation_witnesses
 from treedet.diagram import SignedDiagram
 from treedet.flips import (
     AnchorConflictError,
     _face_sweep,
+    alternates,
     bfs_levels,
     check_bipartite,
     standard_anchors,
@@ -56,8 +56,9 @@ STAGES = {
     # the witness path follows a breadth-first tree read off the levels one
     # face column at a time
     "anchor_conflict": (lambda ctx, orbits: anchor_conflict(ctx), 4 * MiB),
+    # the check behind the CLI's signature_alternation witness
     "alternation_witnesses": (
-        lambda ctx, orbits: _alternation_witnesses(ctx.graph, ctx.signature),
+        lambda ctx, orbits: alternates(ctx.graph, ctx.signature.signs),
         1 * MiB,
     ),
     # the levels shrink from N rows at the bottom to one at the root
