@@ -70,7 +70,7 @@ def _emit(command, parameters, numbers, witnesses, t0) -> int:
         "numbers": numbers,
         "outcome": FAIL if witnesses else PASS,
         "parameters": parameters,
-        "wall_time_s": round(time.perf_counter() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 6),
         "witnesses": witnesses,
     }
     print(json.dumps(cert, sort_keys=True))
@@ -337,6 +337,8 @@ def cmd_det(args):
 
 @_one_stage("verify-relations", "d", "sample", "seed")
 def cmd_verify_relations(args):
+    if args.sample is not None and args.seed is None:  # refused before the context is built
+        raise ValueError("sampled mode needs an explicit seed")
     return _relations(standard_context(args.d), args.sample, args.seed)
 
 

@@ -3,18 +3,17 @@
 Every homogeneous cycle-free d-partition of K_{2d} has, for each vertex
 triple (x, y, z), a unique partner partition that agrees with it on all
 edges off the face and differs on at least two of the three face edges.
-The map to that partner is an involution ("flip").  Nothing here takes
-that uniqueness on faith.  flip() tries all d^3 - 1 alternative face
-colorings of one partition and demands exactly one survivor.  The graph
-builder groups the members, face by face, by their coloring off the
-face and the multiset of their three face colors, one int64 key each
-sorted once per face (_face_sweep): a partner keeps both, because
-homogeneity only sees the multiset, and two members of one group always
-differ on at least two face edges.  So a member's partners are the
-other members of its group, and a group of any size but two aborts the
-run loudly instead of being glossed over.  The certified pairs are the
-nonzero terms of the face relations, which the full sweep of
-algebra.verify_relations sums pair by pair.
+The map to that partner is an involution ("flip").  A partner keeps the
+multiset of the three face colors, because homogeneity only sees the
+multiset, so it is another arrangement of them, and flip() tries exactly
+those.  The graph builder groups the members, face by face, by their
+coloring off the face and the multiset of their face colors, one int64
+key each sorted once per face (_face_sweep), so a member's partners are
+the other members of its group.  Nothing here takes the uniqueness on
+faith: flip() demands exactly one cycle-free arrangement, and a group of
+any size but two aborts the run loudly instead of being glossed over.
+The certified pairs are the nonzero terms of the face relations, which
+the full sweep of algebra.verify_relations sums pair by pair.
 
 The graph with one node per partition and one edge per flip carries the
 two certificates this package is built around:
@@ -47,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import permutations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -114,29 +113,27 @@ class AnchorConflictError(ValueError):
 def flip(partition: EdgePartition, face) -> EdgePartition:
     """The unique partner of `partition` across `face`.
 
-    Brute force: try every alternative coloring of the three face edges,
-    keep those that are homogeneous, cycle-free, and differ from the
-    input in at least two of the three positions, and insist the
-    survivor is unique.
+    The candidates are the other arrangements of the three face colors,
+    in lexicographic order, and the partner is the one that is
+    cycle-free.  No other recoloring can be a partner: the edges off the
+    face fix every class's count there, so a homogeneous recoloring
+    keeps the face's color multiset; and two different arrangements of
+    one multiset differ on at least two face edges.  Anything but one
+    cycle-free arrangement raises FlipUniquenessError.
     """
     if not is_homogeneous(partition):
         raise ValueError("flip needs a homogeneous partition")
     if not is_cycle_free(partition):
         raise ValueError("flip needs a cycle-free partition")
-    d, n = partition.d, partition.n
-    face = normalize_face(*face, n)
-    pos = face_edge_indices(face, n)
+    face = normalize_face(*face, partition.n)
+    pos = face_edge_indices(face, partition.n)
     orig = tuple(partition.colors[k] for k in pos)
     survivors = []
-    for cand in product(range(d), repeat=3):
-        if cand == orig:
-            continue
-        ndiff = sum(1 for a, b in zip(cand, orig) if a != b)
+    for arrangement in sorted(set(permutations(orig)) - {orig}):
         colors = list(partition.colors)
-        for k, c in zip(pos, cand):
-            colors[k] = c
-        q = EdgePartition(d, n, tuple(colors))
-        if ndiff >= 2 and is_homogeneous(q) and is_cycle_free(q):
+        colors[pos[0]], colors[pos[1]], colors[pos[2]] = arrangement
+        q = EdgePartition(partition.d, partition.n, tuple(colors))
+        if is_cycle_free(q):
             survivors.append(q)
     if len(survivors) != 1:
         raise FlipUniquenessError(partition, face, survivors)

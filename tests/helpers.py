@@ -20,7 +20,9 @@ and an add for each color), the relation sweeps over a dense
 code-indexed sign table (full mode with precomputed context digit
 columns, and sampled mode), the full relation sweep over the face groups
 (sorted by np.lexsort) and the sampled one that looks up every term, the
-face sweep over all candidate recolorings (with its (N, C(2d,3)) table
+flip that tries all d^3 - 1 other colorings of a face, where flip()
+tries only the other arrangements of its colors, the face sweep over
+all candidate recolorings (with its (N, C(2d,3)) table
 of changed face edges), the flip-soundness check that reads the strided
 columns of the flip table, the min-label hooking components kernel and
 the two-coloring read off it on the parity double cover of the flip
@@ -619,6 +621,46 @@ def dense_sampled_relation_sweep(pset, table, sample, seed):
                     RelationInstance(d, n, faces[int(face_idx[r])], ms, ctx)
                 )
     return RelationReport(checked, violations, witnesses, mode=f"sample({sample}, seed={seed})")
+
+
+def brute_force_flip(partition, face):
+    """The flip partner of `partition` across `face` by trying all d^3 - 1
+    other colorings of the face: those that are homogeneous, cycle-free
+    and differ from it on at least two face edges survive, and the
+    survivor must be unique.  It reads is_homogeneous and is_cycle_free
+    from treedet.flips when called, so a test that patches them there
+    patches them for flip() and for this oracle alike."""
+    from treedet.flips import (
+        EdgePartition,
+        FlipUniquenessError,
+        face_edge_indices,
+        is_cycle_free,
+        is_homogeneous,
+        normalize_face,
+    )
+
+    if not is_homogeneous(partition):
+        raise ValueError("flip needs a homogeneous partition")
+    if not is_cycle_free(partition):
+        raise ValueError("flip needs a cycle-free partition")
+    d, n = partition.d, partition.n
+    face = normalize_face(*face, n)
+    pos = face_edge_indices(face, n)
+    orig = tuple(partition.colors[k] for k in pos)
+    survivors = []
+    for cand in product(range(d), repeat=3):
+        if cand == orig:
+            continue
+        ndiff = sum(1 for a, b in zip(cand, orig) if a != b)
+        colors = list(partition.colors)
+        for k, c in zip(pos, cand):
+            colors[k] = c
+        q = EdgePartition(d, n, tuple(colors))
+        if ndiff >= 2 and is_homogeneous(q) and is_cycle_free(q):
+            survivors.append(q)
+    if len(survivors) != 1:
+        raise FlipUniquenessError(partition, face, survivors)
+    return survivors[0]
 
 
 def candidate_face_sweep(pset):

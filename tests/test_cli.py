@@ -184,9 +184,14 @@ def test_verify_relations_full_d2(capsys):
     assert cert["numbers"] == {"instances_checked": 128, "violations": 0}
 
 
-def test_verify_relations_sample_needs_seed(capsys):
-    code, _, err = run(capsys, ["verify-relations", "--d", "2", "--sample", "10"])
-    assert code == 2
+def test_verify_relations_sample_needs_seed(capsys, monkeypatch):
+    # refused before any work: building the context would crash the run
+    def no_context(*args):
+        raise AssertionError("the context was built")
+
+    monkeypatch.setattr("treedet.cli.standard_context", no_context)
+    code, out, err = run(capsys, ["verify-relations", "--d", "3", "--sample", "10"])
+    assert code == 2 and out == "" and err == "error: sampled mode needs an explicit seed\n"
 
 
 @pytest.mark.parametrize("sample", ["0", "-3"])
@@ -712,3 +717,32 @@ def test_certify_all_sampled_relations_record_their_seed(capsys):
         relations = json.loads(out.strip().splitlines()[-1])
         assert relations["command"] == "certify-all/relations"
         assert relations["parameters"] == {"d": 2, "sample": 5, "seed": seed}
+
+
+def test_every_d2_certificate_records_its_wall_time(capsys, tmp_path, monkeypatch):
+    import treedet.flips
+    from treedet.algebra import unit_partition
+
+    runs = [
+        ["certify-all", "--d", "2", "--seed", "7"],
+        ["flip-graph", "--d", "2"],
+        ["orbits", "--d", "2"],
+        ["verify-relations", "--d", "2"],
+        ["verify-relations", "--d", "2", "--sample", "10", "--seed", "7"],
+        ["enumerate", "--d", "2", "--cycle-free", "--out", str(tmp_path / "members.jsonl")],
+    ]
+    certs = []
+    for argv in runs:
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        certs += [json.loads(line) for line in out.splitlines()]
+    assert len(certs) == 12
+    # a flip whose uniqueness fails: every recoloring is taken for cycle-free
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(unit_partition(2).to_json_dict()))
+    monkeypatch.setattr(treedet.flips, "is_cycle_free", lambda partition: True)
+    code, out, _ = run(capsys, ["flip", "--partition", str(path), "--face", "1", "2", "3"])
+    failed = json.loads(out)
+    assert code == 1 and failed["command"] == "flip"
+    assert [w["property"] for w in failed["witnesses"]] == ["flip_uniqueness"]
+    assert all(cert["wall_time_s"] > 0 for cert in certs + [failed]), certs + [failed]

@@ -45,6 +45,59 @@ def test_flip_oracle_agreement_d2_exhaustive(ctx2):
             assert ctx2.graph.neighbor(i, face) == ctx2.pset.index_of(lib)
 
 
+def _flip_walk(start, steps, seed):
+    """start and the partitions a seeded walk of random flips visits."""
+    rng = np.random.default_rng(seed)
+    faces = faces_of(start.n)
+    walk = [start]
+    for _ in range(steps):
+        walk.append(flip(walk[-1], faces[int(rng.integers(len(faces)))]))
+    return walk
+
+
+@pytest.mark.parametrize("members", ["d2-all", "d3-seeded", "d4-walk", "d5-unit"])
+def test_flip_equals_the_brute_force(members, ctx2, ctx3):
+    from treedet.algebra import unit_partition
+
+    if members == "d2-all":
+        partitions = list(ctx2.pset)
+    elif members == "d3-seeded":
+        rows = np.random.default_rng(30).choice(len(ctx3.pset), 200, replace=False)
+        partitions = [ctx3.pset.partition(int(i)) for i in rows]
+    elif members == "d4-walk":
+        partitions = _flip_walk(unit_partition(4), 19, seed=30)
+    else:
+        partitions = [unit_partition(5)]
+    for partition in partitions:
+        for face in faces_of(partition.n):
+            assert flip(partition, face) == helpers.brute_force_flip(partition, face)
+
+
+@pytest.mark.parametrize("n_colors, n_survivors", [(3, 5), (2, 2)])
+def test_flip_tries_every_other_arrangement(monkeypatch, ctx3, n_colors, n_survivors):
+    # with every recoloring accepted as cycle-free, each other arrangement of
+    # the face colors survives, in lexicographic order, as for the brute force
+    import treedet.flips
+
+    face = (1, 2, 3)
+    pos = face_edge_indices(face, 6)
+    member = next(p for p in ctx3.pset if len({p.colors[k] for k in pos}) == n_colors)
+    monkeypatch.setattr(treedet.flips, "is_cycle_free", lambda partition: True)
+    with pytest.raises(FlipUniquenessError) as err:
+        flip(member, face)
+    exc = err.value
+    orig = tuple(member.colors[k] for k in pos)
+    arrangements = [tuple(q.colors[k] for k in pos) for q in exc.survivors]
+    assert len(arrangements) == n_survivors and arrangements == sorted(set(arrangements))
+    assert all(sorted(a) == sorted(orig) and a != orig for a in arrangements)
+    off = [k for k in range(len(member.colors)) if k not in pos]
+    assert all([q.colors[k] for k in off] == [member.colors[k] for k in off] for q in exc.survivors)
+    with pytest.raises(FlipUniquenessError) as oracle:
+        helpers.brute_force_flip(member, face)
+    assert (oracle.value.partition, oracle.value.face) == (exc.partition, exc.face)
+    assert oracle.value.survivors == exc.survivors and str(oracle.value) == str(exc)
+
+
 def test_flip_requires_valid_input():
     with pytest.raises(ValueError):
         flip(FIG_CYCLIC, (1, 2, 3))
