@@ -2,9 +2,9 @@
 
 Library for enumerating the homogeneous (and cycle-free) d-partitions
 of K_{2d}, flipping them across faces, decomposing them into orbits
-under vertex and color relabeling, two-coloring the flip graph into a
-signature, and evaluating the exact determinant-like multilinear form
-that the signature defines.
+under vertex and color relabeling, signing them by their spanning-tree
+determinants (a signature that every flip negates), and evaluating the
+exact determinant-like multilinear form that the signature defines.
 """
 
 __version__ = "0.1.0"
@@ -57,5 +57,6 @@ from .symmetry import (
     orbit_decomposition,
     stabilizer,
 )
+from .trees import tree_signs, tree_table
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -8,12 +8,13 @@ standalone commands and certify-all.  A certificate's outcome is "fail"
 exactly when it has witnesses.  Its wall_time_s times its own stage:
 from the start of the command, or from the previous certificate's print.
 
-A check may raise its witness instead (a flip that is not unique,
-conflicting anchors, a set not closed under relabeling, an odd cycle in
-the flip graph): the stage that raised it prints a failed certificate
-with its own parameters and wall_time_s and one {"property", "detail"}
-witness, and the run stops.  flip, signature and det print their
-answer, and a certificate named after the command only when they raise.
+A check may raise its witness instead (a flip that is not unique, a set
+not closed under relabeling, and, when --anchors colors the flip graph,
+conflicting anchors or an odd cycle): the stage that raised it prints a
+failed certificate with its own parameters and wall_time_s and one
+{"property", "detail"} witness, and the run stops.  flip, signature and
+det print their answer, and a certificate named after the command only
+when they raise.
 
 Exit codes: 0 all checks passed, 1 a certificate failed, 2 bad input or
 usage (among them a --sample or --sample-relations below 1, a sample
@@ -46,7 +47,7 @@ from .flips import (
     AnchorConflictError,
     FlipUniquenessError,
     OddCycleError,
-    alternates,
+    alternation_failure,
     check_bipartite,
     check_connected,
     flip,
@@ -102,8 +103,9 @@ def _load_partition(path: str) -> EdgePartition:
 
 
 def _anchored(ctx, path: Optional[str]):
-    """The signature table anchored at the {partition, sign} objects in
-    the JSON file at path, or else the context's standard-anchored one."""
+    """The two-coloring of the flip graph anchored at the {partition,
+    sign} objects in the JSON file at path, or else the context's
+    tree-determinant signature."""
     if path is None:
         return ctx.signature
     with open(path) as fh:
@@ -169,12 +171,26 @@ def _flip_soundness(graph):
 
 
 def _bipartite_connected(graph, table):
-    """Bipartite: every flip joins opposite signs of the table."""
+    """Bipartite: every flip joins opposite signs of the table, which is
+    then a two-coloring.  The witness is the first member whose flip
+    does not, with the face, the partner and both signs."""
     plus, minus = table.class_sizes()
     components = check_connected(graph).n_components
     numbers = {"class_plus": plus, "class_minus": minus, "components": components}
-    alternating = alternates(graph, table.signs)
-    return numbers, [] if alternating else [{"property": "signature_alternation"}]
+    failure = alternation_failure(graph, table.signs)
+    if failure is None:
+        return numbers, []
+    i, f = failure
+    j = int(graph.adjacency[i, f])
+    witness = {
+        "property": "signature_alternation",
+        "member": int(graph.pset.codes[i]),
+        "face": list(graph.faces[f]),
+        "partner": int(graph.pset.codes[j]),
+        "member_sign": int(table.signs[i]),
+        "partner_sign": int(table.signs[j]),
+    }
+    return numbers, [witness]
 
 
 def _orbit_identity(table, d: int):
@@ -208,11 +224,19 @@ def _parity_form(orbits, table, expected: Optional[str]):
     return numbers, [{**witness, "character": eps.character, "expected": expected}]
 
 
-def _catalog(orbits):
+def _catalog(orbits, table):
+    """The orbits against the catalog, and the paper's orientation: the
+    signature is +1 on every catalog reference.  A reference that is
+    not a member is a catalog mismatch, and has no sign."""
     match = symmetry.match_catalog(orbits)
     numbers = {"references_checked": match.checked, "mismatches": len(match.mismatches)}
-    witness = {"property": "orbit_catalog_match", "diffs": match.mismatches}
-    return numbers, [] if match.ok else [witness]
+    witnesses = [] if match.ok else [{"property": "orbit_catalog_match", "diffs": match.mismatches}]
+    members = [cid for cid in catalog.CATALOG_IDS if catalog.reference_partition(cid) in table.pset]
+    negative = [cid for cid in members if table.signature(catalog.reference_partition(cid)) != 1]
+    numbers["references_positive"] = len(members) - len(negative)
+    if negative:
+        witnesses.append({"property": "reference_orientation", "references": negative})
+    return numbers, witnesses
 
 
 def _normalisation(d: int, ctx):
@@ -279,7 +303,7 @@ def cmd_flip_graph(args):
         **colored,
         "nodes": len(ctx.pset),
         "faces": ctx.graph.adjacency.shape[1],
-        "bipartite": 1,  # check_bipartite raises OddCycleError otherwise
+        "bipartite": int(not miscolored),
         "alternating_edges": int(ctx.graph.adjacency.size),
     }
     return numbers, unsound + miscolored
@@ -313,7 +337,7 @@ def cmd_orbits(args):
 def cmd_verify_appendix(args):
     ctx = standard_context(3)
     table = symmetry.orbit_decomposition(ctx.pset)
-    matched, mismatched = _catalog(table)
+    matched, mismatched = _catalog(table, ctx.signature)
     parity, violated = _parity_form(table, ctx.signature, catalog.EXPECTED_CHARACTER)
     return {**matched, **parity}, mismatched + violated
 
@@ -371,7 +395,7 @@ def cmd_certify_all(args) -> int:
         "bipartite-connected": lambda: _bipartite_connected(ctx().graph, ctx().signature),
         "orbits": lambda: _orbit_identity(orbits(), d),
         "epsilon-formula": lambda: _parity_form(orbits(), ctx().signature, expected),
-        "catalog-match": lambda: _catalog(orbits()),
+        "catalog-match": lambda: _catalog(orbits(), ctx().signature),
         "determinant": lambda: _normalisation(d, ctx()),
     }
     if d != 3:

@@ -2,11 +2,11 @@
 
 The set is built from its color classes.  A class is an edge bitmask of
 K_{2d} with 2d - 1 edges (edge k is bit k): all 3003 such masks at
-d = 3, or in cycle-free mode the 1296 acyclic ones, the spanning trees
-of K_6, read off the precomputed subset table.  Classes 1..d-1 are
-chosen pairwise disjoint, one broadcast AND against every class per
-color (in chunks of rows, so the 3003 x 3003 pair step stays small), and
-a row is kept when the remaining edges, color 0, form a class as well.
+d = 3, or in cycle-free mode the 1296 spanning trees of K_6 that
+trees.tree_table lists.  Classes 1..d-1 are chosen pairwise disjoint,
+one broadcast AND against every class per color (in chunks of rows, so
+the 3003 x 3003 pair step stays small), and a row is kept when the
+remaining edges, color 0, form a class as well.
 The canonical code of a row is the sum over its classes of the color
 times the class's base-d digit weight, so the codes are sorted once and
 the colors read back from them.
@@ -24,7 +24,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import EdgePartition, acyclic_mask_table, edge_count
+from . import trees
+from .model import EdgePartition, edge_count
 
 MAX_EXHAUSTIVE_D = 3
 _PAIR_CHUNK = 1 << 18  # class pairs tested per broadcast
@@ -104,18 +105,17 @@ def count_homogeneous(d: int) -> int:
     return factorial(edge_count(2 * d)) // factorial(2 * d - 1) ** d
 
 
-def _class_masks(n: int, budget: int, cycle_free: bool) -> np.ndarray:
+def _class_masks(n: int, cycle_free: bool) -> np.ndarray:
     """Boolean table over all edge bitmasks of K_n (edge k is bit k): True
-    for the masks of `budget` edges, which in cycle-free mode must also be
-    acyclic (spanning trees when budget = n - 1)."""
+    for the masks of n - 1 edges, in cycle-free mode only the spanning
+    trees, read off trees.signs_by_mask(n)."""
+    if cycle_free:
+        return trees.signs_by_mask(n) != 0
     masks = np.arange(1 << edge_count(n), dtype=np.int64)
     ones = np.zeros(len(masks), dtype=np.int64)
     for k in range(edge_count(n)):
         ones += (masks >> k) & 1
-    table = ones == budget
-    if cycle_free:
-        table &= acyclic_mask_table(n)
-    return table
+    return ones == n - 1
 
 
 def enumerate_partitions(d: int, cycle_free: bool = False) -> PartitionSet:
@@ -142,7 +142,7 @@ def _member_codes(d: int, cycle_free: bool) -> np.ndarray:
     """Sorted canonical codes of the members, built from their classes."""
     n = 2 * d
     E = edge_count(n)
-    is_class = _class_masks(n, 2 * d - 1, cycle_free)
+    is_class = _class_masks(n, cycle_free)
     classes = np.flatnonzero(is_class)
     # as color c, classes[i] adds c * digit[i] to the code
     bits = (classes[:, None] >> np.arange(E)) & 1

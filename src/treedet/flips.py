@@ -24,21 +24,30 @@ two certificates this package is built around:
   pairwise proportional in the quotient of the tensor space by the face
   relations.
 
-Both are read off one level-synchronous breadth-first search
-(bfs_levels): a flip must join levels of opposite parity, and each
-component is named by its smallest node.  The witness of a failed
-check follows the parents that _bfs_parents reads off the same levels,
-and is raised like every other violated claim: an odd cycle as
-OddCycleError, an anchor-to-anchor path as AnchorConflictError.  The
-node-by-node search two_color is not on this path; it is the reference
-the vectorised one is tested against.
+The standard signature is not searched for: it is the sign of the
+incidence determinant det M_P, read off the spanning-tree table
+(trees.py), and alternation_failure checks it on every flip.  An
+explicit sign that every flip negates is a two-coloring, so that check
+certifies bipartiteness, and its failure names one (member, face).
+Connectivity is read off a level-synchronous breadth-first search
+(bfs_levels), which names each component by its smallest node.
+check_bipartite two-colors the graph from the same levels, a flip
+having to join levels of opposite parity, and orients each component by
+anchors: it serves signatures anchored by hand and is the route the
+tree signature is tested against.  Its witnesses follow the parents
+that _bfs_parents reads off the levels and are raised like every other
+violated claim: an odd cycle as OddCycleError, an anchor-to-anchor path
+as AnchorConflictError.  The node-by-node search two_color is not on
+any certificate's path; it is the reference the vectorised one is
+tested against.
 
 Besides its (N, C(2d,3)) flip table, every step of the stage works in
 O(N) scratch memory for N members.  The table is stored face-major, so
 the face sweep writes each face's column in place, and the soundness
-check, check_bipartite and _bfs_parents read it one column at a time; the
-sweep keeps two counts per face of the face edges its flips change; each
-breadth-first round reads the rows of its frontier in blocks.
+check, alternation_failure, check_bipartite and _bfs_parents read it
+one column at a time; the sweep keeps two counts per face of the face
+edges its flips change; each breadth-first round reads the rows of its
+frontier in blocks.
 """
 
 from __future__ import annotations
@@ -329,13 +338,20 @@ def bfs_levels(neighbors) -> tuple[np.ndarray, np.ndarray]:
     return root, level
 
 
-def alternates(graph: FlipGraph, sign: np.ndarray) -> bool:
-    """Whether every flip joins opposite signs: sign[adjacency[i, f]] ==
-    -sign[i] for every node i and face f.  The table is read one face
-    column at a time, contiguous in the face-major table, so the index
-    copy that np.take makes is one column's, not the whole table's."""
+def alternation_failure(graph: FlipGraph, sign: np.ndarray) -> Optional[tuple[int, int]]:
+    """The first (node i, face number f) with sign[adjacency[i, f]] !=
+    -sign[i], smallest i first, then smallest f; None when every flip
+    joins opposite signs, which makes sign a two-coloring.  The table is
+    read one face column at a time, contiguous in the face-major table,
+    so the index copy that np.take makes is one column's, not the whole
+    table's."""
     negated = -sign
-    return all(np.array_equal(sign.take(partner), negated) for partner in graph.adjacency.T)
+    first = None
+    for f, partner in enumerate(graph.adjacency.T):
+        wrong = sign.take(partner) != negated
+        if wrong.any() and (first is None or wrong.argmax() < first[0]):
+            first = (int(wrong.argmax()), f)
+    return first
 
 
 @dataclass
@@ -426,12 +442,10 @@ def _tree_path(parent: np.ndarray, a: int, b: int) -> list:
 
 
 class SignatureTable:
-    """Total sign map on a cycle-free homogeneous partition set.
-
-    Built from a two-coloring of the flip graph, so every flip joins
-    opposite signs; the overall orientation of each component is pinned
-    by the anchors supplied at build time.
-    """
+    """Total sign map on a cycle-free homogeneous partition set, one
+    int8 sign per member: the tree-determinant signature of
+    context.standard_context, or check_bipartite's anchored
+    two-coloring of the flip graph."""
 
     def __init__(self, pset: PartitionSet, signs: np.ndarray):
         self.pset = pset

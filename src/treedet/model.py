@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-import numpy as np
-
 TREE_SHAPES = ("I6", "Y6", "E6", "H6", "C6", "S6")
 NOT_TREE = "NotTree"
 
@@ -228,26 +226,3 @@ def classify_tree(edges: Iterable[tuple[int, int]]) -> str:
         leaf_neighbors = sum(1 for u in adj[branch] if len(adj[u]) == 1)
         return "Y6" if leaf_neighbors == 2 else "E6"
     raise AssertionError(f"impossible degree multiset {degs} for an acyclic graph")
-
-
-@lru_cache(maxsize=None)
-def acyclic_mask_table(n: int) -> np.ndarray:
-    """Boolean table over all 2^E edge subsets of K_n: True iff acyclic.
-
-    Edge k corresponds to bit k of the mask.  One union-find runs over
-    all masks at once, with a component label per vertex and mask.  The
-    masks below 2^(k+1) holding edge k are those below 2^k plus the
-    edge: each either closes a cycle (both ends already share a label)
-    or merges the two labels.  Only sensible for small n (the table has
-    2^E entries); n = 6 gives 32768.
-    """
-    E = edge_count(n)
-    if E > 21:
-        raise ValueError(f"subset table for K_{n} would need 2^{E} entries")
-    labels = np.arange(n, dtype=np.int8)[None, :]
-    table = np.ones(1, dtype=bool)
-    for i, j in edge_list(n):
-        a, b = labels[:, i - 1, None], labels[:, j - 1, None]
-        table = np.concatenate([table, table & (a != b)[:, 0]])
-        labels = np.concatenate([labels, np.where(labels == b, a, labels)])
-    return table

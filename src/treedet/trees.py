@@ -1,0 +1,173 @@
+"""Spanning trees of K_n and the signs of their incidence determinants.
+
+A homogeneous cycle-free d-partition P of K_{2d} is an ordered tuple of
+d spanning trees T_0, ..., T_{d-1}, one per color, and its signature is
+the sign of one determinant.  M_P is the E x E matrix with a row per
+(color c, vertex v), v = 2..2d (vertex 1 is dropped), whose column for
+the edge e = (a, b), a < b, of color c holds +1 at (c, a) and -1 at
+(c, b).  Sorting the columns by color, in edge order within a color,
+makes it block diagonal, so
+
+    det M_P = (-1)^inv(P) * prod_c det B(T_c),
+
+where inv(P) counts the edge pairs e < e' with c(e) > c(e') and B(T) is
+the reduced incidence matrix of T: vertex 1's row dropped, the columns
+in edge order.  Rooted at vertex 1, every other vertex v of a tree owns
+the edge to its parent, and this matching is the only nonzero term of
+det B(T) (a leaf has one edge; remove it and repeat), so det B(T) is
++1 or -1: the sign of the matching as a permutation of the columns,
+times -1 for each v whose parent is smaller, since the edge's -1 sits
+at its larger end.  The signature is D(unit) * det M_P with
+D(unit) = det M_unit (README, "The signature is a determinant").
+
+tree_table(n) lists the n^(n-2) spanning trees of K_n (Cayley), each as
+an int64 edge mask (edge k is bit k) with its sign det B(T), decoded
+from all Pruefer sequences at once, in integers only; signs_by_mask(n)
+spreads it over all edge subsets, which is the enumeration's class
+filter.  tree_signs reads (-1)^inv(P) * prod_c det B(T_c) off every
+member of a partition set.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
+from typing import NamedTuple
+
+import numpy as np
+
+from .model import edge_count
+
+MAX_TREE_N = 8  # K_8 has 262 144 spanning trees; K_9 would have 4.8 million
+_SIGN_BLOCK = 8192  # members signed at a time
+_CHUNK_ROWS = 1 << 8  # at most this many colorings per chunk table
+
+
+class TreeTable(NamedTuple):
+    masks: np.ndarray  # (n^(n-2),) int64 edge masks, ascending
+    signs: np.ndarray  # (n^(n-2),) int8 det B(T), +1 or -1
+
+
+@lru_cache(maxsize=None)
+def tree_table(n: int) -> TreeTable:
+    """The spanning trees of K_n, sorted by edge mask, with det B(T).
+
+    Pruefer decoding runs over the labels x = n - v, so the label that
+    survives every step, n - 1, is vertex 1, and each removed leaf's
+    neighbour is its parent in the tree rooted at vertex 1.
+    """
+    if not 2 <= n <= MAX_TREE_N:
+        raise ValueError(f"tree table needs 2 <= n <= {MAX_TREE_N}, got {n}")
+    count = n ** (n - 2)
+    rows = np.arange(count)
+    sequences = [(rows // n ** (n - 3 - i) % n).astype(np.int8) for i in range(n - 2)]
+    degree = np.ones((count, n), dtype=np.int8)
+    for seq in sequences:
+        degree[rows, seq] += 1
+    parent = np.empty((count, n), dtype=np.int8)  # by label; the root's is unused
+    for seq in sequences:
+        leaf = np.argmax(degree == 1, axis=1)  # the smallest leaf
+        parent[rows, leaf] = seq
+        degree[rows, leaf] = 0
+        degree[rows, seq] -= 1
+    parent[rows, np.argmax(degree == 1, axis=1)] = n - 1  # the last edge ends at the root
+    masks = np.zeros(count, dtype=np.int64)
+    minus = np.zeros(count, dtype=np.int8)  # -1 entries of the matching, then its inversions
+    owned = []  # the edge index that each vertex 2..n owns
+    for v in range(2, n + 1):
+        p = (n - parent[:, n - v]).astype(np.int64)
+        lo, hi = np.minimum(p, v), np.maximum(p, v)
+        k = (lo - 1) * n - lo * (lo + 1) // 2 + hi - 1  # model.edge_index
+        masks |= np.int64(1) << k
+        minus += p < v
+        owned.append(k)
+    for a, b in combinations(range(n - 1), 2):
+        minus += owned[a] > owned[b]
+    order = np.argsort(masks)
+    signs = (1 - 2 * (minus & 1)).astype(np.int8)[order]
+    masks = masks[order]
+    masks.setflags(write=False)
+    signs.setflags(write=False)
+    return TreeTable(masks, signs)
+
+
+def signs_by_mask(n: int) -> np.ndarray:
+    """det B(T) indexed by edge mask: an int8 table over all 2^E edge
+    subsets of K_n, +1 or -1 at the spanning trees of tree_table(n) and
+    0 elsewhere.  Only for n <= 7, where it takes at most 2 MiB."""
+    if edge_count(n) > 21:
+        raise ValueError(f"a table over all edge subsets of K_{n} would need 2^{edge_count(n)} entries")
+    table = tree_table(n)
+    signs = np.zeros(1 << edge_count(n), dtype=np.int8)
+    signs[table.masks] = table.signs
+    return signs
+
+
+def _chunk_tables(d: int, E: int):
+    """Per chunk of consecutive edges (shift, width, tables): the chunk's
+    coloring t is code // d^shift % d^width, its first edge the most
+    significant digit, and the tables indexed by t hold the parity of
+    the inversions inside the chunk; a bit per color a, the parity of
+    the chunk edges colored below a, which each earlier edge of color a
+    inverts; a bit per color, the parity of its count; and each class's
+    edge mask bits in the chunk."""
+    g = 1
+    while g < E and d ** (g + 1) <= _CHUNK_ROWS:
+        g += 1
+    color_bit = 1 << np.arange(d)
+    for first in range(0, E, g):
+        width = min(g, E - first)
+        digits = np.arange(d ** width)[:, None] // d ** np.arange(width - 1, -1, -1) % d
+        inv = np.zeros(len(digits), dtype=np.int8)
+        for a, b in combinations(range(width), 2):
+            inv ^= digits[:, a] > digits[:, b]
+        counts = np.zeros((len(digits), d), dtype=np.int64)
+        bits = np.zeros((d, len(digits)), dtype=np.int64)  # class-major
+        for j in range(width):
+            is_color = digits[:, j, None] == np.arange(d)
+            counts += is_color
+            bits += is_color.T * (1 << first + j)
+        below = (np.cumsum(counts, axis=1) - counts) & 1
+        yield E - first - width, width, (
+            inv,
+            (below @ color_bit).astype(np.int8),
+            ((counts & 1) @ color_bit).astype(np.int8),
+            bits,
+        )
+
+
+def tree_signs(pset) -> np.ndarray:
+    """(-1)^inv(P) * prod_c det B(T_c) for every member P of a cycle-free
+    partition set, as int8 in member order.
+
+    Members are read in blocks of rows.  Each chunk of a member's code
+    digits is looked up in _chunk_tables: the inversions inside the
+    chunk, those against the colors seen before it, and the class masks;
+    only parities are kept, one bit per color.  Each class is then looked
+    up in signs_by_mask(n).  The scratch is that table (32 KiB at d = 3)
+    and a few arrays of one block's rows.
+    """
+    d, E = pset.d, pset.colors.shape[1]
+    by_mask = signs_by_mask(pset.n)
+    chunks = list(_chunk_tables(d, E))
+    odd = np.array([bin(bits).count("1") & 1 for bits in range(1 << d)], dtype=np.int8)
+    out = np.empty(len(pset), dtype=np.int8)
+    for start in range(0, len(pset), _SIGN_BLOCK):
+        codes = pset.codes[start : start + _SIGN_BLOCK]
+        parity = np.zeros(len(codes), dtype=np.int8)
+        seen = np.zeros(len(codes), dtype=np.int8)  # a bit per color: its count so far is odd
+        masks = np.zeros((d, len(codes)), dtype=np.int64)  # a row per class
+        for shift, width, (inv, below, counts, bits) in chunks:
+            t = codes // d ** shift % d ** width
+            parity ^= inv[t]
+            parity ^= odd[seen & below[t]]
+            seen ^= counts[t]
+            masks |= bits[:, t]
+        sign = 1 - 2 * parity
+        for mask in masks:
+            tree = by_mask[mask]
+            if not tree.all():
+                raise ValueError(f"edge mask {int(mask[tree.argmin()])} is not a spanning tree")
+            sign *= tree
+        out[start : start + len(codes)] = sign
+    return out

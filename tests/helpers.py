@@ -32,6 +32,7 @@ to 41 for every number, and the determinant and rank of a matrix by
 Leibniz expansion and by its largest nonzero minor, without elimination.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -204,7 +205,7 @@ def prefix_enumeration(d, cycle_free):
     admissible prefixes: each prefix is extended by the colors 0..d-1 in
     order while the color is under its budget and, in cycle-free mode,
     its edge bitmask stays acyclic, so the rows come out code-sorted."""
-    from treedet.model import acyclic_mask_table, edge_count
+    from treedet.model import edge_count
 
     n = 2 * d
     E = edge_count(n)
@@ -676,7 +677,7 @@ def candidate_face_sweep(pset):
     touched classes is read off a precomputed table over edge bitmasks.
     """
     from treedet.flips import FlipUniquenessError, flip
-    from treedet.model import acyclic_mask_table, edge_count, face_edge_indices, faces_of
+    from treedet.model import edge_count, face_edge_indices, faces_of
 
     d, n = pset.d, pset.n
     E = edge_count(n)
@@ -793,6 +794,33 @@ def sampled_epsilon_check(table, samples, seed):
             if len(violations) >= 5:
                 break
     return violations
+
+
+@functools.lru_cache(maxsize=None)
+def acyclic_mask_table(n):
+    """Boolean table over all 2^E edge subsets of K_n: True iff acyclic.
+
+    The oracle of the enumeration's tree filter, which reads
+    treedet.trees.signs_by_mask instead.  Edge k corresponds to bit k of
+    the mask.  One union-find runs over all masks at once, with a
+    component label per vertex and mask.  The masks below 2^(k+1)
+    holding edge k are those below 2^k plus the edge: each either closes
+    a cycle (both ends already share a label) or merges the two labels.
+    Only sensible for small n (the table has 2^E entries); n = 6 gives
+    32768.
+    """
+    from treedet.model import edge_count, edge_list
+
+    E = edge_count(n)
+    if E > 21:
+        raise ValueError(f"subset table for K_{n} would need 2^{E} entries")
+    labels = np.arange(n, dtype=np.int8)[None, :]
+    table = np.ones(1, dtype=bool)
+    for i, j in edge_list(n):
+        a, b = labels[:, i - 1, None], labels[:, j - 1, None]
+        table = np.concatenate([table, table & (a != b)[:, 0]])
+        labels = np.concatenate([labels, np.where(labels == b, a, labels)])
+    return table
 
 
 def loop_acyclic_mask_table(n):

@@ -453,10 +453,12 @@ def test_flip_graph_missing_member_is_a_failed_certificate(capsys, monkeypatch):
     assert [w["property"] for w in cert["witnesses"]] == ["flip_uniqueness"]
 
 
-def test_odd_cycle_in_the_flip_graph_is_a_failed_certificate(capsys, monkeypatch):
+def test_odd_cycle_in_the_flip_graph_is_a_failed_certificate(capsys, monkeypatch, tmp_path):
     # a flip graph with no signature fails its certificate; it is no internal error
     import helpers
+    import numpy as np
     import treedet.context
+    from treedet.algebra import unit_partition
 
     # the face-0 partners of the first two level-1 nodes (1 and 5 at d = 2)
     # re-paired: the two become partners and close a triangle with the root
@@ -465,39 +467,68 @@ def test_odd_cycle_in_the_flip_graph_is_a_failed_certificate(capsys, monkeypatch
     monkeypatch.setattr(
         treedet.context, "build_flip_graph", lambda pset: helpers.same_level_flip(build(pset), 1)
     )
-    # the odd cycle is raised while the context is built: in certify-all's
-    # flip-graph stage, which is the first to read it
-    for argv, commands, parameters in (
+    # the tree signature is not read off the graph: the flips that join
+    # equal signs fail the alternation check, with the first one as witness
+    for argv, commands, failed in (
         (
             ["certify-all", "--d", "2", "--seed", "7"],
-            ["certify-all/enumerate", "certify-all/flip-graph"],
-            {"d": 2},
+            ["enumerate", "flip-graph", "bipartite-connected", "orbits", "epsilon-formula",
+             "determinant", "relations"],
+            ["bipartite-connected", "relations"],
         ),
         (
             ["certify-all", "--d", "3", "--seed", "7"],
-            ["certify-all/enumerate", "certify-all/flip-graph"],
-            {"d": 3},
+            ["enumerate", "flip-graph", "bipartite-connected", "orbits", "epsilon-formula",
+             "catalog-match", "determinant", "relations"],
+            ["bipartite-connected", "relations"],
         ),
-        (["flip-graph", "--d", "3"], ["flip-graph"], {"d": 3, "anchors": None}),
-        (["verify-appendix"], ["verify-appendix"], {}),
+        (["flip-graph", "--d", "3"], ["flip-graph"], ["flip-graph"]),
     ):
         code, out, err = run(capsys, argv)
         assert code == 1 and err == "", (argv, code, err)
-        certs = [json.loads(line) for line in out.splitlines()]
-        assert [c["command"] for c in certs] == commands
-        assert certs[-1]["parameters"] == parameters and certs[-1]["numbers"] == {}
-        if parameters.get("d") != 2:  # timed over the d = 3 flip graph's build
-            assert certs[-1]["wall_time_s"] > 0, certs[-1]
-        (witness,) = certs[-1]["witnesses"]
-        assert witness["property"] == "signature_existence"
-        assert "odd cycle of length 3" in witness["detail"]
+        certs = {c["command"].split("/")[-1]: c for c in map(json.loads, out.splitlines())}
+        assert list(certs) == commands
+        assert [name for name, c in certs.items() if c["outcome"] == "fail"] == failed
+        ctx = treedet.context.standard_context(int(argv[argv.index("--d") + 1]))
+        graph, signs = ctx.graph, ctx.signature.signs
+        i, f = np.argwhere(signs[graph.adjacency] != -signs[:, None])[0]
+        j = graph.adjacency[i, f]
+        assert signs[i] == signs[j]
+        witness = {
+            "property": "signature_alternation",
+            "member": int(ctx.pset.codes[i]),
+            "face": list(graph.faces[f]),
+            "partner": int(ctx.pset.codes[j]),
+            "member_sign": int(signs[i]),
+            "partner_sign": int(signs[j]),
+        }
+        stage = certs[failed[0]]
+        assert stage["witnesses"] == [witness]
+        if argv[0] == "flip-graph":
+            assert stage["numbers"]["bipartite"] == 0 and stage["wall_time_s"] > 0
+    # verify-appendix reads no flip graph, so the odd cycle cannot touch it
+    code, out, err = run(capsys, ["verify-appendix"])
+    assert code == 0 and err == "" and json.loads(out)["outcome"] == "pass"
+    # anchored by hand, the signature is the graph's two-coloring, which
+    # does not exist: the odd cycle is raised in the stage that colors it
+    anchors = tmp_path / "anchors.json"
+    anchors.write_text(json.dumps([{"partition": unit_partition(3).to_json_dict(), "sign": 1}]))
+    code, out, err = run(capsys, ["flip-graph", "--d", "3", "--anchors", str(anchors)])
+    assert code == 1 and err == ""
+    cert = json.loads(out)
+    assert cert["command"] == "flip-graph" and cert["numbers"] == {}
+    assert cert["parameters"] == {"d": 3, "anchors": str(anchors)} and cert["wall_time_s"] > 0
+    (witness,) = cert["witnesses"]
+    assert witness["property"] == "signature_existence"
+    assert "odd cycle of length 3" in witness["detail"]
 
 
 def test_certify_all_relation_witnesses_equal_verify_relations(capsys, monkeypatch):
     import treedet.cli
     from treedet.context import standard_context
 
-    tampered = _tampered_context(standard_context(2), [0])
+    ctx2 = standard_context(2)
+    tampered = _tampered_context(ctx2, [0])
     monkeypatch.setattr(treedet.cli, "standard_context", lambda d, pset=None: tampered)
     code, out, _ = run(capsys, ["verify-relations", "--d", "2"])
     assert code == 1
@@ -510,11 +541,23 @@ def test_certify_all_relation_witnesses_equal_verify_relations(capsys, monkeypat
     assert relations["outcome"] == "fail" and relations["witnesses"] == standalone
     bipartite = by_cmd["certify-all/bipartite-connected"]
     assert bipartite["outcome"] == "fail"
-    assert bipartite["witnesses"] == [{"property": "signature_alternation"}]
+    # member 0 is the first that a flip does not negate, at the first face
+    partner = int(ctx2.graph.adjacency[0, 0])
+    assert bipartite["witnesses"] == [
+        {
+            "property": "signature_alternation",
+            "member": int(ctx2.pset.codes[0]),
+            "face": [1, 2, 3],
+            "partner": int(ctx2.pset.codes[partner]),
+            "member_sign": -int(ctx2.signature.signs[0]),
+            "partner_sign": int(ctx2.signature.signs[partner]),
+        }
+    ]
 
 
 def test_certify_all_epsilon_witnesses_equal_verify_appendix(capsys, monkeypatch):
     import treedet.cli
+    from treedet import catalog
     from treedet.context import standard_context
     from treedet.symmetry import CHARACTERS
 
@@ -524,7 +567,15 @@ def test_certify_all_epsilon_witnesses_equal_verify_appendix(capsys, monkeypatch
     code, out, _ = run(capsys, ["verify-appendix"])
     assert code == 1
     cert = json.loads(out)
-    standalone = cert["witnesses"]
+    orientation, *standalone = cert["witnesses"]
+    # the references at a member index divisible by 10 lost their +1
+    negated = [
+        cid
+        for cid in catalog.CATALOG_IDS
+        if ctx3.pset.index_of(catalog.reference_partition(cid)) % 10 == 0
+    ]
+    assert negated and cert["numbers"]["references_positive"] == 19 - len(negated)
+    assert orientation == {"property": "reference_orientation", "references": negated}
     assert [w["property"] for w in standalone] == ["signature_parity_formula"]
     violations = standalone[0]["violations"]  # no character holds: five of each, by orbit
     assert sorted(violations) == sorted(CHARACTERS)
@@ -690,7 +741,11 @@ CERTIFY_ALL_NUMBERS = {
             "epsilon_samples": 82080,
             "epsilon_violations": 0,
         },
-        "certify-all/catalog-match": {"mismatches": 0, "references_checked": 19},
+        "certify-all/catalog-match": {
+            "mismatches": 0,
+            "references_checked": 19,
+            "references_positive": 19,
+        },
         "certify-all/determinant": {"det_of_generator": "1"},
         "certify-all/relations": {"instances_checked": 106288200, "violations": 0},
     },

@@ -37,13 +37,11 @@ def test_membership_examples(ctx2):
 
 
 def test_members_are_sorted_valid_and_unique(ctx2, ctx3):
-    from treedet.model import acyclic_mask_table
-
     for pset in (ctx2.pset, ctx3.pset):
         assert np.all(np.diff(pset.codes) > 0)
         counts = np.stack([(pset.colors == c).sum(axis=1) for c in range(pset.d)], axis=1)
         assert np.all(counts == 2 * pset.d - 1)  # homogeneous throughout
-        acyc = acyclic_mask_table(pset.n)
+        acyc = helpers.acyclic_mask_table(pset.n)
         bits = (1 << np.arange(pset.colors.shape[1])).astype(np.int64)
         for c in range(pset.d):  # every class of every member is a forest
             masks = ((pset.colors == c) * bits).sum(axis=1)

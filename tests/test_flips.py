@@ -11,7 +11,7 @@ from treedet.flips import (
     FlipGraph,
     FlipUniquenessError,
     OddCycleError,
-    alternates,
+    alternation_failure,
     bfs_levels,
     build_flip_graph,
     check_bipartite,
@@ -513,9 +513,10 @@ def test_failed_two_colorings_equal_the_cover_oracle(ctx2):
 def test_alternates_equals_the_whole_table_check(ctx3, row):
     # one bad sign on either side of the first block boundary, or in the last row
     graph, signs = ctx3.graph, ctx3.signature.signs
-    assert alternates(graph, signs)
+    assert alternation_failure(graph, signs) is None
     for value in (-signs[row], 0):
         tampered = signs.copy()
         tampered[row] = value
-        whole = bool((tampered[graph.adjacency] == -tampered[:, None]).all())
-        assert not whole and not alternates(graph, tampered)
+        wrong = tampered[graph.adjacency] != -tampered[:, None]
+        first = np.argwhere(wrong)[0]  # row-major: smallest member, then face
+        assert alternation_failure(graph, tampered) == tuple(first)

@@ -18,13 +18,14 @@ from treedet.diagram import SignedDiagram
 from treedet.flips import (
     AnchorConflictError,
     _face_sweep,
-    alternates,
+    alternation_failure,
     bfs_levels,
     check_bipartite,
     standard_anchors,
     verify_flip_soundness,
 )
 from treedet.symmetry import epsilon_formula_check, orbit_decomposition
+from treedet.trees import tree_signs
 
 MiB = 2 ** 20
 
@@ -58,9 +59,11 @@ STAGES = {
     "anchor_conflict": (lambda ctx, orbits: anchor_conflict(ctx), 4 * MiB),
     # the check behind the CLI's signature_alternation witness
     "alternation_witnesses": (
-        lambda ctx, orbits: alternates(ctx.graph, ctx.signature.signs),
+        lambda ctx, orbits: alternation_failure(ctx.graph, ctx.signature.signs),
         1 * MiB,
     ),
+    # a few arrays of one block of rows, and the int8 signs
+    "tree_signs": (lambda ctx, orbits: tree_signs(ctx.pset), 1.5 * MiB),
     # the levels shrink from N rows at the bottom to one at the root
     "diagram": (
         lambda ctx, orbits: SignedDiagram(ctx.pset.colors, ctx.pset.codes, ctx.signature.signs, 3),
@@ -88,3 +91,18 @@ def test_flip_graph_stage_scratch_memory(stage, ctx3, orbits3):
     call(ctx3, orbits3)  # a first call pays for any lazy imports
     peak = traced_peak(lambda: call(ctx3, orbits3))
     assert peak <= bound, f"{stage}: traced peak {peak / MiB:.2f} MiB > {bound / MiB} MiB"
+
+
+def test_a_fresh_d3_context_keeps_no_flip_graph(ctx3, monkeypatch):
+    # the signature and its diagram; the (N, 20) flip table alone would be 5.05 MiB
+    import treedet.context
+
+    monkeypatch.setattr(treedet.context, "_contexts", {})
+    tracemalloc.start()
+    try:
+        ctx = treedet.context.standard_context(3, ctx3.pset)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ctx.signature.signs.tobytes() == ctx3.signature.signs.tobytes()
+    assert kept <= 1 * MiB, f"a fresh standard_context(3) keeps {kept / MiB:.2f} MiB"

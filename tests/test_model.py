@@ -5,7 +5,6 @@ import helpers
 from treedet.model import (
     NOT_TREE,
     EdgePartition,
-    acyclic_mask_table,
     classify_tree,
     component_count,
     edge_count,
@@ -138,6 +137,6 @@ def test_component_count():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_acyclic_mask_table_is_byte_equal_to_the_mask_loop(n):
-    table = acyclic_mask_table(n)
+    table = helpers.acyclic_mask_table(n)
     assert table.dtype == bool and table.shape == (1 << edge_count(n),)
     assert table.tobytes() == helpers.loop_acyclic_mask_table(n).tobytes()
