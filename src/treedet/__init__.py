@@ -27,7 +27,6 @@ from .algebra import (
 from .context import Context, standard_context
 from .enumeration import PartitionSet, enumerate_partitions
 from .flips import (
-    AnchorConflictError,
     FlipGraph,
     FlipUniquenessError,
     OddCycleError,
@@ -36,7 +35,6 @@ from .flips import (
     check_bipartite,
     check_connected,
     flip,
-    standard_anchors,
     verify_flip_soundness,
 )
 from .model import (

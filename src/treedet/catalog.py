@@ -4,11 +4,13 @@ For d = 3 the 66240 homogeneous cycle-free 3-partitions of K_6 fall
 into 19 orbits under simultaneous vertex relabeling (S_6) and color
 relabeling (S_3).  This module carries one labeled representative per
 orbit, together with the expected orbit size, stabilizer order, and the
-tree-shape triple of its classes.  The representatives double as the
-anchor set for the signature map: every one of them is anchored at +1.
+tree-shape triple of its classes.  The paper orients the signature
+so that every representative is +1; the certificates check that the
+tree-determinant signature does (references_positive).
 
-The d = 2 set (12 partitions of K_4, a single orbit) is anchored by the
-base partition below, whose stabilizer under S_4 x S_2 has order 4.
+The d = 2 set (12 partitions of K_4, a single orbit) has the base
+partition below, the generator partition, whose stabilizer under
+S_4 x S_2 has order 4.
 
 The edge lists are input data for cross-checks, not derived facts: the
 orbit decomposition, sizes, stabilizers, and shape triples are all
@@ -118,12 +120,12 @@ def reference_partitions() -> tuple[EdgePartition, ...]:
     return tuple(reference_partition(i) for i in CATALOG_IDS)
 
 
-# d = 2 anchor: classes {12, 14, 23} and {13, 24, 34} of K_4.
+# d = 2 base partition: classes {12, 14, 23} and {13, 24, 34} of K_4.
 BASE_PARTITION_D2 = EdgePartition.from_classes(
     2, 4, (frozenset({(1, 2), (1, 4), (2, 3)}), frozenset({(1, 3), (2, 4), (3, 4)}))
 )
 
-# Stabilizer of the d = 2 anchor inside S_4 x S_2, as (sigma, tau) image
+# Stabilizer of the d = 2 base partition inside S_4 x S_2, as (sigma, tau) image
 # tuples: the identity, the double transposition (1,2)(3,4) with trivial
 # color part, and the two 4-cycles (1,4,2,3) and (1,3,2,4) paired with
 # the color swap.

@@ -8,11 +8,10 @@ standalone commands and certify-all.  A certificate's outcome is "fail"
 exactly when it has witnesses.  Its wall_time_s times its own stage:
 from the start of the command, or from the previous certificate's print.
 
-A check may raise its witness instead (a flip that is not unique, a set
-not closed under relabeling, and, when --anchors colors the flip graph,
-conflicting anchors or an odd cycle): the stage that raised it prints a
-failed certificate with its own parameters and wall_time_s and one
-{"property", "detail"} witness, and the run stops.  flip, signature and
+A check may raise its witness instead (a flip that is not unique, or a
+set not closed under relabeling): the stage that raised it prints a
+failed certificate with its own parameters and wall_time_s and the
+error's structured witness, and the run stops.  flip, signature and
 det print their answer, and a certificate named after the command only
 when they raise.
 
@@ -44,22 +43,19 @@ from . import __version__, algebra, catalog, symmetry
 from .context import standard_context
 from .enumeration import count_homogeneous, enumerate_partitions
 from .flips import (
-    AnchorConflictError,
     FlipUniquenessError,
-    OddCycleError,
     alternation_failure,
-    check_bipartite,
     check_connected,
     flip,
     verify_flip_soundness,
 )
-from .model import EdgePartition, json_int
+from .model import EdgePartition
 from .symmetry import OrbitClosureError
 
 PASS, FAIL = "pass", "fail"
 EXIT_OK, EXIT_CERT_FAIL, EXIT_USAGE, EXIT_INTERNAL = 0, 1, 2, 3
-# violations a check raises, each naming its claim in `witness_property`
-RAISED_WITNESSES = (FlipUniquenessError, OddCycleError, AnchorConflictError, OrbitClosureError)
+# violations a check raises, each with its certificate's witness()
+RAISED_WITNESSES = (FlipUniquenessError, OrbitClosureError)
 
 
 def _emit(command, parameters, numbers, witnesses, t0) -> int:
@@ -89,8 +85,7 @@ def _run(stages) -> int:
         try:
             result = check()
         except RAISED_WITNESSES as exc:
-            witness = {"property": exc.witness_property, "detail": str(exc)}
-            return _emit(command, parameters, {}, [witness], t0)
+            return _emit(command, parameters, {}, [exc.witness()], t0)
         if result is not None:
             code = max(code, _emit(command, parameters, *result, t0))
             t0 = time.perf_counter()
@@ -100,25 +95,6 @@ def _run(stages) -> int:
 def _load_partition(path: str) -> EdgePartition:
     with open(path) as fh:
         return EdgePartition.from_json_dict(json.load(fh))
-
-
-def _anchored(ctx, path: Optional[str]):
-    """The two-coloring of the flip graph anchored at the {partition,
-    sign} objects in the JSON file at path, or else the context's
-    tree-determinant signature."""
-    if path is None:
-        return ctx.signature
-    with open(path) as fh:
-        docs = json.load(fh)
-    if not isinstance(docs, list) or not all(
-        isinstance(doc, dict) and {"partition", "sign"} <= doc.keys() for doc in docs
-    ):
-        raise ValueError(f"{path}: anchors must be a JSON list of {{partition, sign}} objects")
-    anchors = [
-        (EdgePartition.from_json_dict(doc["partition"]), json_int(doc["sign"], "sign"))
-        for doc in docs
-    ]
-    return check_bipartite(ctx.graph, anchors)
 
 
 def _partition_line(p: EdgePartition) -> str:
@@ -293,11 +269,11 @@ def cmd_flip(args):
     print(_partition_line(flipped))
 
 
-@_one_stage("flip-graph", "d", "anchors")
+@_one_stage("flip-graph", "d")
 def cmd_flip_graph(args):
     ctx = standard_context(args.d)
     sound, unsound = _flip_soundness(ctx.graph)
-    colored, miscolored = _bipartite_connected(ctx.graph, _anchored(ctx, args.anchors))
+    colored, miscolored = _bipartite_connected(ctx.graph, ctx.signature)
     numbers = {
         **sound,
         **colored,
@@ -342,11 +318,10 @@ def cmd_verify_appendix(args):
     return {**matched, **parity}, mismatched + violated
 
 
-@_one_stage("signature", "partition", "anchors")
+@_one_stage("signature", "partition")
 def cmd_signature(args):
     partition = _load_partition(args.partition)
-    table = _anchored(standard_context(partition.d), args.anchors)
-    value = table.signature(partition)
+    value = standard_context(partition.d).signature.signature(partition)
     print(f"{value:+d}")
 
 
@@ -447,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("flip-graph", help="build the flip graph and emit certificates")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--anchors", help="JSON list of {partition, sign} anchor objects")
     p.set_defaults(func=cmd_flip_graph)
 
     p = sub.add_parser("orbits", help="orbit decomposition under vertex and color relabeling")
@@ -463,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("signature", help="sign of one partition")
     p.add_argument("--partition", required=True)
-    p.add_argument("--anchors")
     p.set_defaults(func=cmd_signature)
 
     p = sub.add_parser("det", help="evaluate the determinant form on a tensor file")
@@ -506,7 +479,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)  # a raised witness (AnchorConflictError too) fails in _run
+        return args.func(args)  # a raised witness fails its certificate in _run
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,15 +31,13 @@ explicit sign that every flip negates is a two-coloring, so that check
 certifies bipartiteness, and its failure names one (member, face).
 Connectivity is read off a level-synchronous breadth-first search
 (bfs_levels), which names each component by its smallest node.
-check_bipartite two-colors the graph from the same levels, a flip
-having to join levels of opposite parity, and orients each component by
-anchors: it serves signatures anchored by hand and is the route the
-tree signature is tested against.  Its witnesses follow the parents
-that _bfs_parents reads off the levels and are raised like every other
-violated claim: an odd cycle as OddCycleError, an anchor-to-anchor path
-as AnchorConflictError.  The node-by-node search two_color is not on
-any certificate's path; it is the reference the vectorised one is
-tested against.
+
+No certificate colors the graph.  check_bipartite, which two-colors it
+from the same levels (a flip has to join levels of opposite parity),
+and the node-by-node search two_color stay as the references the tree
+signature and bfs_levels are tested against.  On an odd cycle both
+raise OddCycleError with the cycle, which check_bipartite closes along
+the parents that _bfs_parents reads off the levels.
 
 Besides its (N, C(2d,3)) flip table, every step of the stage works in
 O(N) scratch memory for N members.  The table is stored face-major, so
@@ -56,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -77,8 +75,6 @@ class FlipUniquenessError(RuntimeError):
     admissible flip partner.  This would falsify the uniqueness property
     the whole construction rests on, so it always aborts the run."""
 
-    witness_property = "flip_uniqueness"
-
     def __init__(self, partition: EdgePartition, face, survivors):
         self.partition = partition
         self.face = tuple(face)
@@ -88,6 +84,17 @@ class FlipUniquenessError(RuntimeError):
             f"has {len(survivors)} admissible recolorings instead of 1"
         )
 
+    def witness(self) -> dict:
+        """The failed certificate's witness: the member, the face and the
+        admissible recolorings, members by canonical code."""
+        return {
+            "property": "flip_uniqueness",
+            "detail": str(self),
+            "member": self.partition.canonical_code(),
+            "face": list(self.face),
+            "survivors": [q.canonical_code() for q in self.survivors],
+        }
+
 
 class OddCycleError(RuntimeError):
     """A closed walk of odd length in a graph that should be two-colorable.
@@ -95,27 +102,10 @@ class OddCycleError(RuntimeError):
     In the flip graph it means no signature exists: no sign map can
     negate under every flip around the cycle."""
 
-    witness_property = "signature_existence"
-
     def __init__(self, nodes: list):
         self.nodes = nodes
         super().__init__(
             f"graph is not two-colorable; odd cycle of length {len(nodes)} through nodes {nodes}"
-        )
-
-
-class AnchorConflictError(ValueError):
-    """Two anchors in one flip-graph component demand inconsistent signs."""
-
-    witness_property = "anchor_consistency"
-
-    def __init__(self, first: int, second: int, path: list):
-        self.first = first
-        self.second = second
-        self.path = path
-        super().__init__(
-            f"anchor at node {second} contradicts anchor at node {first}; "
-            f"connecting path has {len(path)} nodes"
         )
 
 
@@ -433,19 +423,11 @@ def _odd_cycle(parent: np.ndarray, u: int, v: int) -> list:
     return pu[::-1] + pv[:-1]
 
 
-def _tree_path(parent: np.ndarray, a: int, b: int) -> list:
-    """Path between two nodes of one BFS tree, via their paths to the root."""
-    pa, pb = _path_to_root(parent, a), _path_to_root(parent, b)
-    sb = set(pb)
-    meet = next(x for x in pa if x in sb)
-    return pa[: pa.index(meet) + 1] + pb[: pb.index(meet)][::-1]
-
-
 class SignatureTable:
     """Total sign map on a cycle-free homogeneous partition set, one
     int8 sign per member: the tree-determinant signature of
-    context.standard_context, or check_bipartite's anchored
-    two-coloring of the flip graph."""
+    context.standard_context, or check_bipartite's two-coloring of the
+    flip graph."""
 
     def __init__(self, pset: PartitionSet, signs: np.ndarray):
         self.pset = pset
@@ -469,20 +451,13 @@ class SignatureTable:
         return int((self.signs > 0).sum()), int((self.signs < 0).sum())
 
 
-def check_bipartite(
-    graph: FlipGraph,
-    anchors: Optional[Sequence[tuple[EdgePartition, int]]] = None,
-) -> SignatureTable:
-    """Two-color the flip graph and orient it by the given anchors.
-
-    Each anchor pins the sign of one partition.  Components holding no
-    anchor default to +1 at their minimal-code node.  A flip joining two
-    nodes of one parity raises OddCycleError with the odd cycle, and two
-    anchors in one component that disagree raise AnchorConflictError
-    with the connecting path, as witnesses.
+def check_bipartite(graph: FlipGraph) -> SignatureTable:
+    """Two-color the flip graph by the parity of its levels, +1 at each
+    component's root (its minimal-code node).  A flip joining two nodes
+    of one parity raises OddCycleError with the odd cycle.
     """
-    root, level = graph.levels
-    sign = (1 - 2 * (level & 1)).astype(np.int8)  # +1 at the root, the BFS seed
+    level = graph.levels[1]
+    sign = (1 - 2 * (level & 1)).astype(np.int8)
     for partner in graph.adjacency.T:  # every flip must join opposite parities
         same = sign.take(partner) == sign
         if same.any():
@@ -490,23 +465,7 @@ def check_bipartite(
             # level, and the two tree paths close an odd cycle
             u = int(same.argmax())
             raise OddCycleError(_odd_cycle(_bfs_parents(graph), u, int(partner[u])))
-    flip_factor = np.zeros(len(root), dtype=np.int8)  # indexed by component root
-    anchor_node = np.full(len(root), -1, dtype=np.int64)
-    for partition, wanted in anchors or ():
-        if wanted not in (+1, -1):
-            raise ValueError(f"anchor sign must be +1 or -1, got {wanted}")
-        i = graph.pset.index_of(partition)
-        r = int(root[i])
-        factor = wanted * int(sign[i])
-        if flip_factor[r] == 0:
-            flip_factor[r] = factor
-            anchor_node[r] = i
-        elif flip_factor[r] != factor:
-            first = int(anchor_node[r])
-            raise AnchorConflictError(first, i, _tree_path(_bfs_parents(graph), first, i))
-    flip_factor[flip_factor == 0] = 1  # unanchored: seed node (minimal code) gets +1
-    signs = (sign * flip_factor[root]).astype(np.int8)
-    return SignatureTable(graph.pset, signs)
+    return SignatureTable(graph.pset, sign)
 
 
 @dataclass
@@ -522,17 +481,3 @@ def check_connected(graph: FlipGraph) -> ConnectivityReport:
     """
     root = graph.levels[0]
     return ConnectivityReport(int(np.count_nonzero(root == np.arange(len(root)))))
-
-
-def standard_anchors(pset: PartitionSet) -> list[tuple[EdgePartition, int]]:
-    """The conventional +1 anchors for a partition set.
-
-    d = 3 pins all 19 reference orbit representatives at +1; other d pin
-    the nested generator partition at +1 (for d = 2 that normalizes the
-    two-color determinant to 1 on its generator input).
-    """
-    from . import algebra, catalog
-
-    if pset.d == 3:
-        return [(p, +1) for p in catalog.reference_partitions()]
-    return [(algebra.unit_partition(pset.d), +1)]

@@ -39,11 +39,14 @@ Perm = tuple  # image tuple, 1-based values
 class OrbitClosureError(RuntimeError):
     """A member's image under an element of S_{2d} x S_d is not in the set."""
 
-    witness_property = "orbit_closure"
-
     def __init__(self, image: EdgePartition):
         self.image = image
         super().__init__(f"image code {image.canonical_code()} of a member is not in the set")
+
+    def witness(self) -> dict:
+        """The failed certificate's witness: the image, by canonical code."""
+        image = self.image.canonical_code()
+        return {"property": "orbit_closure", "detail": str(self), "image": image}
 
 
 def identity_perm(n: int) -> Perm:

@@ -906,12 +906,13 @@ def same_level_flip(graph, level):
     return FlipGraph(graph.pset, adjacency, graph.diff_counts)
 
 
-def cover_check_bipartite(graph, anchors=None):
+def cover_check_bipartite(graph):
     """check_bipartite read off the components of the parity double
     cover: node i has its even copy at i and its odd copy at i + N, and
     each flip joins one parity to the other.  Returns the signature
-    table; on an odd cycle, two_color raises OddCycleError with it."""
-    from treedet.flips import AnchorConflictError, SignatureTable, _tree_path, two_color
+    table, +1 at each component's minimal node; on an odd cycle,
+    two_color raises OddCycleError with it."""
+    from treedet.flips import SignatureTable, two_color
 
     N = len(graph.adjacency)
     cover = np.concatenate([graph.adjacency + N, graph.adjacency])
@@ -920,22 +921,7 @@ def cover_check_bipartite(graph, anchors=None):
         two_color(graph.adjacency)  # raises OddCycleError with the cycle
         raise AssertionError("the parity cover has an odd cycle that two_color does not find")
     root = np.minimum(even, odd)
-    sign = np.where(even == root, 1, -1).astype(np.int8)
-    flip_factor = np.zeros(N, dtype=np.int8)
-    anchor_node = np.full(N, -1, dtype=np.int64)
-    for partition, wanted in anchors or ():
-        i = graph.pset.index_of(partition)
-        r = int(root[i])
-        factor = wanted * int(sign[i])
-        if flip_factor[r] == 0:
-            flip_factor[r] = factor
-            anchor_node[r] = i
-        elif flip_factor[r] != factor:
-            first = int(anchor_node[r])
-            parent = two_color(graph.adjacency).parent
-            raise AnchorConflictError(first, i, _tree_path(parent, first, i))
-    flip_factor[flip_factor == 0] = 1
-    return SignatureTable(graph.pset, (sign * flip_factor[root]).astype(np.int8))
+    return SignatureTable(graph.pset, np.where(even == root, 1, -1).astype(np.int8))
 
 
 def face_groups(pset, face):

@@ -274,76 +274,38 @@ def test_certify_all_d3(capsys):
     assert by_cmd["certify-all/relations"]["instances_checked"] == 106_288_200
 
 
-def test_flip_graph_custom_anchor_flips_orientation(capsys, tmp_path):
-    anchors = tmp_path / "anchors.json"
-    anchors.write_text(
-        json.dumps([{"partition": {"d": 2, "n": 4, "colors": [0, 1, 0, 0, 1, 1]}, "sign": -1}])
-    )
-    code, out, _ = run(
-        capsys,
-        ["flip-graph", "--d", "2", "--anchors", str(anchors)],
-    )
-    assert code == 0
-    cert = json.loads(out)
-    assert cert["outcome"] == "pass"
-    assert cert["numbers"]["class_plus"] == 6  # orientation flips, sizes do not
-    assert cert["parameters"] == {"d": 2, "anchors": str(anchors)}
-
-
-def _conflicting_anchors(tmp_path):
-    """A member and its flip partner across face (1, 2, 3), both pinned at +1."""
-    anchors = tmp_path / "anchors.json"
-    anchors.write_text(
-        json.dumps(
-            [
-                {"partition": {"d": 2, "n": 4, "colors": colors}, "sign": 1}
-                for colors in ([0, 1, 0, 0, 1, 1], [1, 0, 0, 0, 1, 1])
-            ]
-        )
-    )
-    return str(anchors)
-
-
-def test_flip_graph_conflicting_anchors_fail_the_certificate(capsys, tmp_path):
-    anchors = _conflicting_anchors(tmp_path)
-    code, out, err = run(capsys, ["flip-graph", "--d", "2", "--anchors", anchors])
-    assert code == 1 and err == ""
-    cert = json.loads(out)
-    assert cert["command"] == "flip-graph" and cert["outcome"] == "fail"
-    assert cert["parameters"] == {"d": 2, "anchors": anchors}
-    (witness,) = cert["witnesses"]
-    assert witness["property"] == "anchor_consistency"
-    assert "connecting path has 2 nodes" in witness["detail"]
-
-
-def test_signature_conflicting_anchors_fail_the_certificate(capsys, tmp_path):
-    # AnchorConflictError is a ValueError, yet it fails a certificate (exit 1),
-    # not the input (exit 2); signature prints a certificate only then
-    anchors = _conflicting_anchors(tmp_path)
-    p0 = tmp_path / "p0.json"
-    p0.write_text(json.dumps({"d": 2, "n": 4, "colors": [0, 1, 0, 0, 1, 1]}))
-    code, out, err = run(capsys, ["signature", "--partition", str(p0), "--anchors", anchors])
-    assert code == 1 and err == ""
-    (line,) = out.splitlines()
-    cert = json.loads(line)
-    assert cert["command"] == "signature" and cert["outcome"] == "fail"
-    assert cert["parameters"] == {"partition": str(p0), "anchors": anchors}
-    assert cert["numbers"] == {}
-    assert [w["property"] for w in cert["witnesses"]] == ["anchor_consistency"]
+_CONFLICTING_ANCHORS = [
+    # a member and its flip partner across face (1, 2, 3), both pinned at +1
+    {"partition": {"d": 2, "n": 4, "colors": colors}, "sign": 1}
+    for colors in ([0, 1, 0, 0, 1, 1], [1, 0, 0, 0, 1, 1])
+]
 
 
 @pytest.mark.parametrize(
-    "doc",
-    [[1], {"partition": {"d": 2, "n": 4, "colors": [0, 1, 0, 0, 1, 1]}, "sign": 1}],
-    ids=["list_of_int", "bare_object"],
+    "command, doc",
+    [
+        ("flip-graph", _CONFLICTING_ANCHORS),
+        ("signature", _CONFLICTING_ANCHORS),
+        ("flip-graph", [1]),
+        ("flip-graph", {"partition": {"d": 2, "n": 4, "colors": [0, 1, 0, 0, 1, 1]}, "sign": 1}),
+    ],
+    ids=[
+        "flip-graph-conflicting",
+        "signature-conflicting",
+        "flip-graph-list_of_int",
+        "flip-graph-bare_object",
+    ],
 )
-def test_flip_graph_malformed_anchor_file_is_a_usage_error(capsys, tmp_path, doc):
-    # used to exit 3 on a TypeError from subscripting the JSON
+def test_anchors_is_a_usage_error(capsys, tmp_path, command, doc):
+    # the signature is the tree determinant; no anchor file is read, well-formed or not
     anchors = tmp_path / "anchors.json"
     anchors.write_text(json.dumps(doc))
-    code, out, err = run(capsys, ["flip-graph", "--d", "2", "--anchors", str(anchors)])
+    p0 = tmp_path / "p0.json"
+    p0.write_text(json.dumps({"d": 2, "n": 4, "colors": [0, 1, 0, 0, 1, 1]}))
+    argv = {"flip-graph": ["flip-graph", "--d", "2"], "signature": ["signature", "--partition", str(p0)]}
+    code, out, err = run(capsys, [*argv[command], "--anchors", str(anchors)])
     assert code == 2 and out == ""
-    assert "anchors must be a JSON list of {partition, sign} objects" in err
+    assert f"unrecognized arguments: --anchors {anchors}" in err
 
 
 def test_deterministic_output(capsys):
@@ -444,21 +406,31 @@ def test_flip_graph_missing_member_is_a_failed_certificate(capsys, monkeypatch):
     from treedet.enumeration import PartitionSet
     from treedet.flips import build_flip_graph
 
-    pset = PartitionSet(2, 4, standard_context(2).pset.colors[1:], cycle_free=True)
+    full = standard_context(2)
+    pset = PartitionSet(2, 4, full.pset.colors[1:], cycle_free=True)
     monkeypatch.setattr(treedet.cli, "standard_context", lambda d: build_flip_graph(pset))
     code, out, err = run(capsys, ["flip-graph", "--d", "2"])
     assert code == 1 and err == ""
     cert = json.loads(out)
     assert cert["outcome"] == "fail"
-    assert [w["property"] for w in cert["witnesses"]] == ["flip_uniqueness"]
+    (witness,) = cert["witnesses"]
+    # member 0 is gone, so its partner across the first face is left alone
+    partner = int(full.graph.adjacency[0, 0])
+    assert witness == {
+        "property": "flip_uniqueness",
+        "detail": f"face (1, 2, 3) of partition code {full.pset.codes[partner]} "
+        "has 0 admissible recolorings instead of 1",
+        "member": int(full.pset.codes[partner]),
+        "face": [1, 2, 3],
+        "survivors": [],
+    }
 
 
-def test_odd_cycle_in_the_flip_graph_is_a_failed_certificate(capsys, monkeypatch, tmp_path):
+def test_odd_cycle_in_the_flip_graph_is_a_failed_certificate(capsys, monkeypatch):
     # a flip graph with no signature fails its certificate; it is no internal error
     import helpers
     import numpy as np
     import treedet.context
-    from treedet.algebra import unit_partition
 
     # the face-0 partners of the first two level-1 nodes (1 and 5 at d = 2)
     # re-paired: the two become partners and close a triangle with the root
@@ -509,18 +481,6 @@ def test_odd_cycle_in_the_flip_graph_is_a_failed_certificate(capsys, monkeypatch
     # verify-appendix reads no flip graph, so the odd cycle cannot touch it
     code, out, err = run(capsys, ["verify-appendix"])
     assert code == 0 and err == "" and json.loads(out)["outcome"] == "pass"
-    # anchored by hand, the signature is the graph's two-coloring, which
-    # does not exist: the odd cycle is raised in the stage that colors it
-    anchors = tmp_path / "anchors.json"
-    anchors.write_text(json.dumps([{"partition": unit_partition(3).to_json_dict(), "sign": 1}]))
-    code, out, err = run(capsys, ["flip-graph", "--d", "3", "--anchors", str(anchors)])
-    assert code == 1 and err == ""
-    cert = json.loads(out)
-    assert cert["command"] == "flip-graph" and cert["numbers"] == {}
-    assert cert["parameters"] == {"d": 3, "anchors": str(anchors)} and cert["wall_time_s"] > 0
-    (witness,) = cert["witnesses"]
-    assert witness["property"] == "signature_existence"
-    assert "odd cycle of length 3" in witness["detail"]
 
 
 def test_certify_all_relation_witnesses_equal_verify_relations(capsys, monkeypatch):
@@ -678,6 +638,7 @@ def test_orbits_of_a_set_missing_a_member_is_a_failed_certificate(capsys, monkey
     (witness,) = cert["witnesses"]
     assert witness["property"] == "orbit_closure"
     assert f"image code {full.partition(dropped).canonical_code()} " in witness["detail"]
+    assert witness["image"] == full.partition(dropped).canonical_code()
     # under certify-all the flip graph and the signature are whole, the set is
     # not: the stages before the orbits pass, and the orbit stage fails
     ctx = standard_context(2)
@@ -695,8 +656,7 @@ def test_orbits_of_a_set_missing_a_member_is_a_failed_certificate(capsys, monkey
     ]
     assert [c["outcome"] for c in certs] == ["pass"] * 3 + ["fail"]
     assert certs[-1]["parameters"] == {"d": 2} and certs[-1]["numbers"] == {}
-    (witness,) = certs[-1]["witnesses"]
-    assert witness["property"] == "orbit_closure"
+    assert certs[-1]["witnesses"] == [witness]  # the same set, so the same image
 
 
 CERTIFY_ALL_NUMBERS = {

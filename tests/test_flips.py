@@ -7,7 +7,6 @@ import helpers
 from treedet.catalog import BASE_PARTITION_D2, reference_partition
 from treedet.enumeration import PartitionSet
 from treedet.flips import (
-    AnchorConflictError,
     FlipGraph,
     FlipUniquenessError,
     OddCycleError,
@@ -17,7 +16,6 @@ from treedet.flips import (
     check_bipartite,
     check_connected,
     flip,
-    standard_anchors,
     two_color,
     verify_flip_soundness,
 )
@@ -274,7 +272,6 @@ def test_triangle_graph_is_rejected(ctx2):
     with pytest.raises(OddCycleError) as err:
         check_bipartite(graph)
     assert sorted(err.value.nodes) == [0, 1, 2]
-    assert err.value.witness_property == "signature_existence"
     assert "odd cycle of length 3" in str(err.value)
 
 
@@ -292,54 +289,23 @@ def test_odd_cycle_witness_is_a_closed_odd_walk():
     assert all(b in rows[a] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
-def test_anchor_conflict_raises(ctx2):
-    anchors = [(BASE_PARTITION_D2, +1), (flip(BASE_PARTITION_D2, (1, 2, 3)), +1)]
-    with pytest.raises(AnchorConflictError) as err:
-        check_bipartite(ctx2.graph, anchors)
-    path = err.value.path
-    assert path[0] == err.value.first and path[-1] == err.value.second
-    adjacency = ctx2.graph.adjacency
-    assert all(b in adjacency[a] for a, b in zip(path, path[1:]))
-
-
-def _is_flip_walk(adjacency, nodes, closed):
-    steps = zip(nodes, nodes[1:] + nodes[:1] if closed else nodes[1:])
-    return all(b in adjacency[a] for a, b in steps)
-
-
 def test_same_level_flip_gives_an_odd_cycle_d3(ctx3):
     graph = helpers.same_level_flip(ctx3.graph, 3)
     adjacency = graph.adjacency
     with pytest.raises(OddCycleError) as err:
-        check_bipartite(graph, standard_anchors(ctx3.pset))
+        check_bipartite(graph)
     cycle = err.value.nodes
     assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle)
-    assert _is_flip_walk(adjacency, cycle, closed=True)
+    assert all(b in adjacency[a] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
     with pytest.raises(OddCycleError):
         two_color(adjacency)
-
-
-def test_anchor_conflict_path_follows_flips_d3(ctx3):
-    # a member and its flip partner, both pinned at +1; across face 3 the
-    # partner is no tree neighbour and the path runs through the root
-    pset, adjacency = ctx3.pset, ctx3.graph.adjacency
-    member = 1000
-    for face, length in ((0, 2), (3, 10)):
-        partner = int(adjacency[member, face])
-        with pytest.raises(AnchorConflictError) as err:
-            check_bipartite(ctx3.graph, [(pset.partition(i), +1) for i in (member, partner)])
-        path = err.value.path
-        assert (path[0], path[-1]) == (err.value.first, err.value.second) == (member, partner)
-        assert len(path) == length and len(set(path)) == length
-        assert _is_flip_walk(adjacency, path, closed=False)
-    assert two_color(adjacency).n_components == 1  # raises OddCycleError if not bipartite
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_kernel_signs_equal_bfs_signs(d, ctx2, ctx3):
     graph = {2: ctx2, 3: ctx3}[d].graph
     bfs = two_color(graph.adjacency)
-    table = check_bipartite(graph)  # no anchors: +1 at each component's minimal node
+    table = check_bipartite(graph)  # +1 at each component's minimal node
     assert table.signs.tobytes() == bfs.sign.tobytes()
     assert check_connected(graph).n_components == bfs.n_components == 1
 
@@ -369,12 +335,6 @@ def test_components_kernel_against_bfs_on_random_tables():
         labels = helpers.hooking_components(table)
         assert labels.dtype == np.int32
         assert np.array_equal(labels, expected)
-
-
-def test_opposite_anchors_are_consistent(ctx2):
-    anchors = [(BASE_PARTITION_D2, +1), (flip(BASE_PARTITION_D2, (1, 2, 3)), -1)]
-    table = check_bipartite(ctx2.graph, anchors)
-    assert table.signature(BASE_PARTITION_D2) == +1
 
 
 def test_signature_examples(ctx2, ctx3):
@@ -482,9 +442,8 @@ def test_level_signature_equals_the_cover_oracle(d, ctx2, ctx3):
     from treedet.context import standard_context
 
     graph = {1: standard_context(1), 2: ctx2, 3: ctx3}[d].graph
-    anchors = standard_anchors(graph.pset)
-    table = check_bipartite(graph, anchors)
-    assert table.signs.tobytes() == helpers.cover_check_bipartite(graph, anchors).signs.tobytes()
+    table = check_bipartite(graph)
+    assert table.signs.tobytes() == helpers.cover_check_bipartite(graph).signs.tobytes()
     cover_roots = helpers.hooking_components(graph.adjacency)
     assert np.array_equal(graph.levels[0], cover_roots)
     assert check_connected(graph).n_components == len(np.unique(cover_roots))
@@ -500,13 +459,6 @@ def test_failed_two_colorings_equal_the_cover_oracle(ctx2):
             check(graph)
         cycles.append(err.value.nodes)
     assert cycles[0] == cycles[1]
-    anchors = [(BASE_PARTITION_D2, +1), (flip(BASE_PARTITION_D2, (1, 2, 3)), +1)]
-    errors = []
-    for check in (check_bipartite, helpers.cover_check_bipartite):
-        with pytest.raises(AnchorConflictError) as err:
-            check(ctx2.graph, anchors)
-        errors.append((err.value.first, err.value.second, err.value.path))
-    assert errors[0] == errors[1]
 
 
 @pytest.mark.parametrize("row", [0, 4095, 4096, 66239])

@@ -9,19 +9,20 @@ codes take 0.63 MiB per int64 copy.  The parity-form stage relabels
 nothing; it reads the image positions the orbit table keeps.
 """
 
+import functools
 import tracemalloc
 
 import pytest
 
+import helpers
 from treedet.algebra import verify_relations
 from treedet.diagram import SignedDiagram
 from treedet.flips import (
-    AnchorConflictError,
+    OddCycleError,
     _face_sweep,
     alternation_failure,
     bfs_levels,
     check_bipartite,
-    standard_anchors,
     verify_flip_soundness,
 )
 from treedet.symmetry import epsilon_formula_check, orbit_decomposition
@@ -30,11 +31,19 @@ from treedet.trees import tree_signs
 MiB = 2 ** 20
 
 
-def anchor_conflict(ctx):
-    """check_bipartite on a member and its face-0 partner, both pinned at +1."""
-    anchors = [(ctx.pset.partition(i), +1) for i in (1000, int(ctx.graph.adjacency[1000, 0]))]
-    with pytest.raises(AnchorConflictError):
-        check_bipartite(ctx.graph, anchors)
+@functools.lru_cache(maxsize=1)
+def same_level_flip_graph(ctx):
+    """The flip graph with one flip inside level 3, and its levels: built
+    by a stage's first call, which is not traced."""
+    graph = helpers.same_level_flip(ctx.graph, 3)
+    graph.levels
+    return graph
+
+
+def odd_cycle_witness(ctx):
+    """check_bipartite raising OddCycleError with its cycle."""
+    with pytest.raises(OddCycleError):
+        check_bipartite(same_level_flip_graph(ctx))
 
 
 def traced_peak(call) -> int:
@@ -50,13 +59,10 @@ STAGES = {
     # each breadth-first round reads the rows of its frontier in blocks
     "bfs_levels": (lambda ctx, orbits: bfs_levels(ctx.graph.adjacency), 3 * MiB),
     # the alternation check reads the flip table one face column at a time
-    "check_bipartite": (
-        lambda ctx, orbits: check_bipartite(ctx.graph, standard_anchors(ctx.pset)),
-        2 * MiB,
-    ),
-    # the witness path follows a breadth-first tree read off the levels one
-    # face column at a time
-    "anchor_conflict": (lambda ctx, orbits: anchor_conflict(ctx), 4 * MiB),
+    "check_bipartite": (lambda ctx, orbits: check_bipartite(ctx.graph), 2 * MiB),
+    # the cycle follows a breadth-first tree read off the levels one face
+    # column at a time
+    "odd_cycle_witness": (lambda ctx, orbits: odd_cycle_witness(ctx), 2 * MiB),
     # the check behind the CLI's signature_alternation witness
     "alternation_witnesses": (
         lambda ctx, orbits: alternation_failure(ctx.graph, ctx.signature.signs),

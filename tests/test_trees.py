@@ -7,7 +7,7 @@ import pytest
 import helpers
 from treedet import algebra, trees
 from treedet.enumeration import PartitionSet
-from treedet.flips import check_bipartite, standard_anchors
+from treedet.flips import check_bipartite
 from treedet.model import EdgePartition, edge_count, edge_list
 
 from test_cli import run
@@ -72,7 +72,8 @@ def test_tree_signature_is_the_anchored_two_coloring(d, unit_sign, ctx2, ctx3):
     signs = trees.tree_signs(ctx.pset)
     unit = algebra.unit_partition(d)
     assert signs[ctx.pset.index_of(unit)] == member_determinant(unit) == unit_sign  # D(unit)
-    anchored = check_bipartite(ctx.graph, standard_anchors(ctx.pset)).signs
+    parity = check_bipartite(ctx.graph).signs
+    anchored = parity * parity[ctx.pset.index_of(unit)]  # +1 at the unit partition
     assert (signs * unit_sign).tobytes() == anchored.tobytes()
     assert ctx.signature.signs.tobytes() == anchored.tobytes()
     for i in random.Random(d).sample(range(len(ctx.pset)), min(60, len(ctx.pset))):
