@@ -35,6 +35,7 @@ from .flips import (
     check_bipartite,
     check_connected,
     flip,
+    sign_failures,
     verify_flip_soundness,
 )
 from .model import (
@@ -55,6 +56,6 @@ from .symmetry import (
     orbit_decomposition,
     stabilizer,
 )
-from .trees import tree_signs, tree_table
+from .trees import member_sign, tree_signs, tree_table
 
 __all__ = [name for name in dir() if not name.startswith("_")]

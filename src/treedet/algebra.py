@@ -40,7 +40,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .enumeration import PartitionSet, _digits, member_positions
-from .flips import FlipGraph, SignatureTable
+from .flips import FlipGraph, SignatureTable, sign_failures
 from .model import (
     EdgePartition,
     edge_count,
@@ -416,7 +416,8 @@ def verify_relations(
     Full mode relies on the graph: the members among an instance's terms
     are one flip pair (its face sweep aborts on any other group), so the
     instance sums to s_i + s_partner, or to 0 when no member is a term
-    (it still counts as checked), and the sweep sums every pair;
+    (it still counts as checked); so the violations are the pairs whose
+    flip does not negate the sign, which flips.sign_failures lists;
     witnesses come in the order of relation_instances(d): face, multiset,
     then context with the last non-face edge varying fastest.  Sampled
     mode reads neither the graph nor any grouping: it draws the instances
@@ -435,13 +436,11 @@ def verify_relations(
 
     if sample is None:
         violations = 0
-        ids = np.arange(len(pset), dtype=np.int32)
-        for fi, face in enumerate(faces):
-            partner = adjacency[:, fi]  # contiguous in the face-major table
-            first = np.flatnonzero(ids < partner)
-            bad = first[signs[first] + signs[partner[first]] != 0]
+        for fi, rows in sign_failures(graph, signs):
+            bad = rows[rows < adjacency[rows, fi]]  # each pair once
             violations += len(bad)
             if len(bad) and len(witnesses) < 5:
+                face = faces[fi]
                 pos = list(face_edge_indices(face, n))
                 others = [k for k in range(E) if k not in pos]
                 ms = np.sort(pset.colors[bad][:, pos], axis=1)

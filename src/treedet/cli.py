@@ -39,14 +39,14 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, algebra, catalog, symmetry
+from . import __version__, algebra, catalog, symmetry, trees
 from .context import standard_context
 from .enumeration import count_homogeneous, enumerate_partitions
 from .flips import (
     FlipUniquenessError,
-    alternation_failure,
     check_connected,
     flip,
+    sign_failures,
     verify_flip_soundness,
 )
 from .model import EdgePartition
@@ -146,17 +146,25 @@ def _flip_soundness(graph):
     return numbers, [] if soundness.ok else [{"property": "flip_uniqueness_and_involution"}]
 
 
-def _bipartite_connected(graph, table):
+def _bipartite_connected(graph, table, *, alternating=False):
     """Bipartite: every flip joins opposite signs of the table, which is
     then a two-coloring.  The witness is the first member whose flip
-    does not, with the face, the partner and both signs."""
+    does not, with the face, the partner and both signs.  With
+    `alternating`, the numbers also count the (member, face) flips that
+    do negate the sign."""
     plus, minus = table.class_sizes()
     components = check_connected(graph).n_components
     numbers = {"class_plus": plus, "class_minus": minus, "components": components}
-    failure = alternation_failure(graph, table.signs)
-    if failure is None:
+    failing, first = 0, None
+    for f, rows in sign_failures(graph, table.signs):
+        failing += len(rows)
+        if len(rows) and (first is None or rows[0] < first[0]):
+            first = int(rows[0]), f  # smallest member, then smallest face
+    if alternating:
+        numbers["alternating_edges"] = int(graph.adjacency.size) - failing
+    if first is None:
         return numbers, []
-    i, f = failure
+    i, f = first
     j = int(graph.adjacency[i, f])
     witness = {
         "property": "signature_alternation",
@@ -273,14 +281,13 @@ def cmd_flip(args):
 def cmd_flip_graph(args):
     ctx = standard_context(args.d)
     sound, unsound = _flip_soundness(ctx.graph)
-    colored, miscolored = _bipartite_connected(ctx.graph, ctx.signature)
+    colored, miscolored = _bipartite_connected(ctx.graph, ctx.signature, alternating=True)
     numbers = {
         **sound,
         **colored,
         "nodes": len(ctx.pset),
         "faces": ctx.graph.adjacency.shape[1],
         "bipartite": int(not miscolored),
-        "alternating_edges": int(ctx.graph.adjacency.size),
     }
     return numbers, unsound + miscolored
 
@@ -321,8 +328,8 @@ def cmd_verify_appendix(args):
 @_one_stage("signature", "partition")
 def cmd_signature(args):
     partition = _load_partition(args.partition)
-    value = standard_context(partition.d).signature.signature(partition)
-    print(f"{value:+d}")
+    unit = algebra.unit_partition(partition.d)
+    print(f"{trees.member_sign(partition) * trees.member_sign(unit):+d}")
 
 
 @_one_stage("det", "input")

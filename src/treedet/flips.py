@@ -26,11 +26,14 @@ two certificates this package is built around:
 
 The standard signature is not searched for: it is the sign of the
 incidence determinant det M_P, read off the spanning-tree table
-(trees.py), and alternation_failure checks it on every flip.  An
-explicit sign that every flip negates is a two-coloring, so that check
-certifies bipartiteness, and its failure names one (member, face).
+(trees.py).  One kernel, sign_failures, lists face by face the flips
+that do not negate a given sign; an explicit sign with none is a
+two-coloring, so the walk certifies bipartiteness, and a failure names
+one (member, face).  The CLI's alternation check, check_bipartite and
+the full relation sweep of algebra.verify_relations all read it.
 Connectivity is read off a level-synchronous breadth-first search
-(bfs_levels), which names each component by its smallest node.
+(bfs_levels), one component at a time, which names each component by
+its smallest node.
 
 No certificate colors the graph.  check_bipartite, which two-colors it
 from the same levels (a flip has to join levels of opposite parity),
@@ -42,10 +45,9 @@ the parents that _bfs_parents reads off the levels.
 Besides its (N, C(2d,3)) flip table, every step of the stage works in
 O(N) scratch memory for N members.  The table is stored face-major, so
 the face sweep writes each face's column in place, and the soundness
-check, alternation_failure, check_bipartite and _bfs_parents read it
-one column at a time; the sweep keeps two counts per face of the face
-edges its flips change; each breadth-first round reads the rows of its
-frontier in blocks.
+check, sign_failures and _bfs_parents read it one column at a time;
+the sweep keeps two counts per face of the face edges its flips change;
+each breadth-first round reads the rows of its frontier in blocks.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
-from typing import Optional
 
 import numpy as np
 
@@ -284,64 +285,38 @@ def bfs_levels(neighbors) -> tuple[np.ndarray, np.ndarray]:
     neighbor table (row i lists the nodes joined to i; self-loops pad
     rows; k may be 0), vectorized in numpy.  Returns int32 (root, level):
     the smallest node index of each node's component and the distance
-    from it.  Each round searches from the `batch` smallest unvisited
-    nodes not ruled out as roots; a component two of them reach is
-    searched again later, its larger seeds ruled out.  The batch doubles
-    after rounds of small components (under 64 nodes each) and halves
-    otherwise, so tiny components go many to a round.
+    from it.  Each round searches one component, from the smallest node
+    not reached yet, which is that component's smallest node.
     """
     table = np.asarray(neighbors, dtype=np.int32)
-    N, k = table.shape
+    N = len(table)
     root = np.full(N, -1, dtype=np.int32)
     level = np.full(N, -1, dtype=np.int32)
-    unseen = np.ones(N, dtype=bool)
-    candidate = np.ones(N, dtype=bool)
-    reach = np.empty(N, dtype=np.int32)  # the root of the last parent that reached a node
-    batch = 1
-    while (seeds := np.flatnonzero(candidate & unseen)[:batch]).size:
-        several = len(seeds) > 1
-        root[seeds], level[seeds], unseen[seeds] = seeds, 0, False
-        frontier, reached, depth = seeds, [seeds], 0
+    unseen = np.ones(N + 1, dtype=bool)  # the sentinel at N ends the search
+    while (seed := int(unseen.argmax())) < N:
+        root[seed], level[seed], unseen[seed] = seed, 0, False
+        frontier, depth = np.array([seed]), 0
         while frontier.size:
             depth += 1
-            new = np.zeros(N, dtype=bool)
+            new = np.zeros(N + 1, dtype=bool)
             for start in range(0, len(frontier), _ROW_BLOCK):  # a block of rows at a time
-                block = frontier[start : start + _ROW_BLOCK]
-                near = table[block].ravel()  # np.take would copy a face-major table whole
-                if several:
-                    reach[near] = np.repeat(root[block], k)
-                new[near] = True
+                # np.take would copy a face-major table whole
+                new[table[frontier[start : start + _ROW_BLOCK]].ravel()] = True
             frontier = np.flatnonzero(new & unseen)
-            root[frontier] = reach[frontier] if several else seeds[0]
-            level[frontier], unseen[frontier] = depth, False
-            reached.append(frontier)
-        nodes = np.concatenate(reached)
-        candidate[nodes[len(seeds):]] = False  # each is larger than the seed that reached it
-        if several:
-            here, there = np.repeat(root[nodes], k), root[table[nodes].ravel()]
-            clash = here != there  # an edge between two seeds' trees: one component
-            candidate[np.maximum(here[clash], there[clash])] = False
-            redo = nodes[np.isin(root[nodes], here[clash])]
-            unseen[redo] = True
-        grow = not (several and redo.size) and len(nodes) < 64 * len(seeds)
-        batch = 2 * batch if grow else max(1, batch // 2)
+            root[frontier], level[frontier], unseen[frontier] = seed, depth, False
     return root, level
 
 
-def alternation_failure(graph: FlipGraph, sign: np.ndarray) -> Optional[tuple[int, int]]:
-    """The first (node i, face number f) with sign[adjacency[i, f]] !=
-    -sign[i], smallest i first, then smallest f; None when every flip
-    joins opposite signs, which makes sign a two-coloring.  The table is
-    read one face column at a time, contiguous in the face-major table,
-    so the index copy that np.take makes is one column's, not the whole
-    table's."""
+def sign_failures(graph: FlipGraph, sign: np.ndarray):
+    """Yield (f, rows) for each face number f in order: rows lists, in
+    ascending order, the nodes i with sign[adjacency[i, f]] != -sign[i],
+    whose flip across face f does not negate the sign.  When no face has
+    any, sign is a two-coloring.  The table is read one face column
+    at a time, contiguous in the face-major table, so the index copy
+    that np.take makes is one column's, not the whole table's."""
     negated = -sign
-    first = None
     for f, partner in enumerate(graph.adjacency.T):
-        wrong = sign.take(partner) != negated
-        if wrong.any() and (first is None or wrong.argmax() < first[0]):
-            first = (int(wrong.argmax()), f)
-    return first
+        yield f, np.flatnonzero(sign.take(partner) != negated)
 
 
 @dataclass
@@ -456,15 +431,13 @@ def check_bipartite(graph: FlipGraph) -> SignatureTable:
     component's root (its minimal-code node).  A flip joining two nodes
     of one parity raises OddCycleError with the odd cycle.
     """
-    level = graph.levels[1]
-    sign = (1 - 2 * (level & 1)).astype(np.int8)
-    for partner in graph.adjacency.T:  # every flip must join opposite parities
-        same = sign.take(partner) == sign
-        if same.any():
+    sign = (1 - 2 * (graph.levels[1] & 1)).astype(np.int8)
+    for f, rows in sign_failures(graph, sign):  # every flip must join opposite parities
+        if rows.size:
             # levels are distances from the root, so this flip joins one
             # level, and the two tree paths close an odd cycle
-            u = int(same.argmax())
-            raise OddCycleError(_odd_cycle(_bfs_parents(graph), u, int(partner[u])))
+            u = int(rows[0])
+            raise OddCycleError(_odd_cycle(_bfs_parents(graph), u, int(graph.adjacency[u, f])))
     return SignatureTable(graph.pset, sign)
 
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-TREE_SHAPES = ("I6", "Y6", "E6", "H6", "C6", "S6")
 NOT_TREE = "NotTree"
 
 

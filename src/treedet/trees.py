@@ -25,7 +25,8 @@ an int64 edge mask (edge k is bit k) with its sign det B(T), decoded
 from all Pruefer sequences at once, in integers only; signs_by_mask(n)
 spreads it over all edge subsets, which is the enumeration's class
 filter.  tree_signs reads (-1)^inv(P) * prod_c det B(T_c) off every
-member of a partition set.
+member of a partition set; member_sign computes it for one partition of
+any size, so a single sign needs no enumeration.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import edge_count
+from .model import edge_count, edge_list
 
 MAX_TREE_N = 8  # K_8 has 262 144 spanning trees; K_9 would have 4.8 million
 _SIGN_BLOCK = 8192  # members signed at a time
@@ -89,6 +90,36 @@ def tree_table(n: int) -> TreeTable:
     masks.setflags(write=False)
     signs.setflags(write=False)
     return TreeTable(masks, signs)
+
+
+def member_sign(partition) -> int:
+    """(-1)^inv(P) * prod_c det B(T_c) of one partition, for any n, with
+    no tree table: each class is rooted at vertex 1 and signed by its
+    parent-edge matching.  Raises ValueError when a class is not a
+    spanning tree.  d spanning trees of K_n take d(n - 1) edges, all of
+    them only when n = 2d, so that is the membership test of the
+    homogeneous cycle-free partitions."""
+    n, colors = partition.n, partition.colors
+    minus = sum(a > b for a, b in combinations(colors, 2))  # inv(P)
+    for c in range(partition.d):
+        neighbors = {v: [] for v in range(1, n + 1)}
+        edges = [(k, e) for k, e in enumerate(edge_list(n)) if colors[k] == c]
+        for k, (a, b) in edges:
+            neighbors[a].append((b, k))
+            neighbors[b].append((a, k))
+        owned = {1: None}  # the edge from each vertex to its parent
+        stack = [1]
+        while stack:
+            u = stack.pop()
+            for v, k in neighbors[u]:
+                if v not in owned:
+                    owned[v] = k
+                    minus += u < v  # the edge's -1 sits at its larger end
+                    stack.append(v)
+        if len(edges) != n - 1 or len(owned) != n:
+            raise ValueError(f"class {c} is not a spanning tree of K_{n}")
+        minus += sum(a > b for a, b in combinations([owned[v] for v in range(2, n + 1)], 2))
+    return -1 if minus & 1 else 1
 
 
 def signs_by_mask(n: int) -> np.ndarray:

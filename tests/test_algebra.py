@@ -33,7 +33,7 @@ from treedet.algebra import (
     zero_by_multiplicity,
 )
 from treedet.diagram import SignedDiagram
-from treedet.flips import FlipGraph, SignatureTable
+from treedet.flips import FlipGraph, SignatureTable, sign_failures
 from treedet.model import EdgePartition, is_cycle_free, is_homogeneous
 
 
@@ -401,6 +401,19 @@ def test_pair_sweep_equals_face_group_oracle(ctx2, ctx3, d, flipped):
     table = SignatureTable(ctx.pset, signs)
     report = verify_relations(ctx.graph, table)
     assert report == helpers.face_group_relation_sweep(ctx.pset, table)
+
+
+@pytest.mark.parametrize(
+    "d, flipped", [(2, []), (2, [0]), (2, [3, 8]), (3, [7]), (3, slice(None, None, 10))]
+)
+def test_full_sweep_violations_are_half_the_failing_flips(ctx2, ctx3, d, flipped):
+    # each violated instance is one flip pair, failing from both of its ends
+    ctx = {2: ctx2, 3: ctx3}[d]
+    signs = ctx.signature.signs.copy()
+    signs[flipped] *= -1
+    failing = sum(len(rows) for _, rows in sign_failures(ctx.graph, signs))
+    report = verify_relations(ctx.graph, SignatureTable(ctx.pset, signs))
+    assert 2 * report.violations == failing and report.ok == (failing == 0)
 
 
 @pytest.mark.parametrize(

@@ -116,7 +116,27 @@ def test_flip_graph_certificate(capsys):
     nums = cert["numbers"]
     assert nums["class_plus"] == 6 and nums["class_minus"] == 6
     assert nums["components"] == 1 and nums["bipartite"] == 1
+    assert nums["alternating_edges"] == nums["flip_pairs_checked"] == 48
     assert "dimension_upper_bound_certified" not in nums  # components == 1 alone bounds nothing
+
+
+def test_flip_graph_counts_only_the_flips_that_negate_the_sign(capsys, monkeypatch):
+    # member 3's sign negated: its 4 flips and its 4 partners' flips back fail
+    import treedet.cli
+    from treedet.context import standard_context
+
+    tampered = _tampered_context(standard_context(2), [3])
+    monkeypatch.setattr(treedet.cli, "standard_context", lambda d, pset=None: tampered)
+    code, out, err = run(capsys, ["flip-graph", "--d", "2"])
+    assert code == 1 and err == ""
+    nums = json.loads(out)["numbers"]
+    assert nums["bipartite"] == 0 and nums["flip_pairs_checked"] == 48
+    assert nums["alternating_edges"] == 40
+    # certify-all's stage reads the same walk and keeps its numbers
+    code, out, err = run(capsys, ["certify-all", "--d", "2", "--seed", "7"])
+    assert code == 1 and err == ""
+    (stage,) = [c for c in map(json.loads, out.splitlines()) if c["command"] == "certify-all/bipartite-connected"]
+    assert stage["numbers"] == {"class_plus": 7, "class_minus": 5, "components": 1}
 
 
 def test_emat_det_pipeline(capsys, tmp_path):

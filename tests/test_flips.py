@@ -10,12 +10,12 @@ from treedet.flips import (
     FlipGraph,
     FlipUniquenessError,
     OddCycleError,
-    alternation_failure,
     bfs_levels,
     build_flip_graph,
     check_bipartite,
     check_connected,
     flip,
+    sign_failures,
     two_color,
     verify_flip_soundness,
 )
@@ -465,10 +465,38 @@ def test_failed_two_colorings_equal_the_cover_oracle(ctx2):
 def test_alternates_equals_the_whole_table_check(ctx3, row):
     # one bad sign on either side of the first block boundary, or in the last row
     graph, signs = ctx3.graph, ctx3.signature.signs
-    assert alternation_failure(graph, signs) is None
+    assert all(rows.size == 0 for _, rows in sign_failures(graph, signs))
     for value in (-signs[row], 0):
         tampered = signs.copy()
         tampered[row] = value
         wrong = tampered[graph.adjacency] != -tampered[:, None]
-        first = np.argwhere(wrong)[0]  # row-major: smallest member, then face
-        assert alternation_failure(graph, tampered) == tuple(first)
+        walk = list(sign_failures(graph, tampered))
+        assert [f for f, _ in walk] == list(range(graph.adjacency.shape[1]))
+        for f, rows in walk:
+            assert rows.tobytes() == np.flatnonzero(wrong[:, f]).tobytes()
+
+
+def test_sign_failures_equal_the_per_flip_oracle(ctx2):
+    graph = ctx2.graph
+    N, faces = graph.adjacency.shape
+    rng = np.random.default_rng(38)
+    for _ in range(50):
+        sign = rng.choice(np.array([-1, 1], dtype=np.int8), size=N)
+        oracle = [
+            [i for i in range(N) if sign[graph.neighbor(i, face)] != -sign[i]]
+            for face in graph.faces
+        ]
+        walk = list(sign_failures(graph, sign))
+        assert [f for f, _ in walk] == list(range(faces))
+        assert [rows.tolist() for _, rows in walk] == oracle
+
+
+def test_one_negated_member_fails_its_flips_and_their_partners(ctx3):
+    # member i's 20 flips and each partner's flip back to i
+    graph = ctx3.graph
+    sign = ctx3.signature.signs.copy()
+    sign[1000] *= -1
+    walk = list(sign_failures(graph, sign))
+    assert sum(len(rows) for _, rows in walk) == 40
+    for f, rows in walk:
+        assert rows.tolist() == sorted([1000, int(graph.adjacency[1000, f])])

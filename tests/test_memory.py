@@ -20,9 +20,9 @@ from treedet.diagram import SignedDiagram
 from treedet.flips import (
     OddCycleError,
     _face_sweep,
-    alternation_failure,
     bfs_levels,
     check_bipartite,
+    sign_failures,
     verify_flip_soundness,
 )
 from treedet.symmetry import epsilon_formula_check, orbit_decomposition
@@ -63,9 +63,10 @@ STAGES = {
     # the cycle follows a breadth-first tree read off the levels one face
     # column at a time
     "odd_cycle_witness": (lambda ctx, orbits: odd_cycle_witness(ctx), 2 * MiB),
-    # the check behind the CLI's signature_alternation witness
+    # the walk behind the CLI's signature_alternation witness, one face
+    # column at a time
     "alternation_witnesses": (
-        lambda ctx, orbits: alternation_failure(ctx.graph, ctx.signature.signs),
+        lambda ctx, orbits: list(sign_failures(ctx.graph, ctx.signature.signs)),
         1 * MiB,
     ),
     # a few arrays of one block of rows, and the int8 signs

@@ -7,8 +7,8 @@ import pytest
 import helpers
 from treedet import algebra, trees
 from treedet.enumeration import PartitionSet
-from treedet.flips import check_bipartite
-from treedet.model import EdgePartition, edge_count, edge_list
+from treedet.flips import check_bipartite, flip
+from treedet.model import EdgePartition, edge_count, edge_list, faces_of
 
 from test_cli import run
 
@@ -85,6 +85,45 @@ def test_tree_signs_refuse_a_class_that_is_no_tree():
     pset = PartitionSet(2, 4, np.array([cyclic.colors]), cycle_free=True)
     with pytest.raises(ValueError, match="not a spanning tree"):
         trees.tree_signs(pset)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_member_sign_is_the_signature_of_each_member(d, ctx2, ctx3):
+    ctx = {2: ctx2, 3: ctx3}[d]
+    unit = trees.member_sign(algebra.unit_partition(d))
+    picks = range(len(ctx.pset)) if d == 2 else random.Random(3).sample(range(len(ctx.pset)), 3000)
+    for i in picks:
+        assert trees.member_sign(ctx.pset.partition(i)) * unit == ctx.signature.signs[i], (d, i)
+
+
+def test_member_sign_of_the_generator_partitions():
+    # D(unit) for d = 1..6; the exact determinant is checked up to d = 4
+    signs = [trees.member_sign(algebra.unit_partition(d)) for d in range(1, 7)]
+    assert signs == [-1, -1, +1, +1, -1, -1]
+    for d in range(1, 5):
+        assert member_determinant(algebra.unit_partition(d)) == signs[d - 1], d
+
+
+def test_member_sign_negates_under_every_d4_flip():
+    unit = algebra.unit_partition(4)
+    sign = trees.member_sign(unit)
+    faces = faces_of(8)
+    assert len(faces) == 56
+    for face in faces:
+        assert trees.member_sign(flip(unit, face)) == -sign, face
+
+
+def test_member_sign_refuses_a_class_that_is_no_spanning_tree():
+    # a triangle through vertex 1 or away from it, the other class a star;
+    # and one class holding every edge, the other none
+    for classes in (
+        [{(1, 2), (1, 3), (2, 3)}, {(1, 4), (2, 4), (3, 4)}],
+        [{(2, 3), (2, 4), (3, 4)}, {(1, 2), (1, 3), (1, 4)}],
+    ):
+        with pytest.raises(ValueError, match="not a spanning tree"):
+            trees.member_sign(EdgePartition.from_classes(2, 4, classes))
+    with pytest.raises(ValueError, match="class 0 is not a spanning tree"):
+        trees.member_sign(EdgePartition(2, 4, (0,) * 6))
 
 
 def test_det_signature_and_appendix_build_no_flip_graph(capsys, monkeypatch, tmp_path):
