@@ -341,6 +341,8 @@ class RelationInstance:
 def count_relation_instances(d: int) -> int:
     n = 2 * d
     n_faces = len(faces_of(n))
+    if n_faces == 0:  # K_2, whose one edge makes no face, and d ** -2 is a float
+        return 0
     n_multisets = math.comb(d + 2, 3)
     return n_faces * n_multisets * d ** (edge_count(n) - 3)
 
@@ -355,6 +357,10 @@ def _sample_draws(d: int, sample: int, seed: Optional[int]) -> tuple[np.ndarray,
         raise ValueError(f"sampled mode needs a sample of at least 1, got {sample}")
     if seed is None:
         raise ValueError("sampled mode needs an explicit seed")
+    if seed < 0:
+        raise ValueError(f"the seed must be an int of at least 0, got {seed}")
+    if d < 2:
+        raise ValueError(f"sampled mode needs a face to sample, and K_{2 * d} has none")
     rng = np.random.default_rng(seed)
     face_idx = rng.integers(0, math.comb(2 * d, 3), size=sample)
     ms_idx = rng.integers(0, math.comb(d + 2, 3), size=sample)

@@ -16,9 +16,10 @@ det print their answer, and a certificate named after the command only
 when they raise.
 
 Exit codes: 0 all checks passed, 1 a certificate failed, 2 bad input or
-usage (among them a --sample or --sample-relations below 1, a sample
-without --seed, and enumerate --count-only with --out), 3 an internal
-error (any other exception, reported on one stderr line).
+usage (among them a --sample or --sample-relations below 1, a --seed
+below 0, a sample without --seed, a sample at d = 1, whose K_2 has no
+face, and enumerate --count-only with --out), 3 an internal error (any
+other exception, reported on one stderr line).
 
 Only sampled modes draw random numbers: verify-relations --sample and
 certify-all --sample-relations read the --seed, which certify-all always
@@ -393,16 +394,22 @@ def cmd_certify_all(args) -> int:
 # --------------------------------------------------------------------------
 # parser
 
-def _sample_size(text: str) -> int:
-    """argparse type of a sample size: an int of at least 1, checked
-    while parsing, so that a usage error prints no certificate."""
-    try:
-        sample = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if sample < 1:
-        raise argparse.ArgumentTypeError(f"sampled mode needs a sample of at least 1, got {sample}")
-    return sample
+def _at_least(low: int, what: str):
+    """argparse type of an int of at least `low`, checked while parsing,
+    so that a usage error prints no certificate."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} of at least {low}, got {value}")
+        return value
+    return parse
+
+
+_sample_size = _at_least(1, "sampled mode needs a sample")
+_seed = _at_least(0, "the seed must be an int")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-relations", help="sweep the face relations")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--sample", type=_sample_size, help="sampled mode instead of the full sweep")
-    p.add_argument("--seed", type=int, help="seed, required in sampled mode")
+    p.add_argument("--seed", type=_seed, help="seed, required in sampled mode")
     p.set_defaults(func=cmd_verify_relations)
 
     p = sub.add_parser("rank", help="quotient dimension at d = 2 by elimination over GF(p)")
@@ -468,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-all", help="run the whole certificate pipeline")
     p.add_argument("--d", type=int, default=3, choices=(2, 3))
     p.add_argument(
-        "--seed", type=int, required=True, help="seed of the sampled relation sweep"
+        "--seed", type=_seed, required=True, help="seed of the sampled relation sweep"
     )
     p.add_argument(
         "--sample-relations",

@@ -24,9 +24,11 @@ tree_table(n) lists the n^(n-2) spanning trees of K_n (Cayley), each as
 an int64 edge mask (edge k is bit k) with its sign det B(T), decoded
 from all Pruefer sequences at once, in integers only; signs_by_mask(n)
 spreads it over all edge subsets, which is the enumeration's class
-filter.  tree_signs reads (-1)^inv(P) * prod_c det B(T_c) off every
-member of a partition set; member_sign computes it for one partition of
-any size, so a single sign needs no enumeration.
+filter.  tree_signs computes (-1)^inv(P) * prod_c det B(T_c) for every
+member of a partition set from its class masks, each one float32
+product (exact, as E <= 21), and the parity of inv(P) by prefix-XOR;
+member_sign computes it for one partition of any size, so a single sign
+needs no enumeration.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ import numpy as np
 from .model import edge_count, edge_list
 
 MAX_TREE_N = 8  # K_8 has 262 144 spanning trees; K_9 would have 4.8 million
-_SIGN_BLOCK = 8192  # members signed at a time
-_CHUNK_ROWS = 1 << 8  # at most this many colorings per chunk table
+_SIGN_BLOCK = 4096  # members signed at a time
 
 
 class TreeTable(NamedTuple):
@@ -134,71 +135,52 @@ def signs_by_mask(n: int) -> np.ndarray:
     return signs
 
 
-def _chunk_tables(d: int, E: int):
-    """Per chunk of consecutive edges (shift, width, tables): the chunk's
-    coloring t is code // d^shift % d^width, its first edge the most
-    significant digit, and the tables indexed by t hold the parity of
-    the inversions inside the chunk; a bit per color a, the parity of
-    the chunk edges colored below a, which each earlier edge of color a
-    inverts; a bit per color, the parity of its count; and each class's
-    edge mask bits in the chunk."""
-    g = 1
-    while g < E and d ** (g + 1) <= _CHUNK_ROWS:
-        g += 1
-    color_bit = 1 << np.arange(d)
-    for first in range(0, E, g):
-        width = min(g, E - first)
-        digits = np.arange(d ** width)[:, None] // d ** np.arange(width - 1, -1, -1) % d
-        inv = np.zeros(len(digits), dtype=np.int8)
-        for a, b in combinations(range(width), 2):
-            inv ^= digits[:, a] > digits[:, b]
-        counts = np.zeros((len(digits), d), dtype=np.int64)
-        bits = np.zeros((d, len(digits)), dtype=np.int64)  # class-major
-        for j in range(width):
-            is_color = digits[:, j, None] == np.arange(d)
-            counts += is_color
-            bits += is_color.T * (1 << first + j)
-        below = (np.cumsum(counts, axis=1) - counts) & 1
-        yield E - first - width, width, (
-            inv,
-            (below @ color_bit).astype(np.int8),
-            ((counts & 1) @ color_bit).astype(np.int8),
-            bits,
-        )
+def _parity(x: np.ndarray) -> np.ndarray:
+    """1 where an int64 has an odd number of set bits among its 64, else 0."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> shift)  # the arithmetic shift's sign bits never reach bit 0
+    return x & 1
+
+
+def _prefix_xor(x: np.ndarray) -> np.ndarray:
+    """Bit k of the result is the XOR of the int64's bits below k."""
+    x = x << 1
+    for shift in (1, 2, 4, 8, 16, 32):
+        x = x ^ (x << shift)
+    return x
 
 
 def tree_signs(pset) -> np.ndarray:
     """(-1)^inv(P) * prod_c det B(T_c) for every member P of a cycle-free
     partition set, as int8 in member order.
 
-    Members are read in blocks of rows.  Each chunk of a member's code
-    digits is looked up in _chunk_tables: the inversions inside the
-    chunk, those against the colors seen before it, and the class masks;
-    only parities are kept, one bit per color.  Each class is then looked
-    up in signs_by_mask(n).  The scratch is that table (32 KiB at d = 3)
-    and a few arrays of one block's rows.
+    Members are read from pset.colors in blocks of rows.  Each class's
+    edge mask is one float32 product, colors == c times the powers of
+    two, exact because signs_by_mask stops at E = 21 and float32 holds
+    every integer below 2^24.  The colors are walked upwards: an edge
+    of color c inverts every later edge of a smaller color, so the
+    parity of inv(P) gains, per c, the parity of the smaller-colored
+    edges with an odd number of c-colored edges below them, read off
+    the masks by a prefix-XOR.  Each class is then looked up in
+    signs_by_mask(n).  The scratch is that table (32 KiB at d = 3) and
+    a few arrays of one block's rows.
     """
     d, E = pset.d, pset.colors.shape[1]
     by_mask = signs_by_mask(pset.n)
-    chunks = list(_chunk_tables(d, E))
-    odd = np.array([bin(bits).count("1") & 1 for bits in range(1 << d)], dtype=np.int8)
+    bit = np.float32(2) ** np.arange(E, dtype=np.float32)
     out = np.empty(len(pset), dtype=np.int8)
     for start in range(0, len(pset), _SIGN_BLOCK):
-        codes = pset.codes[start : start + _SIGN_BLOCK]
-        parity = np.zeros(len(codes), dtype=np.int8)
-        seen = np.zeros(len(codes), dtype=np.int8)  # a bit per color: its count so far is odd
-        masks = np.zeros((d, len(codes)), dtype=np.int64)  # a row per class
-        for shift, width, (inv, below, counts, bits) in chunks:
-            t = codes // d ** shift % d ** width
-            parity ^= inv[t]
-            parity ^= odd[seen & below[t]]
-            seen ^= counts[t]
-            masks |= bits[:, t]
-        sign = 1 - 2 * parity
-        for mask in masks:
+        colors = pset.colors[start : start + _SIGN_BLOCK]
+        parity = np.zeros(len(colors), dtype=np.int64)
+        below = np.zeros(len(colors), dtype=np.int64)  # the edges of the smaller colors
+        sign = np.ones(len(colors), dtype=np.int8)
+        for c in range(d):
+            mask = ((colors == c) @ bit).astype(np.int64)
+            parity ^= _parity(_prefix_xor(mask) & below)
+            below |= mask
             tree = by_mask[mask]
             if not tree.all():
                 raise ValueError(f"edge mask {int(mask[tree.argmin()])} is not a spanning tree")
             sign *= tree
-        out[start : start + len(codes)] = sign
+        out[start : start + len(colors)] = sign * (1 - 2 * parity)
     return out

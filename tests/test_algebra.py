@@ -515,6 +515,16 @@ def test_sampled_modes_need_a_positive_sample(ctx2, sample):
         list(relation_instances(2, sample=sample, seed=1))
 
 
+def test_sampled_modes_refuse_a_negative_seed_and_d1(ctx2):
+    with pytest.raises(ValueError, match="seed must be an int of at least 0, got -1"):
+        verify_relations(ctx2.graph, ctx2.signature, sample=3, seed=-1)
+    with pytest.raises(ValueError, match="seed must be an int of at least 0, got -1"):
+        list(relation_instances(2, sample=3, seed=-1))
+    with pytest.raises(ValueError, match="K_2 has none"):
+        list(relation_instances(1, sample=3, seed=1))
+    assert count_relation_instances(1) == 0 and type(count_relation_instances(1)) is int
+
+
 def test_relation_sweep_detects_tampered_signature(ctx2):
     broken = np.array(ctx2.signature.signs, dtype=np.int8)
     broken[0] = -broken[0]

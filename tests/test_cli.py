@@ -226,6 +226,31 @@ def test_sample_below_one_is_a_usage_error(capsys, sample):
     assert code == 2 and out == "" and "sample of at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["certify-all", "--d", "3", "--seed", "-1", "--sample-relations", "5"], "argument --seed"),
+        (["certify-all", "--d", "2", "--seed", "-1"], "argument --seed"),
+        (["verify-relations", "--d", "2", "--sample", "3", "--seed", "-1"], "argument --seed"),
+        (["verify-relations", "--d", "1", "--sample", "3", "--seed", "1"], "K_2 has none"),
+    ],
+)
+def test_negative_seed_and_sampling_at_d1_are_usage_errors(capsys, monkeypatch, argv, message):
+    # a negative seed is refused while parsing, before any certificate
+    if "-1" in argv:
+        monkeypatch.setattr("treedet.cli.standard_context", None)
+        monkeypatch.setattr("treedet.cli.enumerate_partitions", None)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and message in err, (code, out, err)
+
+
+def test_verify_relations_d1_checks_no_instance(capsys):
+    code, out, _ = run(capsys, ["verify-relations", "--d", "1"])
+    numbers = json.loads(out)["numbers"]
+    assert code == 0 and numbers == {"instances_checked": 0, "violations": 0}
+    assert type(numbers["instances_checked"]) is int
+
+
 def test_enumerate_count_only_excludes_out(capsys, tmp_path):
     out_file = tmp_path / "parts.jsonl"
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from treedet import algebra, trees
@@ -85,6 +86,32 @@ def test_tree_signs_refuse_a_class_that_is_no_tree():
     pset = PartitionSet(2, 4, np.array([cyclic.colors]), cycle_free=True)
     with pytest.raises(ValueError, match="not a spanning tree"):
         trees.tree_signs(pset)
+
+
+int64_lists = st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), min_size=1, max_size=40)
+BIT_63_CASES = [0, 1, -1, -(2 ** 63), 2 ** 63 - 1, -(2 ** 62), 2 ** 62]
+
+
+def popcount(x):
+    return bin(x & (2 ** 64 - 1)).count("1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=int64_lists)
+@example(values=BIT_63_CASES)
+def test_parity_is_the_popcount_parity(values):
+    got = trees._parity(np.array(values, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [popcount(x) & 1 for x in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=int64_lists)
+@example(values=BIT_63_CASES)
+def test_prefix_xor_holds_the_parity_of_the_bits_below(values):
+    got = trees._prefix_xor(np.array(values, dtype=np.int64)).tolist()
+    for x, y in zip(values, got):
+        assert [y >> k & 1 for k in range(64)] == [popcount(x & (1 << k) - 1) & 1 for k in range(64)], x
 
 
 @pytest.mark.parametrize("d", [2, 3])
