@@ -21,10 +21,11 @@ table = orbit_decomposition(ctx.pset)
 print(f"{len(table.entries)} orbits over {len(ctx.pset)} partitions ({time.time() - t0:.1f}s)")
 print()
 
+report = match_catalog(table)
 print("orbit  size  |stab|  shapes           catalog ids")
 for e in table.entries:
     shapes = ",".join(e.type_triple)
-    ids = ",".join(f"P{c}" for c in e.catalog_ids) or "-"
+    ids = ",".join(f"P{c}" for c, o in report.orbit_of.items() if o == e.orbit_id) or "-"
     print(f"{e.orbit_id:5d}  {e.size:4d}  {e.stabilizer_order:5d}  {shapes:15s}  {ids}")
 
 sizes = Counter(e.size for e in table.entries)
@@ -35,7 +36,6 @@ print(f"orbit-stabilizer identity (size * |stab| = 4320): "
       f"{all(e.size * e.stabilizer_order == 4320 for e in table.entries)}")
 print()
 
-report = match_catalog(table)
 print(f"catalog cross-check: {'clean' if report.ok else report.mismatches}")
 print()
 

@@ -548,10 +548,7 @@ def rank_certify_d2(p: int) -> int:
     for inst in relation_instances(2):
         vec = [0] * n_gens
         for colors in inst.expansions():
-            code = 0
-            for c in colors:
-                code = code * 2 + c
-            vec[code] += 1
+            vec[EdgePartition(2, 4, colors).canonical_code()] += 1
         rows.append(vec)
     return n_gens - len(row_reduce(rows, p)[1])
 

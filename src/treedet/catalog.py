@@ -14,7 +14,7 @@ S_4 x S_2 has order 4.
 
 The edge lists are input data for cross-checks, not derived facts: the
 orbit decomposition, sizes, stabilizers, and shape triples are all
-recomputed from scratch and compared against this table.
+recomputed and compared against this table, by symmetry.match_catalog.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ EXPECTED_TYPE_TRIPLES: dict[int, tuple[str, str, str]] = {
 # fmt: on
 
 CATALOG_IDS = tuple(range(1, 20))
-
-# The parity form of the d = 3 signature: the sign of (sigma, tau) * P
-# is sgn tau times the sign of P (a name in symmetry.CHARACTERS).
-EXPECTED_CHARACTER = "sgn_tau"
 
 
 def reference_partition(i: int) -> EdgePartition:

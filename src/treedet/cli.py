@@ -5,8 +5,9 @@ prints one JSON certificate per stage with stable key order.  A stage is
 a name, its parameters and a check that returns the stage's numbers and
 witnesses; each claim has one function that builds them, shared by the
 standalone commands and certify-all.  A certificate's outcome is "fail"
-exactly when it has witnesses.  Its wall_time_s times its own stage:
-from the start of the command, or from the previous certificate's print.
+exactly when it has witnesses.  Its wall_time_s times its stage, from
+the start of the command or from the previous certificate's print, and
+so includes every layer that stage is the first to read.
 
 A check may raise its witness instead (a flip that is not unique, or a
 set not closed under relabeling): the stage that raised it prints a
@@ -185,10 +186,11 @@ def _orbit_identity(table, d: int):
     return numbers, [{"property": "orbit_stabilizer_identity", "orbits": bad}] if bad else []
 
 
-def _parity_form(orbits, table, expected: Optional[str]):
-    """Without a character, the first violations of each, by orbit id;
-    with another character than the expected one, both names."""
+def _parity_form(orbits, table):
+    """Passes when signature_character(d) counts no violation (at d = 1 it is
+    named "trivial"); else the first violations of each, or both names."""
     eps = symmetry.epsilon_formula_check(orbits, table)
+    expected = symmetry.signature_character(orbits.pset.d)
     numbers = {
         "character": eps.character,
         "epsilon_samples": eps.samples,
@@ -204,7 +206,7 @@ def _parity_form(orbits, table, expected: Optional[str]):
             for name, found in eps.violations.items()
         }
         return numbers, [{**witness, "violations": violations}]
-    if expected in (None, eps.character):
+    if eps.counts[expected] == 0:
         return numbers, []
     return numbers, [{**witness, "character": eps.character, "expected": expected}]
 
@@ -216,9 +218,8 @@ def _catalog(orbits, table):
     match = symmetry.match_catalog(orbits)
     numbers = {"references_checked": match.checked, "mismatches": len(match.mismatches)}
     witnesses = [] if match.ok else [{"property": "orbit_catalog_match", "diffs": match.mismatches}]
-    members = [cid for cid in catalog.CATALOG_IDS if catalog.reference_partition(cid) in table.pset]
-    negative = [cid for cid in members if table.signature(catalog.reference_partition(cid)) != 1]
-    numbers["references_positive"] = len(members) - len(negative)
+    negative = [c for c in match.orbit_of if table.signature(catalog.reference_partition(c)) != 1]
+    numbers["references_positive"] = len(match.orbit_of) - len(negative)
     if negative:
         witnesses.append({"property": "reference_orientation", "references": negative})
     return numbers, witnesses
@@ -322,7 +323,7 @@ def cmd_verify_appendix(args):
     ctx = standard_context(3)
     table = symmetry.orbit_decomposition(ctx.pset)
     matched, mismatched = _catalog(table, ctx.signature)
-    parity, violated = _parity_form(table, ctx.signature, catalog.EXPECTED_CHARACTER)
+    parity, violated = _parity_form(table, ctx.signature)
     return {**matched, **parity}, mismatched + violated
 
 
@@ -371,13 +372,12 @@ def cmd_certify_all(args) -> int:
     pset = functools.cache(lambda: enumerate_partitions(d, cycle_free=True))
     ctx = functools.cache(lambda: standard_context(d, pset()))
     orbits = functools.cache(lambda: symmetry.orbit_decomposition(ctx().pset))
-    expected = catalog.EXPECTED_CHARACTER if d == 3 else None
     checks = {
         "enumerate": lambda: _counts(d, pset()),
         "flip-graph": lambda: _flip_soundness(ctx().graph),
         "bipartite-connected": lambda: _bipartite_connected(ctx().graph, ctx().signature),
         "orbits": lambda: _orbit_identity(orbits(), d),
-        "epsilon-formula": lambda: _parity_form(orbits(), ctx().signature, expected),
+        "epsilon-formula": lambda: _parity_form(orbits(), ctx().signature),
         "catalog-match": lambda: _catalog(orbits(), ctx().signature),
         "determinant": lambda: _normalisation(d, ctx()),
     }

@@ -14,7 +14,8 @@ stabilizer; an image outside the set raises OrbitClosureError, since the
 set is then no union of orbits.  The d = 3 set takes 19 such rounds.
 The orbit table keeps the member position of every root's images, and
 the parity form of the signature (which character of S_{2d} x S_d the
-signs follow) is read off them: 82,080 cases at d = 3, 48 at d = 2.
+signs follow, signature_character(d) at every d) is read off them:
+82,080 cases at d = 3, 48 at d = 2.  Only match_catalog reads the catalog.
 
 Permutations are plain image tuples with 1-based values: sigma[i-1] is
 the image of vertex i.
@@ -22,13 +23,12 @@ the image of vertex i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice, permutations
 
 import numpy as np
 
-from . import catalog
 from .enumeration import PartitionSet, member_positions
 from .flips import SignatureTable
 from .model import EdgePartition, classify_tree, edge_count, edge_index, edge_list
@@ -213,8 +213,6 @@ class OrbitEntry:
     size: int
     stabilizer_order: int
     type_triple: tuple[str, ...]
-    catalog_ids: tuple[int, ...] = ()
-    stabilizer: list = field(default_factory=list, repr=False)  # in group_elements order
 
 
 @dataclass
@@ -262,36 +260,26 @@ def _orbit_kernel(pset: PartitionSet) -> tuple[np.ndarray, np.ndarray]:
 
 def orbit_decomposition(pset: PartitionSet) -> OrbitTable:
     """Orbits of the set under S_{2d} x S_d, with representatives,
-    sizes, stabilizers, and tree-shape triples.
+    sizes, stabilizer orders, and tree-shape triples.
 
     Representatives are the minimal-code members; orbit ids follow the
-    representatives' code order.  Stabilizers are read off the kept
-    images.  Known labeled representatives from the catalog are attached
-    as aliases when they land in an orbit.
+    representatives' code order.  A stabilizer order counts the kept
+    images equal to the root; the elements are stabilizer(rep).
     """
     roots, images = _orbit_kernel(pset)
     root_ids, counts = np.unique(roots, return_counts=True)
-    alias: dict[int, list[int]] = {}
-    if pset.d == 3 and pset.cycle_free:
-        for cid in catalog.CATALOG_IDS:
-            p = catalog.reference_partition(cid)
-            if p in pset:  # a reference outside the set is match_catalog's finding
-                alias.setdefault(int(roots[pset.index_of(p)]), []).append(cid)
     entries = []
     for oid, (root, size, idx) in enumerate(zip(root_ids, counts, images)):
         rep = pset.partition(int(root))
-        stab = _pairs(*np.nonzero(idx == root), pset.n, pset.d)
         entries.append(
             OrbitEntry(
                 orbit_id=oid,
                 representative=rep,
                 size=int(size),
-                stabilizer_order=len(stab),
+                stabilizer_order=int(np.count_nonzero(idx == root)),
                 type_triple=tuple(classify_tree(cls) for cls in rep.color_classes())
                 if pset.n == 6
                 else (),
-                catalog_ids=tuple(alias.get(int(root), ())),
-                stabilizer=stab,
             )
         )
     return OrbitTable(pset, roots, images, entries)
@@ -301,6 +289,7 @@ def orbit_decomposition(pset: PartitionSet) -> OrbitTable:
 class CatalogMatchReport:
     checked: int
     mismatches: list  # human-readable strings
+    orbit_of: dict  # catalog id -> orbit id of every member reference, shared orbits too
 
     @property
     def ok(self) -> bool:
@@ -315,10 +304,11 @@ def match_catalog(table: OrbitTable) -> CatalogMatchReport:
     stabilizer order, and tree-shape triple agree with the catalog; and
     that the 19 orbits are hit exactly.
     """
+    from . import catalog
     from .model import is_cycle_free, is_homogeneous
 
     mismatches = []
-    seen_orbits = {}
+    seen_orbits, orbit_of = {}, {}
     for cid in catalog.CATALOG_IDS:
         p = catalog.reference_partition(cid)
         if not is_homogeneous(p):
@@ -338,6 +328,7 @@ def match_catalog(table: OrbitTable) -> CatalogMatchReport:
         except KeyError:
             mismatches.append(f"reference {cid} is not a member of the set")
             continue
+        orbit_of[cid] = oid
         if oid in seen_orbits:
             mismatches.append(
                 f"references {seen_orbits[oid]} and {cid} fall in the same orbit"
@@ -359,11 +350,16 @@ def match_catalog(table: OrbitTable) -> CatalogMatchReport:
         mismatches.append(
             f"{len(seen_orbits)} orbits hit by references, table has {len(table.entries)}"
         )
-    return CatalogMatchReport(checked=len(catalog.CATALOG_IDS), mismatches=mismatches)
+    return CatalogMatchReport(len(catalog.CATALOG_IDS), mismatches, orbit_of)
 
 
 # The four characters of S_{2d} x S_d by name: (a, b) is sgn(sigma)^a * sgn(tau)^b.
 CHARACTERS = dict(trivial=(0, 0), sgn_sigma=(1, 0), sgn_tau=(0, 1), sgn_sigma_sgn_tau=(1, 1))
+
+
+def signature_character(d: int) -> str:
+    """The character the signature follows at d: sgn(sigma)^(d+1) * sgn(tau)."""
+    return "sgn_tau" if d % 2 else "sgn_sigma_sgn_tau"
 
 
 @dataclass
@@ -390,7 +386,8 @@ def epsilon_formula_check(orbits: OrbitTable, table: SignatureTable) -> EpsilonF
 
     The roots suffice: a member is h * r for some root r, and then
     s(g * h * r) = chi(g) chi(h) s(r) = chi(g) s(h * r).  Two distinct
-    characters differ on some element, so at most one holds.  Violations
+    characters differ on some element, so at most one holds, but at d = 1
+    S_1 makes sgn tau trivial and `character` names the first.  Violations
     are listed in (orbit, sigma, tau) order, the first five of each.
     """
     pset = orbits.pset

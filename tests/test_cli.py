@@ -622,12 +622,39 @@ def test_parity_form_with_a_missing_orbit_is_a_failed_certificate(capsys, monkey
     assert "reference 19 is not a member of the set" in cert["witnesses"][0]["diffs"]
 
 
-def test_verify_appendix_fails_on_another_character_than_the_catalogs(capsys, monkeypatch):
-    # the signs follow sgn tau; a table that stated another character fails,
-    # in verify-appendix and in certify-all's d = 3 epsilon stage alike
+@pytest.mark.parametrize("tau, positive", [((1, 2, 3), 19), ((1, 3, 2), 18)])
+def test_catalog_match_with_two_references_in_one_orbit(capsys, monkeypatch, tau, positive):
+    # reference 2 replaced by a relabeling of reference 1: both are members,
+    # both are signed, and an odd tau makes reference 2's sign -1
     from treedet import catalog
+    from treedet.symmetry import PermPair, act
 
-    monkeypatch.setattr(catalog, "EXPECTED_CHARACTER", "sgn_sigma_sgn_tau")
+    moved = act(PermPair((2, 1, 3, 4, 5, 6), tau), catalog.reference_partition(1))
+    monkeypatch.setitem(catalog.REFERENCE_EDGE_LISTS, 2, moved.color_classes())
+    code, out, _ = run(capsys, ["certify-all", "--d", "3", "--seed", "7"])
+    assert code == 1
+    certs = {c["command"]: c for c in map(json.loads, out.splitlines())}
+    assert [name for name, c in certs.items() if c["outcome"] == "fail"] == [
+        "certify-all/catalog-match"
+    ]
+    match = certs["certify-all/catalog-match"]
+    assert match["numbers"] == {
+        "mismatches": 4,
+        "references_checked": 19,
+        "references_positive": positive,
+    }
+    diffs = match["witnesses"][0]["diffs"]
+    assert diffs[0] == "references 1 and 2 fall in the same orbit" and len(diffs) == 4
+    orientation = [{"property": "reference_orientation", "references": [2]}] if positive < 19 else []
+    assert match["witnesses"][1:] == orientation
+
+
+def test_verify_appendix_fails_on_another_character_than_the_catalogs(capsys, monkeypatch):
+    # the signs follow sgn tau; a rule that stated another character fails,
+    # in verify-appendix and in certify-all's d = 3 epsilon stage alike
+    from treedet import symmetry
+
+    monkeypatch.setattr(symmetry, "signature_character", lambda d: "sgn_sigma_sgn_tau")
     witness = {
         "property": "signature_parity_formula",
         "character": "sgn_tau",
@@ -645,8 +672,22 @@ def test_verify_appendix_fails_on_another_character_than_the_catalogs(capsys, mo
     assert [c["command"] for c in certs if c["outcome"] == "fail"] == ["certify-all/epsilon-formula"]
     epsilon = next(c for c in certs if c["command"] == "certify-all/epsilon-formula")
     assert epsilon["numbers"]["character"] == "sgn_tau" and epsilon["witnesses"] == [witness]
-    code, out, _ = run(capsys, ["certify-all", "--d", "2", "--seed", "7"])
-    assert code == 0  # the catalog's character is d = 3's; d = 2 only names its own
+
+
+def test_certify_all_d2_fails_on_another_character_than_the_rule(capsys, monkeypatch):
+    # the d = 2 signs follow sgn sigma * sgn tau; a rule of sgn tau fails
+    # the epsilon stage alone
+    from treedet import symmetry
+
+    monkeypatch.setattr(symmetry, "signature_character", lambda d: "sgn_tau")
+    code, out, err = run(capsys, ["certify-all", "--d", "2", "--seed", "7"])
+    assert code == 1 and err == ""
+    certs = [json.loads(line) for line in out.strip().splitlines()]
+    assert [c["command"] for c in certs if c["outcome"] == "fail"] == ["certify-all/epsilon-formula"]
+    epsilon = next(c for c in certs if c["command"] == "certify-all/epsilon-formula")
+    assert epsilon["numbers"]["character"] == "sgn_sigma_sgn_tau"
+    witness = {"character": "sgn_sigma_sgn_tau", "expected": "sgn_tau"}
+    assert epsilon["witnesses"] == [{"property": "signature_parity_formula", **witness}]
 
 
 @pytest.mark.parametrize("extra", [["--force"], ["--count-only"]])

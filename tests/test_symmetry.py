@@ -18,6 +18,7 @@ from treedet.symmetry import (
     match_catalog,
     orbit_decomposition,
     perm_sign,
+    signature_character,
     stabilizer,
     vertex_perm_edge_map,
     _all_edge_maps,
@@ -97,8 +98,34 @@ def test_catalog_match(orbits3):
 
 
 def test_catalog_aliases_cover_all_orbits(orbits3):
-    ids = [cid for e in orbits3.entries for cid in e.catalog_ids]
-    assert sorted(ids) == list(range(1, 20))
+    orbit_of = match_catalog(orbits3).orbit_of
+    assert sorted(orbit_of) == list(range(1, 20))
+    assert sorted(orbit_of.values()) == list(range(19))
+
+
+def test_orbit_table_does_not_read_the_catalog(ctx3, orbits3, monkeypatch):
+    def refuse(cid):
+        raise AssertionError(f"reference {cid} read")
+
+    monkeypatch.setattr(catalog, "reference_partition", refuse)
+    table = orbit_decomposition(ctx3.pset)
+    assert np.array_equal(table.roots, orbits3.roots)
+    assert np.array_equal(table.images, orbits3.images)
+    assert table.entries == orbits3.entries
+
+
+def test_two_references_in_one_orbit_both_keep_their_orbit(orbits3, monkeypatch):
+    # reference 2 replaced by a relabeling of reference 1
+    moved = act(PermPair((2, 1, 3, 4, 5, 6), (1, 3, 2)), catalog.reference_partition(1))
+    monkeypatch.setitem(catalog.REFERENCE_EDGE_LISTS, 2, moved.color_classes())
+    report = match_catalog(orbits3)
+    assert report.mismatches == [
+        "references 1 and 2 fall in the same orbit",
+        "reference 2: orbit size 4320 != 720",
+        "reference 2: stabilizer order 1 != 6",
+        "18 orbits hit by references, table has 19",
+    ]
+    assert len(report.orbit_of) == 19 and report.orbit_of[1] == report.orbit_of[2]
 
 
 def test_broadcast_stabilizer_equals_the_pair_loop():
@@ -123,8 +150,7 @@ def test_entry_stabilizers_equal_the_pair_loop(d, orbits3):
 
     table = orbits3 if d == 3 else orbit_decomposition(standard_context(d).pset)
     for entry in table.entries:
-        assert entry.stabilizer == helpers.loop_stabilizer(entry.representative)
-        assert entry.stabilizer_order == len(entry.stabilizer)
+        assert entry.stabilizer_order == len(helpers.loop_stabilizer(entry.representative))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -237,6 +263,22 @@ def test_no_class_has_a_high_degree_vertex(ctx3):
             cols = [k for k, (i, j) in enumerate(edge_list(6)) if v in (i, j)]
             degs = (colors[:, cols] == c).sum(axis=1)
             assert int(degs.max()) <= 3
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_signature_follows_the_rule_at_every_d(d, ctx3, orbits3):
+    from treedet.cli import _parity_form
+    from treedet.context import standard_context
+
+    ctx = ctx3 if d == 3 else standard_context(d)
+    orbits = orbits3 if d == 3 else orbit_decomposition(ctx.pset)
+    report = epsilon_formula_check(orbits, ctx.signature)
+    assert signature_character(d) == ("sgn_tau" if d % 2 else "sgn_sigma_sgn_tau")
+    assert report.counts[signature_character(d)] == 0
+    # S_1 makes sgn tau the trivial character, which `character` names first,
+    # so the parity-form stage compares the rule's count, not the name
+    assert report.character == ("trivial" if d == 1 else signature_character(d))
+    assert _parity_form(orbits, ctx.signature)[1] == []
 
 
 def test_epsilon_formula_sampled(ctx3, orbits3):
